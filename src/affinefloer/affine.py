@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -161,6 +161,9 @@ class AffinePolygon:
     bottom: BoundaryPolyline
     left_corner: bool = True
     right_corner: bool = True
+    _columns: dict[int, dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "eta_min", rat(self.eta_min))
@@ -178,6 +181,28 @@ class AffinePolygon:
             return False
         lo, hi = self.fiber(point.eta)
         return lo <= point.xi <= hi
+
+    def column_counts(self, d: int) -> Mapping[int, int]:
+        """Table column a -> number of (1/d)-integral points at eta = a/d,
+        for every column in the eta-range, in increasing a.
+
+        A point q_{a,i} with denominator d lies in the region exactly when
+        0 <= i < column_counts(d).get(a, 0).  Built once per denominator and
+        shared by every caller, so it must not be mutated; d = 0 gives the
+        unit point's table {0: 1}.
+        """
+        table = self._columns.get(d)
+        if table is None:
+            if d < 0:
+                raise ValueError("denominator must be nonnegative")
+            if d == 0:
+                counts = {0: 1}
+            else:
+                a_lo = math.ceil(self.eta_min * d)
+                a_hi = math.floor(self.eta_max * d)
+                counts = {a: column_range(self, d, a)[1] for a in range(a_lo, a_hi + 1)}
+            table = self._columns[d] = counts
+        return table
 
 
 @dataclass(frozen=True)
@@ -318,6 +343,10 @@ def cp2_model(singularity_xi: RatLike = Fraction(-1, 4)) -> AffinePolygon:
     )
 
 
+CP2 = cp2_model()
+"""The projective-plane instance every cp2-only computation runs on."""
+
+
 def dp6_model(widths: Sequence[int] = (1, 1, 1)) -> AffinePolygon:
     """A four-sided instance with two vertical facets and two singularities.
 
@@ -380,17 +409,11 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
     from its topmost lattice height; sorted by (a, i).  Points on the closed
     boundary count as members.  d = 0 yields the single unit point.
     """
-    if d < 0:
-        raise ValueError("denominator must be nonnegative")
-    if d == 0:
-        return [FractionalPoint(0, 0, 0)]
-    points: list[FractionalPoint] = []
-    a_lo = math.ceil(polygon.eta_min * d)
-    a_hi = math.floor(polygon.eta_max * d)
-    for a in range(a_lo, a_hi + 1):
-        _, count = column_range(polygon, d, a)
-        points.extend(FractionalPoint(a, i, d) for i in range(count))
-    return points
+    return [
+        FractionalPoint(a, i, d)
+        for a, count in polygon.column_counts(d).items()
+        for i in range(count)
+    ]
 
 
 def embed(polygon: AffinePolygon, point: FractionalPoint) -> RationalPoint:
@@ -450,20 +473,47 @@ def polygon_to_json(polygon: AffinePolygon) -> dict:
     }
 
 
-def polygon_from_json(data: dict) -> AffinePolygon:
+def _field(data: Mapping[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:
+    """Parse data[key], turning a missing key or a malformed value into a
+    one-line ValueError that names the key."""
+    if key not in data:
+        raise ValueError(f"instance has no {key!r} key")
+    try:
+        return parse(data[key])
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"instance key {key!r} is malformed ({type(exc).__name__}: {exc})"
+        ) from None
+
+
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _polyline(data: Any) -> BoundaryPolyline:
+    return BoundaryPolyline(tuple(RationalPoint(rat(e), rat(x)) for e, x in data))
+
+
+def polygon_from_json(data: Any) -> AffinePolygon:
+    if not isinstance(data, dict):
+        raise ValueError("instance must be a JSON object")
+    corners = _field(data, "corners", lambda c: (_flag(c["left"]), _flag(c["right"])))
     return AffinePolygon(
-        eta_min=rat(data["eta_min"]),
-        eta_max=rat(data["eta_max"]),
-        singularities=tuple(
-            Singularity(rat(s["eta"]), rat(s["xi"]), int(s.get("mult", 1)))
-            for s in data["singularities"]
+        eta_min=_field(data, "eta_min", rat),
+        eta_max=_field(data, "eta_max", rat),
+        singularities=_field(
+            data,
+            "singularities",
+            lambda sings: tuple(
+                Singularity(rat(s["eta"]), rat(s["xi"]), s.get("mult", 1)) for s in sings
+            ),
         ),
-        top=BoundaryPolyline(tuple(RationalPoint(rat(e), rat(x)) for e, x in data["top"])),
-        bottom=BoundaryPolyline(
-            tuple(RationalPoint(rat(e), rat(x)) for e, x in data["bottom"])
-        ),
-        left_corner=bool(data["corners"]["left"]),
-        right_corner=bool(data["corners"]["right"]),
+        top=_field(data, "top", _polyline),
+        bottom=_field(data, "bottom", _polyline),
+        left_corner=corners[0],
+        right_corner=corners[1],
     )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -60,44 +61,44 @@ class CommandReport:
 _BUILTINS = ("cp2", "dp6")
 
 
-def resolve_instance(args) -> tuple[str, Optional[AffinePolygon]]:
-    """(name, polygon) from --builtin/--instance/positional; the polygon is
-    None for the cp2 builtin so callers can use the closed-form index rules."""
+def resolve_instance(args) -> tuple[str, AffinePolygon]:
+    """(name, polygon) from --builtin/--instance/positional.
+
+    Every instance, the cp2 builtin included, is an `AffinePolygon`: products
+    compute k geometrically on each of them.  The polygon is validated here
+    once for every command; an invalid one raises ValueError (exit 2).
+    """
     name = args.builtin or args.instance or getattr(args, "instance_arg", None)
     if name is None:
         raise SystemExit("no instance given (use --builtin NAME or --instance PATH)")
     if name == "cp2":
-        return name, None
-    if name == "dp6":
-        widths = getattr(args, "widths", None) or (1, 1, 1)
-        return name, affine.dp6_model(widths)
-    return name, affine.load_polygon(name)
-
-
-def _polygon_of(name: str, polygon: Optional[AffinePolygon]) -> AffinePolygon:
-    return affine.cp2_model() if polygon is None else polygon
+        polygon = affine.CP2
+    elif name == "dp6":
+        polygon = affine.dp6_model(getattr(args, "widths", None) or (1, 1, 1))
+    else:
+        polygon = affine.load_polygon(name)
+    problems = affine.validate(polygon)
+    if problems:
+        raise ValueError(f"invalid instance {name}: " + "; ".join(problems))
+    return name, polygon
 
 
 def cmd_points(args) -> CommandReport:
     name, polygon = resolve_instance(args)
     report = CommandReport("points", {"instance": name, "d": args.d})
-    poly = _polygon_of(name, polygon)
-    problems = affine.validate(poly)
-    if not report.check("instance_valid", not problems, "; ".join(problems)):
-        return report
-    points = affine.fractional_points(poly, args.d)
+    points = affine.fractional_points(polygon, args.d)
     report.results["count"] = len(points)
     report.results["points"] = [{"a": p.a, "i": p.i, "d": p.d} for p in points]
     report.check(
         "count_matches_membership_scan",
-        len(points) == affine.count_points(poly, args.d),
+        len(points) == affine.count_points(polygon, args.d),
     )
     if not args.json:
         for p in points:
             if p.d == 0:
                 print("q_(0,0)  (unit)")
             else:
-                spot = affine.embed(poly, p)
+                spot = affine.embed(polygon, p)
                 print(f"q_({p.a},{p.i})  at (eta, xi) = ({spot.eta}, {spot.xi})")
         print(f"total: {len(points)} points")
     return report
@@ -168,15 +169,15 @@ def _verify_tropical(report: CommandReport, max_nm: int) -> None:
     pairs = 0
     for n in range(1, max_nm + 1):
         for m in range(1, max_nm + 1):
+            heights = affine.CP2.column_counts(n + m)
             for a, i in sorted(floer.index_range(0, n)):
                 for b, j in sorted(floer.index_range(n, n + m)):
-                    top = (n + m - abs(a + b)) // 2
                     product = floer.mu2(
                         floer.basis_vector(n, n + m, b, j),
                         floer.basis_vector(0, n, a, i),
                     ).coeffs()
                     pairs += 1
-                    for h in range(top + 1):
+                    for h in range(heights[a + b]):
                         count = tropical.tropical_structure_constant(a, i, n, b, j, m, h)
                         if count != product.get((a + b, h), 0):
                             mismatches += 1
@@ -238,7 +239,6 @@ def cmd_render(args) -> CommandReport:
         "render", {"instance": name, "out": args.out, "points": args.points,
                    "triangle": args.triangle},
     )
-    poly = _polygon_of(name, polygon)
     triangle = None
     if args.triangle is not None:
         if name != "cp2":
@@ -248,7 +248,7 @@ def cmd_render(args) -> CommandReport:
         report.check("triangle_exists", triangle is not None)
         if triangle is not None:
             report.results["triangle"] = tropical.triangle_to_json(triangle)
-    svg = render.render_svg(poly, d=args.points, triangle=triangle)
+    svg = render.render_svg(polygon, d=args.points, triangle=triangle)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
     report.results["svg_bytes"] = len(svg)
@@ -266,6 +266,14 @@ def cmd_numeric(args) -> CommandReport:
             state = "pass" if check["pass"] else "FAIL"
             print(f"[{state}] {check['name']}  ({check['detail']})")
     return report
+
+
+def positive_float(text: str) -> float:
+    """argparse type of --tol; argparse reports a ValueError as invalid input."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _add_instance_args(parser, positional: bool = True) -> None:
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-degree", type=int, default=6, dest="max_degree")
     p_verify.add_argument("--max-k", type=int, default=8, dest="max_k")
     p_verify.add_argument("--max", type=int, default=4)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
+    p_verify.add_argument("--tol", type=positive_float, default=1e-9)
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="write an SVG figure")
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=cmd_render, builtin=None, instance=None)
 
     p_numeric = sub.add_parser("numeric", help="floating-point checks report")
-    p_numeric.add_argument("--tol", type=float, default=1e-9)
+    p_numeric.add_argument("--tol", type=positive_float, default=1e-9)
     p_numeric.set_defaults(func=cmd_numeric)
 
     return parser
@@ -344,6 +352,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
+    else:
+        for check in report.checks:
+            if not check["pass"]:
+                detail = f": {check['detail']}" if check["detail"] else ""
+                print(f"failed check {check['name']}{detail}", file=sys.stderr)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2)

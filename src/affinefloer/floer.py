@@ -7,10 +7,10 @@ vectors is the integer formal sum
     mu2(q_{b,j}, q_{a,i}) = sum_{s=0}^{k} C(k, s) * q_{a+b, i+j+s}
 
 where k counts how many times the triangle spanned by the three section paths
-covers the critical lines.  For the projective-plane instance k has the
-closed form min(|a|, |b|) when the columns have opposite signs and 0
-otherwise; for a general polygon it is computed geometrically by
-`critical_cover`, one count per singularity.
+covers the critical lines.  k is computed geometrically by `critical_cover`,
+one count per singularity, on every instance; the projective plane is the
+instance `affine.CP2`, the default.  Its closed form `k_value_cp2` (min(|a|,
+|b|) for opposite-sign columns, 0 otherwise) is kept only as an oracle.
 
 The geometric rule: lift the three section paths to the universal cover of
 the base annulus as straight graphs over eta (a path of level n drops with
@@ -22,6 +22,9 @@ triangle's vertical cross-section there.  The cross-section endpoints are
 integers whenever n*c and (n+m)*c are (hence for instances with integer
 singularity positions), which keeps the half-integer count unambiguous.
 
+Admissibility of every input and output index is a lookup in the polygon's
+cached column table (`AffinePolygon.column_counts`).
+
 All coefficients are arbitrary-precision integers; every sign is positive.
 """
 
@@ -30,9 +33,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
-from .affine import AffinePolygon, FractionalPoint, column_range
+from .affine import CP2, AffinePolygon, FractionalPoint
 
 
 @dataclass(frozen=True)
@@ -88,20 +91,6 @@ class FormalSum:
     def coeffs(self) -> dict[tuple[int, int], int]:
         return dict(self.terms)
 
-    def coefficient(self, a: int, i: int) -> int:
-        return self.coeffs().get((a, i), 0)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if (self.d1, self.d2) != (other.d1, other.d2):
-            raise ValueError("cannot add sums with different (d1, d2)")
-        acc = self.coeffs()
-        for key, c in other.terms:
-            acc[key] = acc.get(key, 0) + c
-        return FormalSum.from_dict(self.d1, self.d2, acc)
-
-    def scale(self, c: int) -> "FormalSum":
-        return FormalSum.from_dict(self.d1, self.d2, {k: c * v for k, v in self.terms})
-
     def basis_vectors(self) -> list[tuple[BasisVector, int]]:
         return [
             (BasisVector(self.d1, self.d2, FractionalPoint(a, i, self.d2 - self.d1)), c)
@@ -125,30 +114,19 @@ def sum_from_json(data: dict) -> FormalSum:
     )
 
 
-def index_range(
-    d1: int, d2: int, polygon: Optional[AffinePolygon] = None
-) -> set[tuple[int, int]]:
-    """Admissible (column, depth) pairs for morphisms d1 -> d2.
-
-    With no polygon given, the projective-plane instance is assumed:
-    a in {-n..n}, i in {0..floor((n - |a|)/2)} for n = d2 - d1.
-    """
+def index_range(d1: int, d2: int, polygon: AffinePolygon = CP2) -> set[tuple[int, int]]:
+    """Admissible (column, depth) pairs for morphisms d1 -> d2."""
     n = d2 - d1
-    if n == 0:
-        return {(0, 0)}
     if n < 0:
         raise ValueError("index_range requires d2 >= d1")
-    if polygon is None:
-        return {
-            (a, i) for a in range(-n, n + 1) for i in range((n - abs(a)) // 2 + 1)
-        }
-    from .affine import fractional_points
-
-    return {(p.a, p.i) for p in fractional_points(polygon, n)}
+    return {(a, i) for a, count in polygon.column_counts(n).items() for i in range(count)}
 
 
 def k_value_cp2(a: int, b: int) -> int:
-    """Critical-line covering count for the projective-plane instance."""
+    """Closed-form critical-line covering count on the projective plane.
+
+    An oracle for `critical_cover` on `affine.CP2`, and the count used by
+    the cp2-only models in `tropical` and `wrapped`."""
     if (a >= 0 and b >= 0) or (a <= 0 and b <= 0):
         return 0
     return min(abs(a), abs(b))
@@ -165,28 +143,6 @@ class CriticalCover:
         return sum(self.k_list)
 
 
-def _count_integers_strictly_between(lo: Fraction, hi: Fraction) -> int:
-    if hi <= lo:
-        return 0
-    return max(0, (math.ceil(hi) - 1) - (math.floor(lo) + 1) + 1)
-
-
-def _cross_section(
-    vertices: list[tuple[Fraction, Fraction]], eta: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Vertical cross-section [y_min, y_max] of a (possibly flat) triangle."""
-    ys: list[Fraction] = []
-    for (e0, y0), (e1, y1) in zip(vertices, vertices[1:] + vertices[:1]):
-        if min(e0, e1) <= eta <= max(e0, e1):
-            if e0 == e1:
-                ys.extend((y0, y1))
-            else:
-                ys.append(y0 + (y1 - y0) * (eta - e0) / (e1 - e0))
-    if not ys:
-        return None
-    return min(ys), max(ys)
-
-
 def critical_cover(
     polygon: AffinePolygon, a: int, b: int, n: int, m: int
 ) -> CriticalCover:
@@ -200,42 +156,37 @@ def critical_cover(
     if n <= 0 or m <= 0:
         raise ValueError("both denominators must be positive")
     for col, den in ((a, n), (b, m)):
-        if column_range(polygon, den, col)[1] == 0:
+        if not polygon.column_counts(den).get(col, 0):
             raise ValueError(f"column {col} not admissible for denominator {den}")
-    vertices = [
-        (Fraction(a, n), Fraction(0)),
-        (Fraction(b, m), Fraction(a) - Fraction(n * b, m)),
-        (Fraction(a + b, n + m), Fraction(0)),
-    ]
     ks: list[int] = []
     for s in polygon.singularities:
-        section = _cross_section(vertices, s.eta_pos)
-        if section is None:
+        # The singular line eta = p/q against the three side lines y = 0,
+        # y = a - n*eta and y = a + b - (n+m)*eta, all heights scaled by q.
+        p, q = s.eta_pos.numerator, s.eta_pos.denominator
+        left, right = p * n - a * q, p * m - b * q
+        if left * right > 0:  # the line misses the triangle's eta-span
             ks.append(0)
             continue
-        lo, hi = section
-        if lo.denominator != 1 or hi.denominator != 1:
+        y_first = -left
+        y_out = (a + b) * q - (n + m) * p
+        # Between a/n and the apex (a+b)/(n+m) the cross-section ends on
+        # y = 0, beyond the apex on the outgoing side.
+        y_other = 0 if left * y_out >= 0 else y_out
+        lo, hi = min(y_first, y_other), max(y_first, y_other)
+        if lo % q or hi % q:
             raise ValueError(
                 f"cross-section endpoints at eta={s.eta_pos} are not integers "
-                f"({lo}, {hi}); singularity positions must be (1/n)- and "
-                "(1/(n+m))-integral"
+                f"({Fraction(lo, q)}, {Fraction(hi, q)}); singularity positions "
+                "must be (1/n)- and (1/(n+m))-integral"
             )
-        # Critical values sit at half-integer heights; count them strictly
-        # inside, once per merged focus-focus point.
-        count = _count_integers_strictly_between(lo - Fraction(1, 2), hi - Fraction(1, 2))
-        ks.append(s.multiplicity * count)
+        # Critical values sit at half-integer heights; the integer interval
+        # [lo, hi] holds hi - lo of them strictly inside, each counted once
+        # per merged focus-focus point.
+        ks.append(s.multiplicity * ((hi - lo) // q))
     return CriticalCover(tuple(ks))
 
 
-def _k_for(polygon: Optional[AffinePolygon], a: int, b: int, n: int, m: int) -> int:
-    if polygon is None:
-        return k_value_cp2(a, b)
-    return critical_cover(polygon, a, b, n, m).total
-
-
-def mu2(
-    q2: BasisVector, q1: BasisVector, polygon: Optional[AffinePolygon] = None
-) -> FormalSum:
+def mu2(q2: BasisVector, q1: BasisVector, polygon: AffinePolygon = CP2) -> FormalSum:
     """Triangle product mu2(q2, q1) of composable degree-zero morphisms.
 
     q1 goes d1 -> d2 and q2 goes d2 -> d3.  All coefficients are positive
@@ -252,24 +203,21 @@ def mu2(
         return FormalSum.from_dict(d1, d3, {(q2.a, q2.i): 1})
     if q2.is_unit():
         return FormalSum.from_dict(d1, d3, {(q1.a, q1.i): 1})
-    k = _k_for(polygon, q1.a, q2.a, q1.n, q2.n)
-    out_range = index_range(d1, d3, polygon)
-    coeffs: dict[tuple[int, int], int] = {}
-    for s in range(k + 1):
-        key = (q1.a + q2.a, q1.i + q2.i + s)
-        if key not in out_range:
-            raise ArithmeticError(
-                f"product term q_({key[0]},{key[1]}) at denominator {d3 - d1} "
-                "is not admissible; instance violates closure"
-            )
-        coeffs[key] = math.comb(k, s)
-    return FormalSum.from_dict(d1, d3, coeffs)
+    k = critical_cover(polygon, q1.a, q2.a, q1.n, q2.n).total
+    a, i = q1.a + q2.a, q1.i + q2.i
+    depth = polygon.column_counts(d3 - d1).get(a, 0)
+    if i + k >= depth:
+        raise ArithmeticError(
+            f"product term q_({a},{max(i, depth)}) at denominator {d3 - d1} "
+            "is not admissible; instance violates closure"
+        )
+    return FormalSum.from_dict(d1, d3, {(a, i + s): math.comb(k, s) for s in range(k + 1)})
 
 
-def _check_admissible(q: BasisVector, polygon: Optional[AffinePolygon]) -> None:
+def _check_admissible(q: BasisVector, polygon: AffinePolygon) -> None:
     if q.is_unit():
         return
-    if (q.a, q.i) not in index_range(q.d1, q.d2, polygon):
+    if not 0 <= q.i < polygon.column_counts(q.n).get(q.a, 0):
         raise ValueError(f"q_({q.a},{q.i}) is not admissible for levels {q.d1}->{q.d2}")
 
 
@@ -282,16 +230,15 @@ def _as_sum(x: SumLike) -> FormalSum:
     return x
 
 
-def ring_product(
-    x: SumLike, y: SumLike, polygon: Optional[AffinePolygon] = None
-) -> FormalSum:
+def ring_product(x: SumLike, y: SumLike, polygon: AffinePolygon = CP2) -> FormalSum:
     """Bilinear ring product x * y = mu2(y, x) (all morphisms have degree 0,
     so the usual sign (-1)^{|x|} is trivially +1)."""
     xs, ys = _as_sum(x), _as_sum(y)
     if xs.d2 != ys.d1:
         raise ValueError(f"not composable: x ends at level {xs.d2}, y starts at {ys.d1}")
-    out = FormalSum.from_dict(xs.d1, ys.d2, {})
+    acc: dict[tuple[int, int], int] = {}
     for qx, cx in xs.basis_vectors():
         for qy, cy in ys.basis_vectors():
-            out = out + mu2(qy, qx, polygon).scale(cx * cy)
-    return out
+            for key, c in mu2(qy, qx, polygon).terms:
+                acc[key] = acc.get(key, 0) + cx * cy * c
+    return FormalSum.from_dict(xs.d1, ys.d2, acc)

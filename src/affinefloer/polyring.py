@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 Monomial = Tuple[int, int, int]  # exponents of (x, y, z)
 
@@ -298,15 +298,3 @@ def q_label(a: int, i: int, d: int) -> str:
         parts.append(f"p^{i}" if i != 1 else "p")
     return "*".join(parts) if parts else "1"
 
-
-def polynomial_to_json(poly: HomogeneousPolynomial) -> list[dict]:
-    return [
-        {"x": m[0], "y": m[1], "z": m[2], "c": c}
-        for m, c in sorted(poly.coeffs.items())
-    ]
-
-
-def polynomial_from_json(degree: int, data: Iterable[dict]) -> HomogeneousPolynomial:
-    return HomogeneousPolynomial(
-        degree, {(int(t["x"]), int(t["y"]), int(t["z"])): int(t["c"]) for t in data}
-    )

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import RationalPoint
+from .affine import CP2, RationalPoint
 from .floer import k_value_cp2
 
 Vec = tuple[Fraction, Fraction]
@@ -182,7 +182,7 @@ def _swap_legs(t: TropicalTriangle) -> TropicalTriangle:
 
 
 def _check_indices(a: int, i: int, n: int) -> None:
-    if n < 1 or abs(a) > n or not 0 <= i <= (n - abs(a)) // 2:
+    if n < 1 or not 0 <= i < CP2.column_counts(n).get(a, 0):
         raise ValueError(f"q_({a},{i}) with denominator {n} is not admissible")
 
 

@@ -266,12 +266,3 @@ def restrict_to_window(total: WrappedSum, a_max: int, i_max: int) -> WrappedSum:
             )
     return dict(total)
 
-
-def point_to_json(point: ExtendedPoint) -> dict:
-    return {"a": point.a, "i": point.i, "d": point.d, "case": point.case.name}
-
-
-def point_from_json(data: dict) -> ExtendedPoint:
-    return ExtendedPoint(
-        int(data["a"]), int(data["i"]), int(data["d"]), Complement[data["case"]]
-    )

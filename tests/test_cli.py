@@ -2,7 +2,9 @@
 
 import json
 
-from affinefloer import cli
+import pytest
+
+from affinefloer import affine, cli
 
 
 def run(argv, capsys):
@@ -117,8 +119,8 @@ def test_failed_check_exits_one(tmp_path, capsys):
     code = cli.main(
         ["render", "cp2", "--triangle", "-2", "0", "2", "2", "0", "2", "5", str(out)]
     )
-    capsys.readouterr()
     assert code == 1
+    assert "triangle_exists" in capsys.readouterr().err
 
 
 def test_mu2_prints_polynomial_identity(capsys):
@@ -135,8 +137,6 @@ def test_render_base_only(tmp_path, capsys):
 
 
 def test_instance_file_round_trip(tmp_path, capsys):
-    from affinefloer import affine
-
     path = tmp_path / "inst.json"
     affine.save_polygon(affine.dp6_model((1, 2, 1)), str(path))
     code, data = run_json(["points", str(path), "1"], capsys)
@@ -156,3 +156,52 @@ def test_report_json_round_trips(capsys):
     assert code == 0
     assert json.loads(json.dumps(data)) == data
     assert set(data) == {"command", "inputs", "results", "checks", "elapsed_seconds"}
+
+
+def _write_instance(tmp_path, data):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _bad_monodromy_instance(tmp_path):
+    data = affine.polygon_to_json(affine.CP2)
+    data["singularities"][0]["mult"] = 2  # the bottom still jumps by 1
+    return _write_instance(tmp_path, data)
+
+
+def test_mu2_rejects_invalid_instance(tmp_path, capsys):
+    path = _bad_monodromy_instance(tmp_path)
+    assert cli.main(["mu2", path, "1", "1", "-1", "0", "0", "0"]) == 2
+    assert "monodromy inconsistency" in capsys.readouterr().err
+
+
+def test_points_rejects_invalid_instance(tmp_path, capsys):
+    path = _bad_monodromy_instance(tmp_path)
+    assert cli.main(["points", path, "2"]) == 2
+    assert "monodromy inconsistency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        (lambda data: data.pop("bottom"), "bottom"),
+        (lambda data: data.update(eta_min=0.5), "eta_min"),
+        (lambda data: data["corners"].update(left="yes"), "corners"),
+    ],
+)
+def test_malformed_instance_names_the_key(tmp_path, capsys, change, key):
+    data = affine.polygon_to_json(affine.CP2)
+    change(data)
+    assert cli.main(["points", _write_instance(tmp_path, data), "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["numeric"], ["verify", "numeric"]])
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf", "tiny"])
+def test_tolerance_must_be_positive_and_finite(command, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

@@ -58,7 +58,8 @@ def test_ring_product_convention_and_bilinearity():
     assert ring_product(x, z).coeffs() == {(0, 0): 1, (0, 1): 1}
     two_x = floer.FormalSum.from_dict(0, 1, {(-1, 0): 2})
     three_z = floer.FormalSum.from_dict(1, 2, {(1, 0): 3})
-    assert ring_product(two_x, three_z) == ring_product(x, z).scale(6)
+    six_xz = {key: 6 * c for key, c in ring_product(x, z).coeffs().items()}
+    assert ring_product(two_x, three_z).coeffs() == six_xz
 
 
 def test_column_grading():
@@ -133,13 +134,14 @@ def _recount_cover(polygon, a, b, n, m):
 
 
 def test_critical_cover_dp6_against_interior_point_recount():
-    d6 = affine.dp6_model()
-    for n in range(1, 3):
-        for m in range(1, 3):
-            for a in range(0, 3 * n + 1):
-                for b in range(0, 3 * m + 1):
-                    cover = floer.critical_cover(d6, a, b, n, m)
-                    assert cover.k_list == _recount_cover(d6, a, b, n, m)
+    for widths in ((1, 1, 1), (2, 1, 3), (1, 3, 2)):
+        d6 = affine.dp6_model(widths)
+        for n in range(1, 4):
+            for m in range(1, 4):
+                for a in {a for a, _ in index_range(0, n, d6)}:
+                    for b in {b for b, _ in index_range(0, m, d6)}:
+                        cover = floer.critical_cover(d6, a, b, n, m)
+                        assert cover.k_list == _recount_cover(d6, a, b, n, m)
 
 
 def test_critical_cover_dp6_spans_both_singularities():
@@ -160,15 +162,20 @@ def test_critical_cover_rejects_non_integral_positions():
         floer.critical_cover(shifted, -1, 1, 1, 1)
 
 
-def test_explicit_cp2_polygon_agrees_with_closed_form_path():
-    m = affine.cp2_model()
-    for n in range(1, 4):
-        for mm in range(1, 4):
+def test_cp2_index_range_and_products_match_closed_form():
+    for n in range(1, 7):
+        assert index_range(0, n) == {
+            (a, i) for a in range(-n, n + 1) for i in range((n - abs(a)) // 2 + 1)
+        }
+    for n in range(1, 7):
+        for m in range(1, 7):
             for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + mm):
-                    q2 = basis_vector(n, n + mm, b, j)
-                    q1 = basis_vector(0, n, a, i)
-                    assert mu2(q2, q1, m) == mu2(q2, q1)
+                for (b, j) in index_range(n, n + m):
+                    k = k_value_cp2(a, b)
+                    out = mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i))
+                    assert out.coeffs() == {
+                        (a + b, i + j + s): math.comb(k, s) for s in range(k + 1)
+                    }
 
 
 def test_dp6_rejects_columns_outside_range():

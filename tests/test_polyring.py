@@ -111,9 +111,3 @@ def test_verify_iso_rejects_bad_bound():
     with pytest.raises(ValueError):
         pr.verify_iso(0)
 
-
-def test_polynomial_json_round_trip():
-    f = pr.q_monomial(QBasisIndex(-2, 1, 4))
-    data = pr.polynomial_to_json(f)
-    assert pr.polynomial_from_json(4, data) == f
-    assert {"x": 2, "y": 2, "z": 0, "c": -1} in data

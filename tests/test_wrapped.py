@@ -196,7 +196,3 @@ def test_window_restriction_raises_instead_of_clipping():
     with pytest.raises(wr.WindowTooSmallError):
         wr.restrict_to_window(total, 3, 2)
 
-
-def test_point_json_round_trip():
-    q = ExtendedPoint(-3, -2, 4, Complement.C)
-    assert wr.point_from_json(wr.point_to_json(q)) == q
