@@ -34,7 +34,6 @@ from .polyring import (
     expand_in_qbasis,
     multiply,
     q_monomial,
-    verify_iso,
 )
 from .homotopy import (
     FreeWord,

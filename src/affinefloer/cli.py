@@ -26,7 +26,7 @@ import sys
 import time
 from typing import Optional
 
-from . import affine, floer, homotopy, numchecks, polyring, render, tropical, wrapped
+from . import affine, floer, numchecks, polyring, render, tropical, verify
 from .affine import AffinePolygon
 
 
@@ -70,7 +70,7 @@ def resolve_instance(args) -> tuple[str, AffinePolygon]:
     """
     name = args.builtin or args.instance or getattr(args, "instance_arg", None)
     if name is None:
-        raise SystemExit("no instance given (use --builtin NAME or --instance PATH)")
+        raise ValueError("no instance given (use --builtin NAME or --instance PATH)")
     if name == "cp2":
         polygon = affine.CP2
     elif name == "dp6":
@@ -143,94 +143,47 @@ def cmd_mu2(args) -> CommandReport:
     return report
 
 
-def _verify_ring(report: CommandReport, max_degree: int) -> None:
-    iso = polyring.verify_iso(max_degree)
-    report.results["ring"] = {"pairs": iso.pairs_checked, "mismatches": list(iso.mismatches)}
-    report.check("ring_isomorphism", iso.ok, f"{iso.pairs_checked} pairs")
+# verify suite -> (check name, sweep run with the suite's bound)
+_SWEEPS = {
+    "ring": ("ring_isomorphism", lambda args: verify.ring(args.max_degree)),
+    "homotopy": ("homotopy_word_counts", lambda args: verify.homotopy(args.max_k)),
+    "tropical": ("tropical_counts_match_products", lambda args: verify.tropical(args.max)),
+    "wrapped": (
+        "wrapped_products_match_localized_ring",
+        lambda args: verify.wrapped(min(args.max_degree, 3)),
+    ),
+}
 
 
-def _verify_homotopy(report: CommandReport, max_k: int) -> None:
-    ok = True
-    for k in range(max_k + 1):
-        enum = homotopy.enumerate_admissible(k)
-        if len(enum) != 2**k or enum != homotopy.brute_force_admissible(k, 2):
-            ok = False
-            break
-        total = sum(homotopy.homotopy_count(k, 0, 0, h) for h in range(k + 1))
-        if total != 2**k:
-            ok = False
-            break
-    report.results["homotopy"] = {"max_k": max_k}
-    report.check("homotopy_word_counts", ok)
-
-
-def _verify_tropical(report: CommandReport, max_nm: int) -> None:
-    mismatches = 0
-    pairs = 0
-    for n in range(1, max_nm + 1):
-        for m in range(1, max_nm + 1):
-            heights = affine.CP2.column_counts(n + m)
-            for a, i in sorted(floer.index_range(0, n)):
-                for b, j in sorted(floer.index_range(n, n + m)):
-                    product = floer.mu2(
-                        floer.basis_vector(n, n + m, b, j),
-                        floer.basis_vector(0, n, a, i),
-                    ).coeffs()
-                    pairs += 1
-                    for h in range(heights[a + b]):
-                        count = tropical.tropical_structure_constant(a, i, n, b, j, m, h)
-                        if count != product.get((a + b, h), 0):
-                            mismatches += 1
-    report.results["tropical"] = {"pairs": pairs, "mismatches": mismatches}
-    report.check("tropical_counts_match_products", mismatches == 0)
-
-
-def _verify_wrapped(report: CommandReport, max_degree: int) -> None:
-    mismatches = 0
-    for case in wrapped.Complement:
-        for d1 in range(0, max_degree + 1):
-            for d2 in range(0, max_degree + 1 - d1):
-                for q1 in wrapped.wrapped_basis(case, d1, a_max=d1 + 1, i_max=2):
-                    for q2 in wrapped.wrapped_basis(case, d2, a_max=d2 + 1, i_max=2):
-                        got = wrapped.wrapped_product(case, q2, q1)
-                        oracle = wrapped.laurent_product_in_qbasis(
-                            case,
-                            wrapped.rational_function(q1),
-                            wrapped.rational_function(q2),
-                        )
-                        if got != oracle:
-                            mismatches += 1
-    report.results["wrapped"] = {"mismatches": mismatches}
-    report.check("wrapped_products_match_localized_ring", mismatches == 0)
-
-
-def _verify_numeric(report: CommandReport, tol: float) -> None:
-    numeric = numchecks.numeric_report(tol=tol)
-    report.results["numeric"] = numeric
-    for item in numeric["checks"]:
-        report.check(item["name"], item["pass"], f"max_error={item['max_error']:.3e}")
-
-
-def cmd_verify(args) -> CommandReport:
-    report = CommandReport("verify", {"suite": args.suite})
-    suites = ("ring", "homotopy", "tropical", "wrapped", "numeric") \
-        if args.suite == "all" else (args.suite,)
-    if "ring" in suites:
-        _verify_ring(report, args.max_degree)
-    if "homotopy" in suites:
-        _verify_homotopy(report, args.max_k)
-    if "tropical" in suites:
-        _verify_tropical(report, args.max)
-    if "wrapped" in suites:
-        _verify_wrapped(report, min(args.max_degree, 3))
-    if "numeric" in suites:
-        _verify_numeric(report, args.tol)
+def _run_suites(report: CommandReport, args, suites) -> CommandReport:
+    """Run each suite into the report; the numeric suite adds one check per
+    floating-point check, every other suite one check for its sweep."""
+    for suite in suites:
+        if suite == "numeric":
+            numeric = numchecks.numeric_report(tol=args.tol)
+            report.results["numeric"] = numeric
+            for item in numeric["checks"]:
+                report.check(item["name"], item["pass"], f"max_error={item['max_error']:.3e}")
+        else:
+            name, run = _SWEEPS[suite]
+            sweep = run(args)
+            report.results[suite] = {
+                "checked": sweep.checked, "mismatches": list(sweep.mismatches)
+            }
+            detail = f"{sweep.checked} checked"
+            if sweep.mismatches:
+                detail += f", {len(sweep.mismatches)} mismatches, first: {sweep.mismatches[0]}"
+            report.check(name, sweep.ok, detail)
     if not args.json:
         for check in report.checks:
             state = "pass" if check["pass"] else "FAIL"
-            detail = f"  ({check['detail']})" if check["detail"] else ""
-            print(f"[{state}] {check['name']}{detail}")
+            print(f"[{state}] {check['name']}  ({check['detail']})")
     return report
+
+
+def cmd_verify(args) -> CommandReport:
+    suites = (*_SWEEPS, "numeric") if args.suite == "all" else (args.suite,)
+    return _run_suites(CommandReport("verify", {"suite": args.suite}), args, suites)
 
 
 def cmd_render(args) -> CommandReport:
@@ -242,7 +195,7 @@ def cmd_render(args) -> CommandReport:
     triangle = None
     if args.triangle is not None:
         if name != "cp2":
-            raise SystemExit("triangle rendering is available for the cp2 builtin")
+            raise ValueError("triangle rendering is available for the cp2 builtin")
         a, i, n, b, j, m, h = args.triangle
         triangle = tropical.build_triangle(a, i, n, b, j, m, h)
         report.check("triangle_exists", triangle is not None)
@@ -259,13 +212,7 @@ def cmd_render(args) -> CommandReport:
 
 
 def cmd_numeric(args) -> CommandReport:
-    report = CommandReport("numeric", {"tol": args.tol})
-    _verify_numeric(report, args.tol)
-    if not args.json:
-        for check in report.checks:
-            state = "pass" if check["pass"] else "FAIL"
-            print(f"[{state}] {check['name']}  ({check['detail']})")
-    return report
+    return _run_suites(CommandReport("numeric", {"tol": args.tol}), args, ("numeric",))
 
 
 def positive_float(text: str) -> float:
@@ -314,9 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu2.set_defaults(func=cmd_mu2)
 
     p_verify = sub.add_parser("verify", help="cross-verification sweeps")
-    p_verify.add_argument(
-        "suite", choices=("ring", "homotopy", "tropical", "wrapped", "numeric", "all")
-    )
+    p_verify.add_argument("suite", choices=(*_SWEEPS, "numeric", "all"))
     p_verify.add_argument("--max-degree", type=int, default=6, dest="max_degree")
     p_verify.add_argument("--max-k", type=int, default=8, dest="max_k")
     p_verify.add_argument("--max", type=int, default=4)

@@ -106,14 +106,6 @@ def sum_to_json(s: FormalSum) -> dict:
     }
 
 
-def sum_from_json(data: dict) -> FormalSum:
-    return FormalSum.from_dict(
-        int(data["d1"]),
-        int(data["d2"]),
-        {(int(t["a"]), int(t["i"])): int(t["c"]) for t in data["terms"]},
-    )
-
-
 def index_range(d1: int, d2: int, polygon: AffinePolygon = CP2) -> set[tuple[int, int]]:
     """Admissible (column, depth) pairs for morphisms d1 -> d2."""
     n = d2 - d1

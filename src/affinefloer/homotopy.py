@@ -23,6 +23,7 @@ runs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -52,10 +53,6 @@ class FreeWord:
 def word(runs: Iterable[tuple[str, int]]) -> FreeWord:
     """Build a word, dropping zero exponents but not merging or reducing."""
     return FreeWord(tuple((g, e) for g, e in runs if e != 0))
-
-
-def concat(w1: FreeWord, w2: FreeWord) -> FreeWord:
-    return FreeWord(w1.runs + w2.runs)
 
 
 def inverse(w: FreeWord) -> FreeWord:
@@ -131,20 +128,26 @@ def output_height(i: int, j: int, k: int, deltas: Sequence[int]) -> int:
     return i + j + k + sum(r * d for r, d in enumerate(deltas))
 
 
+@functools.cache
+def _height_counts(k: int) -> tuple[int, ...]:
+    """Entry t counts the admissible sequences of length k+1 with
+    k - sum(s_r) = t; the sequences are enumerated once per k."""
+    counts = [0] * (k + 1)
+    for deltas in enumerate_admissible(k):
+        counts[k - sum(binary_from_delta(deltas))] += 1
+    return tuple(counts)
+
+
 def homotopy_count(k: int, i: int, j: int, h: int) -> int:
     """Number of admissible candidates landing on output height h.
 
     Equals C(k, h-(i+j)) for 0 <= h-(i+j) <= k and 0 otherwise; computed by
-    filtering the admissible sequences through h-(i+j) = k - sum(s_r).
+    counting the admissible sequences with h-(i+j) = k - sum(s_r).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     target = h - (i + j)
-    return sum(
-        1
-        for deltas in enumerate_admissible(k)
-        if k - sum(binary_from_delta(deltas)) == target
-    )
+    return _height_counts(k)[target] if 0 <= target <= k else 0
 
 
 def brute_force_admissible(k: int, bound: int) -> list[DeltaSequence]:

@@ -8,7 +8,7 @@ points: with p = xz - y^2,
 
 for |a| <= d and 0 <= i <= floor((d - |a|)/2).  Multiplying two such elements
 and re-expanding reproduces the binomial structure constants of the triangle
-product, which is what `verify_iso` sweeps.
+product, which is what `verify.ring` sweeps.
 
 Expansion in the Q basis is done by assembling the full square change-of-basis
 matrix over the monomial basis and inverting it exactly over the rationals
@@ -238,50 +238,6 @@ X = HomogeneousPolynomial(1, {(1, 0, 0): 1})
 Y = HomogeneousPolynomial(1, {(0, 1, 0): 1})
 Z = HomogeneousPolynomial(1, {(0, 0, 1): 1})
 P = HomogeneousPolynomial(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # xz - y^2
-
-
-@dataclass(frozen=True)
-class IsoReport:
-    """Outcome of sweeping products against the triangle-product formula."""
-
-    n_max: int
-    pairs_checked: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-
-def verify_iso(n_max: int) -> IsoReport:
-    """Check that Q-basis expansion of Q_{a,i} Q_{b,j} matches mu2 everywhere
-    with factor degrees up to n_max."""
-    from .floer import basis_vector, mu2
-
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    pairs = 0
-    mismatches: list[str] = []
-    for n in range(1, n_max + 1):
-        for m in range(1, n_max + 1):
-            for q_idx in qbasis_indices(n):
-                lhs_q = q_monomial(q_idx)
-                for r_idx in qbasis_indices(m):
-                    pairs += 1
-                    product = multiply(lhs_q, q_monomial(r_idx))
-                    expanded = {
-                        (k.a, k.i): c for k, c in expand_in_qbasis(product).items()
-                    }
-                    floer = mu2(
-                        basis_vector(n, n + m, r_idx.a, r_idx.i),
-                        basis_vector(0, n, q_idx.a, q_idx.i),
-                    ).coeffs()
-                    if expanded != floer:
-                        mismatches.append(
-                            f"Q_({q_idx.a},{q_idx.i})@{n} * Q_({r_idx.a},{r_idx.i})@{m}: "
-                            f"ring {expanded} vs product {floer}"
-                        )
-    return IsoReport(n_max, pairs, tuple(mismatches))
 
 
 def q_label(a: int, i: int, d: int) -> str:

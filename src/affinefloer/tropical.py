@@ -331,24 +331,22 @@ def singularity_position_invariance(
 def partition_constant(k_list: Sequence[int], s: int) -> int:
     """Sum over ordered compositions (s_1..s_t) of s of prod C(k_t, s_t).
 
-    Direct enumeration of the compositions (pruned to s_t <= k_t, where the
-    binomial is nonzero); equals C(sum k_t, s), the coefficient of x^s on
-    both sides of (1+x)^(sum k_t) = prod (1+x)^(k_t).
+    Computed as the coefficient of x^s in prod (1+x)^(k_t), multiplying in
+    one factor at a time and keeping degrees <= s: after t factors, entry r
+    is the same sum over compositions of r into t parts.  Equals
+    C(sum k_t, s), the coefficient of x^s in (1+x)^(sum k_t).
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     if any(k < 0 for k in k_list):
         raise ValueError("covering counts must be nonnegative")
-
-    def walk(pos: int, remaining: int) -> int:
-        if pos == len(k_list):
-            return 1 if remaining == 0 else 0
-        return sum(
-            math.comb(k_list[pos], part) * walk(pos + 1, remaining - part)
-            for part in range(min(k_list[pos], remaining) + 1)
-        )
-
-    return walk(0, s)
+    coeffs = [1] + [0] * s
+    for k in k_list:
+        coeffs = [
+            sum(math.comb(k, part) * coeffs[r - part] for part in range(min(k, r) + 1))
+            for r in range(s + 1)
+        ]
+    return coeffs[s]
 
 
 def triangle_to_json(t: TropicalTriangle) -> dict:

@@ -1,0 +1,148 @@
+"""Cross-check sweeps of the triangle product against its independent oracles.
+
+Each sweep compares `mu2` (or the wrapped product) with one oracle over every
+basis pair up to a bound and returns a `Sweep`: how many comparisons it made
+and a one-line description of each that disagreed.  The CLI's `verify`
+command and the acceptance suite both run these functions, so every sweep is
+written once.  Library calls go through module attributes (`floer.mu2`), so a
+replacement installed on a module is the one the sweep runs.
+
+* `ring`: Q-basis expansion of Q_{a,i} Q_{b,j} in the polynomial ring;
+* `homotopy`: the admissible delta-sequences against the brute-force word
+  search, and their height counts against the binomials;
+* `tropical`: total multiplicity of the tropical triangles per output height;
+* `wrapped`: wrapped products against the localized Laurent rings.
+
+The floating-point checks are `numchecks.numeric_report`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from . import affine, floer, polyring
+from . import homotopy as _homotopy
+from . import tropical as _tropical
+from . import wrapped as _wrapped
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """Outcome of one sweep: comparisons made and the ones that disagreed."""
+
+    checked: int
+    mismatches: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
+
+
+def ring(max_degree: int) -> Sweep:
+    """Q-basis expansion of Q_{a,i} Q_{b,j} against mu2 for every pair of
+    ring basis elements with factor degrees up to max_degree."""
+    if max_degree < 1:
+        raise ValueError("max_degree must be at least 1")
+    checked = 0
+    mismatches: list[str] = []
+    for n in range(1, max_degree + 1):
+        for m in range(1, max_degree + 1):
+            for q_idx in polyring.qbasis_indices(n):
+                lhs = polyring.q_monomial(q_idx)
+                for r_idx in polyring.qbasis_indices(m):
+                    checked += 1
+                    product = polyring.multiply(lhs, polyring.q_monomial(r_idx))
+                    expanded = {
+                        (k.a, k.i): c for k, c in polyring.expand_in_qbasis(product).items()
+                    }
+                    coeffs = floer.mu2(
+                        floer.basis_vector(n, n + m, r_idx.a, r_idx.i),
+                        floer.basis_vector(0, n, q_idx.a, q_idx.i),
+                    ).coeffs()
+                    if expanded != coeffs:
+                        mismatches.append(
+                            f"Q_({q_idx.a},{q_idx.i})@{n} * Q_({r_idx.a},{r_idx.i})@{m}: "
+                            f"ring {expanded} vs product {coeffs}"
+                        )
+    return Sweep(checked, tuple(mismatches))
+
+
+def homotopy(max_k: int) -> Sweep:
+    """For every k <= max_k: 2^k admissible sequences, equal to the
+    brute-force search over [-2, 2]^(k+1), and per-height counts C(k, s) for
+    (i, j) in {(0, 0), (1, 2)} over h = i+j-1 .. i+j+k+1."""
+    checked = 0
+    mismatches: list[str] = []
+    for k in range(max_k + 1):
+        listed = _homotopy.enumerate_admissible(k)
+        brute = _homotopy.brute_force_admissible(k, 2)
+        checked += 2
+        if len(listed) != 2**k:
+            mismatches.append(f"k={k}: {len(listed)} admissible sequences, expected {2**k}")
+        if listed != brute:
+            mismatches.append(
+                f"k={k}: enumeration and brute force differ on "
+                f"{sorted(set(listed) ^ set(brute))}"
+            )
+        for i, j in ((0, 0), (1, 2)):
+            for h in range(i + j - 1, i + j + k + 2):
+                s = h - (i + j)
+                want = math.comb(k, s) if 0 <= s <= k else 0
+                count = _homotopy.homotopy_count(k, i, j, h)
+                checked += 1
+                if count != want:
+                    mismatches.append(
+                        f"homotopy_count(k={k}, i={i}, j={j}, h={h}) = {count}, expected {want}"
+                    )
+    return Sweep(checked, tuple(mismatches))
+
+
+def tropical(max_nm: int) -> Sweep:
+    """Tropical structure constants against mu2 at every output height of
+    every cp2 pair with factor degrees up to max_nm."""
+    checked = 0
+    mismatches: list[str] = []
+    for n in range(1, max_nm + 1):
+        for m in range(1, max_nm + 1):
+            heights = affine.CP2.column_counts(n + m)
+            for a, i in sorted(floer.index_range(0, n)):
+                for b, j in sorted(floer.index_range(n, n + m)):
+                    coeffs = floer.mu2(
+                        floer.basis_vector(n, n + m, b, j), floer.basis_vector(0, n, a, i)
+                    ).coeffs()
+                    for h in range(heights[a + b]):
+                        checked += 1
+                        count = _tropical.tropical_structure_constant(a, i, n, b, j, m, h)
+                        want = coeffs.get((a + b, h), 0)
+                        if count != want:
+                            mismatches.append(
+                                f"q_({a},{i})@{n} * q_({b},{j})@{m} at h={h}: "
+                                f"tropical {count} vs product {want}"
+                            )
+    return Sweep(checked, tuple(mismatches))
+
+
+def wrapped(max_degree: int) -> Sweep:
+    """Wrapped products against the localized-ring oracle for d1 + d2 <=
+    max_degree on the window |a| <= d + 2, |i| <= 2, in every case."""
+    checked = 0
+    mismatches: list[str] = []
+    for case in _wrapped.Complement:
+        for d1 in range(max_degree + 1):
+            for d2 in range(max_degree + 1 - d1):
+                for q1 in _wrapped.wrapped_basis(case, d1, a_max=d1 + 2, i_max=2):
+                    for q2 in _wrapped.wrapped_basis(case, d2, a_max=d2 + 2, i_max=2):
+                        checked += 1
+                        got = _wrapped.wrapped_product(case, q2, q1)
+                        want = _wrapped.laurent_product_in_qbasis(
+                            case,
+                            _wrapped.rational_function(q1),
+                            _wrapped.rational_function(q2),
+                        )
+                        if got != want:
+                            mismatches.append(
+                                f"case {case.name}: q_({q1.a},{q1.i})@{d1} * "
+                                f"q_({q2.a},{q2.i})@{d2}: product {got} vs Laurent {want}"
+                            )
+    return Sweep(checked, tuple(mismatches))

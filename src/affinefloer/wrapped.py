@@ -107,10 +107,6 @@ def rational_function(point: ExtendedPoint) -> LaurentElement:
     return LaurentElement(point.a, point.i, point.d - abs(point.a) - 2 * point.i)
 
 
-def point_from_laurent(case: Complement, elt: LaurentElement) -> ExtendedPoint:
-    return ExtendedPoint(elt.a, elt.p_exp, elt.degree, case)
-
-
 def wrapped_basis(
     case: Complement, d: int, a_max: int, i_max: int
 ) -> list[ExtendedPoint]:

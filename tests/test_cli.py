@@ -68,14 +68,17 @@ def test_mu2_inadmissible_exits_nonzero(capsys):
 
 
 def test_verify_suites_pass(capsys):
-    code, data = run_json(["verify", "ring", "--max-degree", "3"], capsys)
-    assert code == 0 and all(c["pass"] for c in data["checks"])
-    code, data = run_json(["verify", "homotopy", "--max-k", "5"], capsys)
-    assert code == 0
-    code, data = run_json(["verify", "tropical", "--max", "3"], capsys)
-    assert code == 0
-    code, data = run_json(["verify", "wrapped", "--max-degree", "2"], capsys)
-    assert code == 0
+    for suite, bound, check in (
+        ("ring", ["--max-degree", "3"], "ring_isomorphism"),
+        ("homotopy", ["--max-k", "5"], "homotopy_word_counts"),
+        ("tropical", ["--max", "3"], "tropical_counts_match_products"),
+        ("wrapped", ["--max-degree", "2"], "wrapped_products_match_localized_ring"),
+    ):
+        code, data = run_json(["verify", suite] + bound, capsys)
+        assert code == 0
+        assert [(c["name"], c["pass"]) for c in data["checks"]] == [(check, True)]
+        assert data["results"][suite]["checked"] > 0
+        assert data["results"][suite]["mismatches"] == []
 
 
 def test_verify_numeric_and_report_file(tmp_path, capsys):
@@ -149,6 +152,21 @@ def test_instance_file_round_trip(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     assert cli.main(["points", "/nonexistent/instance.json", "2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["points", "2"],
+        ["render", "dp6", "x.svg", "--triangle", "-2", "0", "2", "2", "0", "2", "1"],
+    ],
+)
+def test_invalid_input_exits_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_report_json_round_trips(capsys):

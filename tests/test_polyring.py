@@ -100,14 +100,3 @@ def test_expansion_linear():
 def test_expand_zero():
     assert pr.expand_in_qbasis(pr.zero(5)) == {}
 
-
-def test_verify_iso_small():
-    report = pr.verify_iso(2)
-    assert report.ok
-    assert report.pairs_checked == (3 + 6) ** 2
-
-
-def test_verify_iso_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        pr.verify_iso(0)
-

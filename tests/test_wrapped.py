@@ -47,10 +47,11 @@ def test_rational_function_examples():
 
 def test_rational_function_bijective_on_window():
     for case in Complement:
-        for p in wr.wrapped_basis(case, 3, a_max=4, i_max=3):
-            elt = wr.rational_function(p)
-            assert elt.degree == p.d
-            assert wr.point_from_laurent(case, elt) == p
+        window = wr.wrapped_basis(case, 3, a_max=4, i_max=3)
+        elements = [wr.rational_function(p) for p in window]
+        assert len(set(elements)) == len(window)
+        for p, elt in zip(window, elements):
+            assert (elt.a, elt.p_exp, elt.degree) == (p.a, p.i, p.d)
 
 
 def test_wrapped_product_worked_examples():
