@@ -164,6 +164,14 @@ class AffinePolygon:
     _columns: dict[int, dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Memo of `floer.mu2`: (a, i, n, b, j, m) -> the product's sorted terms.
+    # Filled only by successful products (errors are raised, never stored),
+    # it grows by one entry per distinct product asked of this polygon.  Like
+    # `_columns` it is per instance: equal polygons share nothing, and it
+    # takes no part in equality, hashing, repr or JSON.
+    _products: dict[tuple[int, ...], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "eta_min", rat(self.eta_min))

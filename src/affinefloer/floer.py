@@ -25,6 +25,13 @@ singularity positions), which keeps the half-integer count unambiguous.
 Admissibility of every input and output index is a lookup in the polygon's
 cached column table (`AffinePolygon.column_counts`).
 
+`mu2` memoizes its terms on the polygon (`AffinePolygon._products`), keyed
+by (a, i, n, b, j, m): the levels d1, d2, d3 only shift the result.  The
+first call with a key runs every check; a repeated product is one dict
+lookup.  Errors (inadmissible inputs, closure violations) are raised and
+never stored, so a bad input fails on every call.  The memo holds one entry
+per distinct product asked of the polygon and is never trimmed.
+
 All coefficients are arbitrary-precision integers; every sign is positive.
 """
 
@@ -61,9 +68,6 @@ class BasisVector:
     @property
     def n(self) -> int:
         return self.point.d
-
-    def is_unit(self) -> bool:
-        return self.point.d == 0
 
 
 def basis_vector(d1: int, d2: int, a: int, i: int) -> BasisVector:
@@ -178,59 +182,68 @@ def critical_cover(
     return CriticalCover(tuple(ks))
 
 
+def _product_terms(
+    polygon: AffinePolygon, a: int, i: int, n: int, b: int, j: int, m: int
+) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Sorted terms of mu2(q_{b,j}@m, q_{a,i}@n) on the polygon.
+
+    Checks both inputs' depths against the column table (the unit q_{0,0}@0
+    included), counts k by `critical_cover` and checks that the deepest
+    output term closes.  The terms (a+b, i+j+s) -> C(k, s) are built in
+    increasing s, which is their sorted order.
+    """
+    for col, depth, den in ((a, i, n), (b, j, m)):
+        if not 0 <= depth < polygon.column_counts(den).get(col, 0):
+            raise ValueError(f"q_({col},{depth}) with denominator {den} is not admissible")
+    if n == 0:
+        return (((b, j), 1),)
+    if m == 0:
+        return (((a, i), 1),)
+    k = critical_cover(polygon, a, b, n, m).total
+    col, depth = a + b, i + j
+    top = polygon.column_counts(n + m).get(col, 0)
+    if depth + k >= top:
+        raise ArithmeticError(
+            f"product term q_({col},{max(depth, top)}) at denominator {n + m} "
+            "is not admissible; instance violates closure"
+        )
+    return tuple(((col, depth + s), math.comb(k, s)) for s in range(k + 1))
+
+
 def mu2(q2: BasisVector, q1: BasisVector, polygon: AffinePolygon = CP2) -> FormalSum:
     """Triangle product mu2(q2, q1) of composable degree-zero morphisms.
 
     q1 goes d1 -> d2 and q2 goes d2 -> d3.  All coefficients are positive
-    binomials; the output column is a + b.
+    binomials; the output column is a + b.  The terms depend on the levels
+    only through n and m, so they are memoized per polygon under (a, i, n,
+    b, j, m); a repeated product costs one dict lookup.
     """
     if q1.d2 != q2.d1:
         raise ValueError(
             f"not composable: q1 ends at level {q1.d2}, q2 starts at {q2.d1}"
         )
-    _check_admissible(q1, polygon)
-    _check_admissible(q2, polygon)
-    d1, d3 = q1.d1, q2.d2
-    if q1.is_unit():
-        return FormalSum.from_dict(d1, d3, {(q2.a, q2.i): 1})
-    if q2.is_unit():
-        return FormalSum.from_dict(d1, d3, {(q1.a, q1.i): 1})
-    k = critical_cover(polygon, q1.a, q2.a, q1.n, q2.n).total
-    a, i = q1.a + q2.a, q1.i + q2.i
-    depth = polygon.column_counts(d3 - d1).get(a, 0)
-    if i + k >= depth:
-        raise ArithmeticError(
-            f"product term q_({a},{max(i, depth)}) at denominator {d3 - d1} "
-            "is not admissible; instance violates closure"
-        )
-    return FormalSum.from_dict(d1, d3, {(a, i + s): math.comb(k, s) for s in range(k + 1)})
-
-
-def _check_admissible(q: BasisVector, polygon: AffinePolygon) -> None:
-    if q.is_unit():
-        return
-    if not 0 <= q.i < polygon.column_counts(q.n).get(q.a, 0):
-        raise ValueError(f"q_({q.a},{q.i}) is not admissible for levels {q.d1}->{q.d2}")
+    p1, p2 = q1.point, q2.point
+    key = (p1.a, p1.i, p1.d, p2.a, p2.i, p2.d)
+    terms = polygon._products.get(key)
+    if terms is None:
+        terms = polygon._products[key] = _product_terms(polygon, *key)
+    return FormalSum(q1.d1, q2.d2, terms)
 
 
 SumLike = Union[BasisVector, FormalSum]
 
 
-def _as_sum(x: SumLike) -> FormalSum:
-    if isinstance(x, BasisVector):
-        return FormalSum.from_dict(x.d1, x.d2, {(x.a, x.i): 1})
-    return x
-
-
 def ring_product(x: SumLike, y: SumLike, polygon: AffinePolygon = CP2) -> FormalSum:
     """Bilinear ring product x * y = mu2(y, x) (all morphisms have degree 0,
-    so the usual sign (-1)^{|x|} is trivially +1)."""
-    xs, ys = _as_sum(x), _as_sum(y)
-    if xs.d2 != ys.d1:
-        raise ValueError(f"not composable: x ends at level {xs.d2}, y starts at {ys.d1}")
+    so the usual sign (-1)^{|x|} is trivially +1).  A basis vector argument
+    is the one-term sum [(x, 1)]."""
+    if x.d2 != y.d1:
+        raise ValueError(f"not composable: x ends at level {x.d2}, y starts at {y.d1}")
+    xs = [(x, 1)] if isinstance(x, BasisVector) else x.basis_vectors()
+    ys = [(y, 1)] if isinstance(y, BasisVector) else y.basis_vectors()
     acc: dict[tuple[int, int], int] = {}
-    for qx, cx in xs.basis_vectors():
-        for qy, cy in ys.basis_vectors():
+    for qx, cx in xs:
+        for qy, cy in ys:
             for key, c in mu2(qy, qx, polygon).terms:
                 acc[key] = acc.get(key, 0) + cx * cy * c
-    return FormalSum.from_dict(xs.d1, ys.d2, acc)
+    return FormalSum.from_dict(x.d1, y.d2, acc)

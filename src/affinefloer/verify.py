@@ -72,6 +72,8 @@ def homotopy(max_k: int) -> Sweep:
     """For every k <= max_k: 2^k admissible sequences, equal to the
     brute-force search over [-2, 2]^(k+1), and per-height counts C(k, s) for
     (i, j) in {(0, 0), (1, 2)} over h = i+j-1 .. i+j+k+1."""
+    if max_k < 0:
+        raise ValueError("max_k must be at least 0")
     checked = 0
     mismatches: list[str] = []
     for k in range(max_k + 1):
@@ -101,6 +103,8 @@ def homotopy(max_k: int) -> Sweep:
 def tropical(max_nm: int) -> Sweep:
     """Tropical structure constants against mu2 at every output height of
     every cp2 pair with factor degrees up to max_nm."""
+    if max_nm < 1:
+        raise ValueError("max_nm must be at least 1")
     checked = 0
     mismatches: list[str] = []
     for n in range(1, max_nm + 1):
@@ -126,6 +130,8 @@ def tropical(max_nm: int) -> Sweep:
 def wrapped(max_degree: int) -> Sweep:
     """Wrapped products against the localized-ring oracle for d1 + d2 <=
     max_degree on the window |a| <= d + 2, |i| <= 2, in every case."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be at least 0")
     checked = 0
     mismatches: list[str] = []
     for case in _wrapped.Complement:

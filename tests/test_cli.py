@@ -223,3 +223,18 @@ def test_tolerance_must_be_positive_and_finite(command, tol, capsys):
         cli.main(command + ["--tol", tol])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "homotopy", "--max-k", "-1"],
+        ["verify", "tropical", "--max", "0"],
+        ["verify", "wrapped", "--max-degree", "-1"],
+    ],
+)
+def test_sweep_bound_that_checks_nothing_exits_two(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1

@@ -39,10 +39,18 @@ def test_mu2_worked_examples():
 
 
 def test_mu2_rejects_non_composable_and_inadmissible():
-    with pytest.raises(ValueError):
-        mu2(basis_vector(2, 3, 0, 0), basis_vector(0, 1, 0, 0))
-    with pytest.raises(ValueError):
-        mu2(basis_vector(1, 2, 0, 0), basis_vector(0, 1, 2, 0))
+    polygon = affine.cp2_model()
+    for _ in range(2):  # errors are never memoized: the second call fails too
+        with pytest.raises(ValueError) as exc:
+            mu2(basis_vector(2, 3, 0, 0), basis_vector(0, 1, 0, 0), polygon)
+        assert str(exc.value) == "not composable: q1 ends at level 1, q2 starts at 2"
+        with pytest.raises(ValueError) as exc:
+            ring_product(basis_vector(0, 1, 0, 0), basis_vector(2, 3, 0, 0), polygon)
+        assert str(exc.value) == "not composable: x ends at level 1, y starts at 2"
+        with pytest.raises(ValueError) as exc:
+            mu2(basis_vector(1, 2, 0, 0), basis_vector(0, 1, 2, 0), polygon)
+        assert str(exc.value) == "q_(2,0) with denominator 1 is not admissible"
+    assert not polygon._products
 
 
 def test_unit_laws():
@@ -217,3 +225,113 @@ def test_formal_sum_json_round_trip():
             {"a": 0, "i": 2, "c": 1},
         ],
     }
+
+
+def test_ring_product_calls_module_mu2(monkeypatch):
+    # ring_product must reach mu2 through the module attribute, so a
+    # replacement installed there (a planted fault, a tracer) is what it runs
+    x, z = basis_vector(0, 1, -1, 0), basis_vector(1, 2, 1, 0)
+    original = floer.mu2
+
+    def doubled(q2, q1, polygon=affine.CP2):
+        out = original(q2, q1, polygon)
+        return floer.FormalSum(out.d1, out.d2, tuple((k, 2 * c) for k, c in out.terms))
+
+    monkeypatch.setattr(floer, "mu2", doubled)
+    assert ring_product(x, z).coeffs() == {(0, 0): 2, (0, 1): 2}
+
+
+# -- the per-polygon product memo ----------------------------------------------
+
+
+def _all_pairs(polygon, max_n):
+    for n in range(1, max_n + 1):
+        for m in range(1, max_n + 1):
+            for (a, i) in sorted(index_range(0, n, polygon)):
+                for (b, j) in sorted(index_range(n, n + m, polygon)):
+                    yield a, i, n, b, j, m
+
+
+@pytest.mark.parametrize(
+    "make, max_n",
+    [
+        (affine.cp2_model, 6),
+        (lambda: affine.dp6_model((1, 1, 1)), 2),
+        (lambda: affine.dp6_model((2, 1, 3)), 2),
+        (lambda: affine.dp6_model((1, 3, 2)), 2),
+    ],
+    ids=["cp2", "dp6-111", "dp6-213", "dp6-132"],
+)
+def test_memo_returns_what_the_first_call_computed(make, max_n, monkeypatch):
+    polygon = make()
+    pairs = list(_all_pairs(polygon, max_n))
+    cold = [
+        mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i), polygon).coeffs()
+        for a, i, n, b, j, m in pairs
+    ]
+    assert len(polygon._products) == len(pairs)
+
+    def no_recount(*args):
+        raise AssertionError("a memoized product was recounted")
+
+    monkeypatch.setattr(floer, "critical_cover", no_recount)
+    for (a, i, n, b, j, m), want in zip(pairs, cold):
+        # the key leaves out the levels: a shifted pair is the same product
+        warm = mu2(basis_vector(n + 5, n + m + 5, b, j), basis_vector(5, n + 5, a, i), polygon)
+        assert (warm.d1, warm.d2) == (5, n + m + 5)
+        assert warm.coeffs() == want
+    assert len(polygon._products) == len(pairs)
+
+
+def test_equal_polygons_do_not_share_a_memo():
+    first, second = affine.cp2_model(), affine.cp2_model()
+    mu2(basis_vector(1, 2, 1, 0), basis_vector(0, 1, -1, 0), first)
+    assert first._products and not second._products
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert "_products" not in repr(first)
+    data = affine.polygon_to_json(first)
+    assert data == affine.polygon_to_json(second)
+    loaded = affine.polygon_from_json(data)
+    assert loaded == first and not loaded._products
+
+
+def test_closure_violation_fails_on_every_call():
+    from dataclasses import replace
+
+    # multiplicity 2 doubles k, which pushes x * z past the column's depth
+    bad = replace(
+        affine.cp2_model(),
+        singularities=(affine.Singularity(Fraction(0), Fraction(-1, 4), 2),),
+    )
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ArithmeticError) as exc:
+            mu2(basis_vector(1, 2, 1, 0), basis_vector(0, 1, -1, 0), bad)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0] == (
+        "product term q_(0,2) at denominator 2 is not admissible; instance violates closure"
+    )
+    assert not bad._products
+
+
+def test_ring_product_of_mixed_arguments_is_bilinear():
+    x = floer.FormalSum.from_dict(0, 2, {(-2, 0): 3, (0, 1): -1, (1, 0): 2})
+    y = basis_vector(2, 3, 1, 0)
+    z = floer.FormalSum.from_dict(3, 5, {(-1, 0): 1, (2, 0): 4})
+
+    def bilinear(left, right):
+        acc = {}
+        for qx, cx in left:
+            for qy, cy in right:
+                for key, c in mu2(qy, qx).terms:
+                    acc[key] = acc.get(key, 0) + cx * cy * c
+        return {key: c for key, c in acc.items() if c}
+
+    xy = ring_product(x, y)
+    assert xy.coeffs() == bilinear(x.basis_vectors(), [(y, 1)])
+    assert ring_product(y, z).coeffs() == bilinear([(y, 1)], z.basis_vectors())
+    assert ring_product(xy, z).coeffs() == bilinear(xy.basis_vectors(), z.basis_vectors())
+    assert ring_product(unit(0), x) == x == ring_product(x, unit(2))
+    assert ring_product(unit(2), y).coeffs() == {(1, 0): 1}

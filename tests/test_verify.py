@@ -54,3 +54,11 @@ def test_planted_fault_is_named(monkeypatch, module, name, sweep, bound, label):
     assert 0 < len(result.mismatches) <= result.checked
     assert all(line.count("\n") == 0 for line in result.mismatches)
     assert label in result.mismatches[0]
+
+
+@pytest.mark.parametrize(
+    "sweep, bound", [(verify.homotopy, -1), (verify.tropical, 0), (verify.wrapped, -1)]
+)
+def test_sweeps_that_would_check_nothing_are_rejected(sweep, bound):
+    with pytest.raises(ValueError, match="must be at least"):
+        sweep(bound)
