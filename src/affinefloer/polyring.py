@@ -10,11 +10,20 @@ for |a| <= d and 0 <= i <= floor((d - |a|)/2).  Multiplying two such elements
 and re-expanding reproduces the binomial structure constants of the triangle
 product, which is what `verify.ring` sweeps.
 
-Expansion in the Q basis is done by assembling the full square change-of-basis
-matrix over the monomial basis and inverting it exactly over the rationals
-(integrality of the inverse is asserted); the successful solve doubles as a
-proof that the Q elements form a basis in each degree.  Inverses are cached
-per degree.
+Expansion in the Q basis inverts the change-of-basis matrix from the Q
+elements to the monomials, one degree at a time, and caches the inverse per
+degree.  Every Q_{a,i} and every monomial x^al y^be z^ga lies in a column
+(a for Q_{a,i}, ga - al for the monomial), and p = xz - y^2 is homogeneous of
+column 0, so the matrix is block-diagonal by column: each block pairs the
+floor((d - |a|)/2) + 1 elements Q_{a,i} with the equally many monomials of
+column a.  Each block is inverted on its own by an exact Gauss-Jordan
+elimination that stays in integers while every pivot is 1 (for this basis
+all of them are) and falls back to rationals otherwise.  The fill still
+proves that the Q elements form a basis over the integers in each degree:
+it checks that every term of every Q element stays in its column and that
+each block is square, so the whole matrix is the direct sum of the blocks;
+it raises if a block is singular; and it raises if an inverse entry is not
+an integer.
 """
 
 from __future__ import annotations
@@ -39,7 +48,15 @@ class HomogeneousPolynomial:
                 continue
             if sum(mono) != degree or min(mono) < 0:
                 raise ValueError(f"monomial {mono} is not homogeneous of degree {degree}")
-            clean[tuple(mono)] = int(c)
+            if type(c) is not int:
+                try:
+                    integral = int(c)
+                except (ValueError, OverflowError):  # nan, inf
+                    integral = None
+                if integral != c:
+                    raise ValueError(f"coefficient {c!r} of {mono} is not an integer")
+                c = integral
+            clean[tuple(mono)] = c
         self.degree = degree
         self.coeffs = clean
 
@@ -144,26 +161,25 @@ def q_monomial(idx: QBasisIndex) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(d, coeffs)
 
 
-# Per-degree cache: monomial order, index order, and the integer inverse of
-# the change-of-basis matrix, stored column-wise (one sparse column per
-# monomial, giving its expansion over the Q indices).
-_expansion_cache: Dict[int, tuple[list[Monomial], list[QBasisIndex], list[dict[int, int]]]] = {}
+# Per-degree cache: the Q indices in (a, i) order, and for each monomial its
+# expansion over them as {position in that list: integer coefficient}.
+_expansion_cache: Dict[int, tuple[list[QBasisIndex], dict[Monomial, dict[int, int]]]] = {}
 
 
 def _invert_exact(
     columns: list[dict[int, int]], dim: int
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int | Fraction]]:
     """Inverse of the matrix whose j-th column is columns[j], by Gauss-Jordan.
 
-    Rows are kept sparse (dicts), which makes the elimination cheap for the
-    block-structured matrices arising here while staying a general exact
-    solve; a missing pivot anywhere means the claimed basis is not one.
+    Rows are kept sparse (dicts) and entries stay ints while every pivot is
+    1; a row is divided, in Fractions, only by a pivot other than 1.  A
+    missing pivot anywhere means the claimed basis is not one.
     """
-    left: list[dict[int, Fraction]] = [{} for _ in range(dim)]
+    left: list[dict[int, int | Fraction]] = [{} for _ in range(dim)]
     for j, col in enumerate(columns):
         for r, v in col.items():
-            left[r][j] = Fraction(v)
-    right: list[dict[int, Fraction]] = [{r: Fraction(1)} for r in range(dim)]
+            left[r][j] = v
+    right: list[dict[int, int | Fraction]] = [{r: 1} for r in range(dim)]
     for col in range(dim):
         pivot = next((r for r in range(col, dim) if left[r].get(col)), None)
         if pivot is None:
@@ -172,20 +188,20 @@ def _invert_exact(
         right[col], right[pivot] = right[pivot], right[col]
         pv = left[col][col]
         if pv != 1:
-            left[col] = {c: v / pv for c, v in left[col].items()}
-            right[col] = {c: v / pv for c, v in right[col].items()}
+            left[col] = {c: Fraction(v, pv) for c, v in left[col].items()}
+            right[col] = {c: Fraction(v, pv) for c, v in right[col].items()}
         for r in range(dim):
             f = left[r].get(col)
             if r == col or not f:
                 continue
             for c, v in left[col].items():
-                newv = left[r].get(c, Fraction(0)) - f * v
+                newv = left[r].get(c, 0) - f * v
                 if newv:
                     left[r][c] = newv
                 else:
                     left[r].pop(c, None)
             for c, v in right[col].items():
-                newv = right[r].get(c, Fraction(0)) - f * v
+                newv = right[r].get(c, 0) - f * v
                 if newv:
                     right[r][c] = newv
                 else:
@@ -193,43 +209,61 @@ def _invert_exact(
     return right
 
 
-def _expansion_data(d: int):
-    if d not in _expansion_cache:
-        monos = monomial_basis(d)
-        mono_pos = {m: r for r, m in enumerate(monos)}
-        indices = qbasis_indices(d)
-        dim = len(monos)
-        if len(indices) != dim:
-            raise ArithmeticError(f"basis size mismatch in degree {d}")
-        columns = [
-            {mono_pos[mono]: c for mono, c in q_monomial(idx).coeffs.items()}
-            for idx in indices
-        ]
-        inverse = _invert_exact(columns, dim)
-        # Row k of the inverse gives the Q_{indices[k]} coefficient; store by
-        # monomial column for sparse use, asserting integrality throughout.
-        by_monomial: list[dict[int, int]] = [{} for _ in range(dim)]
-        for k in range(dim):
-            for j, v in inverse[k].items():
+def _expansion_data(d: int) -> tuple[list[QBasisIndex], dict[Monomial, dict[int, int]]]:
+    entry = _expansion_cache.get(d)
+    if entry is not None:
+        return entry
+    indices = qbasis_indices(d)
+    monos = monomial_basis(d)
+    if len(indices) != len(monos):
+        raise ArithmeticError(f"basis size mismatch in degree {d}")
+    block_monos: Dict[int, list[Monomial]] = {}
+    for mono in monos:
+        block_monos.setdefault(mono[2] - mono[0], []).append(mono)
+    block_indices: Dict[int, list[int]] = {}
+    for k, idx in enumerate(indices):
+        block_indices.setdefault(idx.a, []).append(k)
+    expansion: dict[Monomial, dict[int, int]] = {mono: {} for mono in monos}
+    for a, rows in block_monos.items():
+        ks = block_indices.get(a, [])
+        if len(ks) != len(rows):
+            raise ArithmeticError(
+                f"column {a} of degree {d} has {len(ks)} basis elements "
+                f"for {len(rows)} monomials"
+            )
+        row_of = {mono: r for r, mono in enumerate(rows)}
+        columns = []
+        for k in ks:
+            column = {}
+            for mono, c in q_monomial(indices[k]).coeffs.items():
+                if mono not in row_of:
+                    raise ArithmeticError(
+                        f"Q_({a},{indices[k].i}) in degree {d} has the term {mono} "
+                        f"outside its column"
+                    )
+                column[row_of[mono]] = c
+            columns.append(column)
+        # Row s of the block inverse gives the Q_{indices[ks[s]]} coefficient;
+        # store it by monomial for sparse use, asserting integrality.
+        for s, inverse_row in enumerate(_invert_exact(columns, len(ks))):
+            for r, v in inverse_row.items():
                 if v.denominator != 1:
                     raise ArithmeticError(
                         f"non-integer entry {v} in the inverse change of basis"
                     )
-                if v:
-                    by_monomial[j][k] = v.numerator
-        _expansion_cache[d] = (monos, indices, by_monomial)
-    return _expansion_cache[d]
+                expansion[rows[r]][ks[s]] = v.numerator
+    _expansion_cache[d] = (indices, expansion)
+    return indices, expansion
 
 
 def expand_in_qbasis(poly: HomogeneousPolynomial) -> Dict[QBasisIndex, int]:
     """Unique exact coefficients of a polynomial over the distinguished basis."""
     if poly.is_zero():
         return {}
-    monos, indices, by_monomial = _expansion_data(poly.degree)
-    mono_pos = {m: r for r, m in enumerate(monos)}
+    indices, expansion = _expansion_data(poly.degree)
     acc: Dict[int, int] = {}
     for mono, c in poly.coeffs.items():
-        for k, v in by_monomial[mono_pos[mono]].items():
+        for k, v in expansion[mono].items():
             acc[k] = acc.get(k, 0) + c * v
     return {indices[k]: v for k, v in acc.items() if v != 0}
 

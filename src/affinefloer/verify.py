@@ -46,13 +46,16 @@ def ring(max_degree: int) -> Sweep:
         raise ValueError("max_degree must be at least 1")
     checked = 0
     mismatches: list[str] = []
+    elements = {
+        d: [(idx, polyring.q_monomial(idx)) for idx in polyring.qbasis_indices(d)]
+        for d in range(1, max_degree + 1)
+    }
     for n in range(1, max_degree + 1):
         for m in range(1, max_degree + 1):
-            for q_idx in polyring.qbasis_indices(n):
-                lhs = polyring.q_monomial(q_idx)
-                for r_idx in polyring.qbasis_indices(m):
+            for q_idx, lhs in elements[n]:
+                for r_idx, rhs in elements[m]:
                     checked += 1
-                    product = polyring.multiply(lhs, polyring.q_monomial(r_idx))
+                    product = polyring.multiply(lhs, rhs)
                     expanded = {
                         (k.a, k.i): c for k, c in polyring.expand_in_qbasis(product).items()
                     }

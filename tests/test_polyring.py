@@ -1,6 +1,8 @@
 """The polynomial-side oracle: distinguished basis, exact expansion, products."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -100,3 +102,107 @@ def test_expansion_linear():
 def test_expand_zero():
     assert pr.expand_in_qbasis(pr.zero(5)) == {}
 
+
+
+@pytest.mark.parametrize("c", [2.5, Fraction(7, 2), float("nan"), float("inf")])
+def test_non_integral_coefficient_rejected(c):
+    with pytest.raises(ValueError, match="not an integer"):
+        poly(1, {(1, 0, 0): c})
+
+
+def test_integral_coefficients_of_other_types_become_ints():
+    f = poly(1, {(1, 0, 0): 2.0, (0, 1, 0): Fraction(6, 2), (0, 0, 1): 0.0})
+    assert f.coeffs == {(1, 0, 0): 2, (0, 1, 0): 3}
+    assert all(type(c) is int for c in f.coeffs.values())
+
+
+def test_monomials_expand_by_the_binomial_closed_form():
+    # x^al y^be z^ga = z^a (xz)^t y^be (a >= 0) or x^-a (xz)^t y^be (a < 0), with
+    # t = min(al, ga), a = ga - al, and xz = p + y^2.
+    for d in range(1, 16):
+        for al, be, ga in pr.monomial_basis(d):
+            t, a = min(al, ga), ga - al
+            want = {QBasisIndex(a, i, d): math.comb(t, i) for i in range(t + 1)}
+            assert pr.expand_in_qbasis(poly(d, {(al, be, ga): 1})) == want
+
+
+def _full_matrix_expansion(d):
+    """Per monomial, its Q coefficients from one Fraction Gauss-Jordan on the
+    whole change-of-basis matrix, as the column blocks were first computed."""
+    monos = pr.monomial_basis(d)
+    row_of = {m: r for r, m in enumerate(monos)}
+    indices = pr.qbasis_indices(d)
+    dim = len(monos)
+    left = [{} for _ in range(dim)]
+    for j, idx in enumerate(indices):
+        for mono, c in pr.q_monomial(idx).coeffs.items():
+            left[row_of[mono]][j] = Fraction(c)
+    right = [{r: Fraction(1)} for r in range(dim)]
+    for col in range(dim):
+        pivot = next(r for r in range(col, dim) if left[r].get(col))
+        left[col], left[pivot] = left[pivot], left[col]
+        right[col], right[pivot] = right[pivot], right[col]
+        pv = left[col][col]
+        left[col] = {c: v / pv for c, v in left[col].items()}
+        right[col] = {c: v / pv for c, v in right[col].items()}
+        for r in range(dim):
+            f = left[r].get(col)
+            if r == col or not f:
+                continue
+            for rows, src in ((left, left[col]), (right, right[col])):
+                for c, v in src.items():
+                    rows[r][c] = rows[r].get(c, Fraction(0)) - f * v
+                rows[r] = {c: v for c, v in rows[r].items() if v}
+    return {
+        mono: {(indices[k].a, indices[k].i): right[k][j] for k in range(dim) if right[k].get(j)}
+        for j, mono in enumerate(monos)
+    }
+
+
+def test_column_blocks_agree_with_the_full_matrix_inverse():
+    for d in range(1, 13):
+        indices, expansion = pr._expansion_data(d)
+        blocks = {
+            mono: {(indices[k].a, indices[k].i): v for k, v in column.items()}
+            for mono, column in expansion.items()
+        }
+        assert blocks == _full_matrix_expansion(d)
+
+
+def test_invert_exact_falls_back_to_fractions_for_other_pivots():
+    # columns of [[2, 1], [0, -1]]
+    inverse = pr._invert_exact([{0: 2}, {0: 1, 1: -1}], 2)
+    assert inverse == [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {1: -1}]
+    # unit pivots keep every entry an int: columns of [[1, 1], [0, 1]]
+    inverse = pr._invert_exact([{0: 1}, {0: 1, 1: 1}], 2)
+    assert inverse == [{0: 1, 1: -1}, {1: 1}]
+    assert all(type(v) is int for row in inverse for v in row.values())
+
+
+@pytest.mark.parametrize(
+    "bad_index, replacement, message",
+    [
+        # 2 Q_(0,1): the block of column 0 has pivot 2 and inverse entries 1/2
+        (QBasisIndex(0, 1, 4), lambda q: q(QBasisIndex(0, 1, 4)).scale(2), "non-integer"),
+        # Q_(0,1) := Q_(0,0): two equal columns in one block
+        (QBasisIndex(0, 1, 4), lambda q: q(QBasisIndex(0, 0, 4)), "singular"),
+        # Q_(1,0) + x^4: a term in column -4
+        (
+            QBasisIndex(1, 0, 4),
+            lambda q: q(QBasisIndex(1, 0, 4)) + poly(4, {(4, 0, 0): 1}),
+            "outside its column",
+        ),
+    ],
+    ids=["pivot-2", "singular", "outside-column"],
+)
+def test_planted_bad_basis_is_rejected(monkeypatch, bad_index, replacement, message):
+    original = pr.q_monomial
+    monkeypatch.setattr(
+        pr, "q_monomial", lambda idx: replacement(original) if idx == bad_index else original(idx)
+    )
+    monkeypatch.setattr(pr, "_expansion_cache", {})
+    with pytest.raises(ArithmeticError, match=message):
+        pr.expand_in_qbasis(poly(4, {(0, 4, 0): 1}))
+    assert 4 not in pr._expansion_cache
+    pr.expand_in_qbasis(poly(3, {(0, 3, 0): 1}))  # other degrees are untouched
+    assert 3 in pr._expansion_cache

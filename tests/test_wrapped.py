@@ -91,21 +91,6 @@ def test_wrapped_product_restricted_to_compact_range_is_mu2():
                         assert got == want
 
 
-def test_wrapped_product_matches_laurent_oracle():
-    for case in Complement:
-        for d1 in range(0, 5):
-            for d2 in range(0, 5 - d1):
-                for q1 in wr.wrapped_basis(case, d1, a_max=d1 + 2, i_max=2):
-                    for q2 in wr.wrapped_basis(case, d2, a_max=d2 + 2, i_max=2):
-                        got = wr.wrapped_product(case, q2, q1)
-                        want = wr.laurent_product_in_qbasis(
-                            case,
-                            wr.rational_function(q1),
-                            wr.rational_function(q2),
-                        )
-                        assert got == want, (case, q1, q2)
-
-
 def test_e_element_examples():
     assert wr.e_element(Complement.L, 1) == ExtendedPoint(0, 0, 1, Complement.L)
     assert wr.rational_function(wr.e_element(Complement.L, 1)) == wr.LaurentElement(0, 0, 1)
