@@ -4,7 +4,7 @@ Subcommands:
 
   points INSTANCE D              enumerate the (1/D)-integral points
   mu2 INSTANCE N M A I B J       one triangle product, with the polynomial
-                                 identity echoed for the cp2 builtin
+                                 identity checked on cp2
   verify SUITE [bounds]          cross-verification sweeps
                                  (ring | homotopy | tropical | wrapped |
                                   numeric | all)
@@ -12,7 +12,8 @@ Subcommands:
   numeric                        JSON report of all floating-point checks
 
 INSTANCE is a builtin name ("cp2", "dp6") or a path to a JSON instance file;
-the same value may be passed via --builtin/--instance.  Every command prints
+the same value may be passed via --builtin/--instance.  An instance equal to
+the cp2 builtin counts as cp2, whatever its name.  Every command prints
 a human summary by default or a machine-readable report with --json, and
 exits 0 exactly when all of its checks pass.
 """
@@ -116,7 +117,8 @@ def cmd_mu2(args) -> CommandReport:
     product = floer.mu2(q2, q1, polygon)
     report.results["product"] = floer.sum_to_json(product)
     report.check("computed", True)
-    if name == "cp2":
+    is_cp2 = polygon == affine.CP2
+    if is_cp2:
         lhs = polyring.multiply(
             polyring.q_monomial(polyring.QBasisIndex(args.a, args.i, args.n)),
             polyring.q_monomial(polyring.QBasisIndex(args.b, args.j, args.m)),
@@ -130,7 +132,7 @@ def cmd_mu2(args) -> CommandReport:
             (f"{c}*" if c != 1 else "") + f"q_({a},{i})" for (a, i), c in product.terms
         )
         print(f"mu2(q_({args.b},{args.j})@{args.m}, q_({args.a},{args.i})@{args.n}) = {terms}")
-        if name == "cp2":
+        if is_cp2:
             rhs = " + ".join(
                 (f"{c}*" if c != 1 else "")
                 + polyring.q_label(a, i, args.n + args.m)
@@ -194,8 +196,8 @@ def cmd_render(args) -> CommandReport:
     )
     triangle = None
     if args.triangle is not None:
-        if name != "cp2":
-            raise ValueError("triangle rendering is available for the cp2 builtin")
+        if polygon != affine.CP2:
+            raise ValueError("triangle rendering is available for the cp2 instance only")
         a, i, n, b, j, m, h = args.triangle
         triangle = tropical.build_triangle(a, i, n, b, j, m, h)
         report.check("triangle_exists", triangle is not None)

@@ -236,11 +236,20 @@ SumLike = Union[BasisVector, FormalSum]
 def ring_product(x: SumLike, y: SumLike, polygon: AffinePolygon = CP2) -> FormalSum:
     """Bilinear ring product x * y = mu2(y, x) (all morphisms have degree 0,
     so the usual sign (-1)^{|x|} is trivially +1).  A basis vector argument
-    is the one-term sum [(x, 1)]."""
+    is the one-term sum [(x, 1)].
+
+    The product of one term by one term is mu2's own sorted sum, scaled;
+    only several term pairs are merged and re-sorted."""
     if x.d2 != y.d1:
         raise ValueError(f"not composable: x ends at level {x.d2}, y starts at {y.d1}")
     xs = [(x, 1)] if isinstance(x, BasisVector) else x.basis_vectors()
     ys = [(y, 1)] if isinstance(y, BasisVector) else y.basis_vectors()
+    if len(xs) == 1 and len(ys) == 1:
+        (qx, cx), (qy, cy) = xs[0], ys[0]
+        out, c = mu2(qy, qx, polygon), cx * cy
+        if c == 1:
+            return out
+        return FormalSum(x.d1, y.d2, tuple((key, c * v) for key, v in out.terms) if c else ())
     acc: dict[tuple[int, int], int] = {}
     for qx, cx in xs:
         for qy, cy in ys:

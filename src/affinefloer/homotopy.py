@@ -59,19 +59,39 @@ def inverse(w: FreeWord) -> FreeWord:
     return FreeWord(tuple((g, -e) for g, e in reversed(w.runs)))
 
 
+def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[list[Run], int]:
+    """Append runs to an already reduced word, cancelling as they meet.
+
+    Returns the reduced word and the number of b-letters that cancelled."""
+    out = list(stack)
+    lost = 0
+    for gen, exp in runs:
+        if out and out[-1][0] == gen:
+            before = out[-1][1]
+            total = before + exp
+            if gen == "b":
+                lost += abs(before) + abs(exp) - abs(total)
+            if total:
+                out[-1] = (gen, total)
+            else:
+                out.pop()
+        else:
+            out.append((gen, exp))
+    return out, lost
+
+
 def free_reduce(w: FreeWord) -> FreeWord:
     """Fully reduced form; the empty word is the identity."""
-    stack: list[list] = []
-    for gen, exp in w.runs:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == gen:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([gen, exp])
-    return FreeWord(tuple((g, e) for g, e in stack))
+    return FreeWord(tuple(_reduce_onto((), w.runs)[0]))
+
+
+def _power_runs(r: int, delta: int) -> list[Run]:
+    """Runs of (a^r b)^delta, with a^0 dropped."""
+    if delta >= 0:
+        unit = [("a", r), ("b", 1)] if r else [("b", 1)]
+    else:
+        unit = [("b", -1), ("a", -r)] if r else [("b", -1)]
+    return unit * abs(delta)
 
 
 def triangle_word(i: int, j: int, h: int, k: int, deltas: Sequence[int]) -> FreeWord:
@@ -80,10 +100,7 @@ def triangle_word(i: int, j: int, h: int, k: int, deltas: Sequence[int]) -> Free
         raise ValueError(f"need {k + 1} deltas, got {len(deltas)}")
     runs: list[Run] = [("a", i + j - h + k)]
     for r, delta in enumerate(deltas):
-        if delta >= 0:
-            runs.extend([("a", r), ("b", 1)] * delta)
-        else:
-            runs.extend([("b", -1), ("a", -r)] * (-delta))
+        runs.extend(_power_runs(r, delta))
     return word(runs)
 
 
@@ -106,12 +123,6 @@ def enumerate_admissible(k: int) -> list[DeltaSequence]:
     return sorted(
         deltas for deltas in product((-1, 0, 1), repeat=k + 1) if is_admissible(deltas)
     )
-
-
-def delta_from_binary(s_seq: Sequence[int]) -> DeltaSequence:
-    """delta_r = s_r - s_{r-1} with s_{-1} = s_k = 0 appended."""
-    padded = [0] + list(s_seq) + [0]
-    return tuple(padded[r + 1] - padded[r] for r in range(len(s_seq) + 1))
 
 
 def binary_from_delta(deltas: Sequence[int]) -> tuple[int, ...]:
@@ -151,20 +162,43 @@ def homotopy_count(k: int, i: int, j: int, h: int) -> int:
 
 
 def brute_force_admissible(k: int, bound: int) -> list[DeltaSequence]:
-    """Oracle: search all delta in [-bound, bound]^(k+1) for trivial words.
+    """Oracle: every delta in [-bound, bound]^(k+1) whose boundary word is
+    trivial, in lexicographic order.
 
-    Each candidate is paired with its forced output height and kept iff the
-    boundary word free-reduces to the identity.  Sequences whose entries do
-    not sum to zero are skipped (nonzero abelianization already obstructs
-    triviality); the free reduction is the deciding test for the rest.
+    With h the candidate's forced output height, the word is a^(-E) * P for
+    P = prod (a^r b)^(delta_r) and E = sum r*delta_r, the a-exponent sum of
+    P.  It reduces to the identity exactly when P reduces to a pure a-power
+    (that power is then a^E).  The search is depth-first over delta_0 ..
+    delta_k, in increasing delta at each position, and carries the
+    free-reduced prefix of P with its number of b-letters.  A prefix is
+    pruned once it holds more b-letters than the remaining positions can
+    supply, at most `bound` each.  The prune is exact: in the reduced
+    product of prefix and suffix every b of the prefix must cancel against
+    a b of the suffix, and reduction only removes letters.  So the search
+    still decides every candidate in [-bound, bound]^(k+1); a full sequence
+    is kept when its reduced P has no b-letter left.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    steps = [
+        [(delta, _power_runs(r, delta)) for delta in range(-bound, bound + 1)]
+        for r in range(k + 1)
+    ]
     hits: list[DeltaSequence] = []
-    for deltas in product(range(-bound, bound + 1), repeat=k + 1):
-        if sum(deltas) != 0:
-            continue
-        h = output_height(0, 0, k, deltas)
-        if free_reduce(triangle_word(0, 0, h, k, deltas)).is_identity():
-            hits.append(deltas)
-    return sorted(hits)
+
+    def extend(r: int, prefix: list[Run], b_letters: int, deltas: DeltaSequence) -> None:
+        room = bound * (k - r)  # b-letters the positions after r can supply
+        for delta, runs in steps[r]:
+            reduced, lost = _reduce_onto(prefix, runs)
+            left = b_letters + abs(delta) - lost
+            if left > room:
+                continue
+            if r == k:
+                hits.append(deltas + (delta,))
+            else:
+                extend(r + 1, reduced, left, deltas + (delta,))
+
+    extend(0, [], 0, ())
+    return hits

@@ -11,7 +11,8 @@ primitive direction (0, 1) (singularity below the crossing) or (0, -1)
 the monodromy shear).  The triangle is balanced when the two leg tangents
 cancel at the root after all attachments.
 
-For opposite-sign columns the crossing point is forced to
+For opposite-sign columns the leg from the column of smaller |a| bends, at
+the crossing point forced to be (written with the bent leg first, a < 0)
 
     x = (0, (-a*j + b*i + b*s) / (m*a - n*b)),      s = h - (i + j),
 
@@ -19,6 +20,14 @@ and the disks can attach at |det(tangent, (0,1))| = k spots, giving
 multiplicity C(k, s) with s disks below or C(k, k-s) with k-s disks above;
 the two counts are equal, which is why the exact singularity height never
 matters.  Same-sign columns admit only the straight segment with h = i + j.
+
+Two paths share these rules.  `tropical_structure_constant` counts the
+witness in integers: coordinates scaled by n*m*(n+m), the arrival tangents
+checked to cancel, no triangle object built.  `build_triangle` builds the
+full triangle in `Fraction` coordinates and checks it with
+`check_balancing`; it serves `render --triangle`, the JSON output and the
+figure and position-invariance checks of the acceptance suite.  Both raise
+ArithmeticError rather than return a witness that does not balance.
 
 The multi-singularity generalization is covered by the partition identity
 C(sum k_t, s) = sum over compositions (s_t) of prod C(k_t, s_t); the
@@ -29,7 +38,7 @@ instance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -154,33 +163,6 @@ def check_balancing(t: TropicalTriangle) -> bool:
     return False
 
 
-def _reflect_point(p: RationalPoint) -> RationalPoint:
-    return RationalPoint(-p.eta, p.xi)
-
-
-def _reflect_leg(leg: TropicalLeg) -> TropicalLeg:
-    return TropicalLeg(
-        _reflect_point(leg.start),
-        _reflect_point(leg.end),
-        leg.weight,
-        (-leg.tangent_at_end[0], leg.tangent_at_end[1]),
-    )
-
-
-def _reflect_triangle(t: TropicalTriangle) -> TropicalTriangle:
-    return TropicalTriangle(
-        tuple(_reflect_leg(leg) for leg in t.legs),
-        _reflect_point(t.root),
-        None if t.bend is None else _reflect_point(t.bend),
-        tuple(replace(d, point=_reflect_point(d.point)) for d in t.disks),
-        t.multiplicity,
-    )
-
-
-def _swap_legs(t: TropicalTriangle) -> TropicalTriangle:
-    return replace(t, legs=(t.legs[1], t.legs[0]))
-
-
 def _check_indices(a: int, i: int, n: int) -> None:
     if n < 1 or not 0 <= i < CP2.column_counts(n).get(a, 0):
         raise ValueError(f"q_({a},{i}) with denominator {n} is not admissible")
@@ -190,90 +172,71 @@ def _point(a: int, i: int, n: int) -> RationalPoint:
     return RationalPoint(Fraction(a, n), Fraction(-i, n))
 
 
-def _build_canonical(
-    a: int, i: int, n: int, b: int, j: int, m: int, s: int, sing_above: bool
-) -> TropicalTriangle:
-    """Bent triangle for a < 0 <= b with |a| <= |b|, 0 <= s <= k = -a."""
-    k = -a
-    q1, q2 = _point(a, i, n), _point(b, j, m)
-    h = i + j + s
-    root = _point(a + b, h, n + m)
-    bend = RationalPoint(_SING_ETA, Fraction(-a * j + b * i + b * s, m * a - n * b))
-    t1 = _scale(n, _vec(bend, q1))
-    assert abs(t1[0]) == k  # |det(tangent, (0,1))| attachment spots
-    if sing_above:
-        count, direction = k - s, (0, -1)
-        t1 = _shear(t1, 1)
-    else:
-        count, direction = s, (0, 1)
-    disks = (DiskAttachment(bend, count, direction),) if count else ()
-    t1 = _add(t1, _scale(count, direction))
-    t1 = _add(t1, _scale(n, _vec(root, bend)))
-    t2 = _scale(m, _vec(root, q2))
-    assert _add(t1, t2) == (Fraction(0), Fraction(0))
-    return TropicalTriangle(
-        legs=(TropicalLeg(q1, root, n, t1), TropicalLeg(q2, root, m, t2)),
-        root=root,
-        bend=bend,
-        disks=disks,
-        multiplicity=math.comb(k, s),
-    )
+def _disks(k: int, s: int, sing_above: bool) -> tuple[int, int]:
+    """(count, sign of the direction (0, +-1)) of the disks attaching at the
+    bend: k - s pushing down when the singularity is above the bend (the
+    leg also crosses the cut there), s pushing up when it is below."""
+    return (k - s, -1) if sing_above else (s, 1)
 
 
-def _build_straight(a: int, i: int, n: int, b: int, j: int, m: int) -> TropicalTriangle:
-    """Same-sign triangle: the segment through the three points, h = i + j."""
-    q1, q2 = _point(a, i, n), _point(b, j, m)
-    root = _point(a + b, i + j, n + m)
-    t1 = _scale(n, _vec(root, q1))
-    t2 = _scale(m, _vec(root, q2))
-    assert _add(t1, t2) == (Fraction(0), Fraction(0))
-    return TropicalTriangle(
-        legs=(TropicalLeg(q1, root, n, t1), TropicalLeg(q2, root, m, t2)),
-        root=root,
-        bend=None,
-        disks=(),
-        multiplicity=1,
-    )
+def _bend_ratio(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> tuple[int, int]:
+    """(numerator, positive denominator) of the height at which the bent leg,
+    the one from the column of smaller |a|, crosses the singular line, for
+    columns of opposite sign.  The ratio is unchanged by (a, b) -> (-a, -b),
+    so the mirror image of a product bends at the same height."""
+    s = h - (i + j)
+    if abs(a) > abs(b):
+        a, i, n, b, j, m = b, j, m, a, i, n
+    num, den = -a * j + b * i + b * s, m * a - n * b  # den != 0: opposite signs
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def _sing_above(singularity_xi, bend: tuple[int, int]) -> bool:
+    """Whether the singularity sits above the bend num/den (den > 0)."""
+    xi = singularity_xi if isinstance(singularity_xi, Fraction) else Fraction(singularity_xi)
+    num, den = bend
+    return xi.numerator * den > num * xi.denominator
 
 
 def _build(
     a: int, i: int, n: int, b: int, j: int, m: int, h: int, sing_above: bool
 ) -> Optional[TropicalTriangle]:
+    """The triangle with the singularity above or below the bend, in
+    `Fraction` coordinates; raises ArithmeticError unless it balances."""
     _check_indices(a, i, n)
     _check_indices(b, j, m)
     s = h - (i + j)
     k = k_value_cp2(a, b)
     if not 0 <= s <= k:
         return None
-    if k == 0:
-        triangle = _build_straight(a, i, n, b, j, m)
-    else:
-        swapped = abs(a) > abs(b)
-        if swapped:
-            a, i, n, b, j, m = b, j, m, a, i, n
-        reflected = a > 0
-        if reflected:
-            a, b = -a, -b
-        triangle = _build_canonical(a, i, n, b, j, m, s, sing_above)
-        if reflected:
-            triangle = _reflect_triangle(triangle)
-        if swapped:
-            triangle = _swap_legs(triangle)
-    assert check_balancing(triangle)
+    root = _point(a + b, h, n + m)
+    leaves = [(_point(a, i, n), n), (_point(b, j, m), m)]
+    tangents = [_scale(w, _vec(root, q)) for q, w in leaves]
+    # Same-sign columns (k = 0) give the straight segment with h = i + j.
+    bend, disks = None, ()
+    if k:
+        bent = 0 if abs(a) <= abs(b) else 1
+        q, w = leaves[bent]
+        bend = RationalPoint(_SING_ETA, Fraction(*_bend_ratio(a, i, n, b, j, m, h)))
+        base = _scale(w, _vec(bend, q))
+        if abs(base[0]) != k:  # |det(tangent, (0,1))| attachment spots
+            raise ArithmeticError(f"bent leg meets {abs(base[0])} attachment spots, not {k}")
+        count, sign = _disks(k, s, sing_above)
+        if sing_above:
+            base = _shear(base, 1 if root.eta > q.eta else -1)
+        if count:
+            disks = (DiskAttachment(bend, count, (0, sign)),)
+        tangents[bent] = _add(_add(base, (0, count * sign)), _scale(w, _vec(root, bend)))
+    triangle = TropicalTriangle(
+        legs=tuple(TropicalLeg(q, root, w, t) for (q, w), t in zip(leaves, tangents)),
+        root=root,
+        bend=bend,
+        disks=disks,
+        multiplicity=math.comb(k, s),
+    )
+    if not check_balancing(triangle):
+        raise ArithmeticError(f"tropical triangle for h={h} does not balance")
     return triangle
-
-
-def bend_height(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Fraction:
-    """Height at which the bent leg crosses the singular line (opposite signs)."""
-    s = h - (i + j)
-    swapped = abs(a) > abs(b)
-    if swapped:
-        a, i, n, b, j, m = b, j, m, a, i, n
-    if a > 0:
-        a, b = -a, -b
-    if m * a - n * b == 0:
-        raise ValueError("no bend in the same-column case")
-    return Fraction(-a * j + b * i + b * s, m * a - n * b)
 
 
 def build_triangle(
@@ -293,9 +256,10 @@ def build_triangle(
     it selects whether disks attach from below or above but never changes
     the multiplicity.
     """
-    sing_above = False
-    if k_value_cp2(a, b) > 0 and 0 <= h - (i + j) <= k_value_cp2(a, b):
-        sing_above = Fraction(singularity_xi) > bend_height(a, i, n, b, j, m, h)
+    k, s = k_value_cp2(a, b), h - (i + j)
+    sing_above = k > 0 and 0 <= s <= k and _sing_above(
+        singularity_xi, _bend_ratio(a, i, n, b, j, m, h)
+    )
     return _build(a, i, n, b, j, m, h, sing_above)
 
 
@@ -309,9 +273,41 @@ def tropical_structure_constant(
     h: int,
     singularity_xi: Fraction = _DEFAULT_SING_XI,
 ) -> int:
-    """Total multiplicity of all triangles hitting output height h."""
-    triangle = build_triangle(a, i, n, b, j, m, h, singularity_xi)
-    return 0 if triangle is None else triangle.multiplicity
+    """Total multiplicity C(k, s) of the triangles hitting output height h,
+    s = h - (i+j), counted in integers without building the triangle.
+
+    Coordinates are scaled by N = n*m*(n+m), which makes the leaves and the
+    root integral.  The bent leg's arrival tangent is its straight tangent
+    plus the disk jump, plus the monodromy shear of the part before the bend
+    when the singularity is above it; the two arrival tangents must cancel.
+    Raises ArithmeticError when they do not.
+    """
+    _check_indices(a, i, n)
+    _check_indices(b, j, m)
+    s = h - (i + j)
+    k = k_value_cp2(a, b)
+    if not 0 <= s <= k:
+        return 0
+    big = n * m * (n + m)
+    root_x, root_y = (a + b) * n * m, -h * n * m
+    leaves = [(a * m * (n + m), -i * m * (n + m), n), (b * n * (n + m), -j * n * (n + m), m)]
+    tangents = [[w * (root_x - x), w * (root_y - y)] for x, y, w in leaves]
+    if k:
+        bent = 0 if abs(a) <= abs(b) else 1
+        x, _, w = leaves[bent]
+        base_x = -w * x  # the part before the bend ends on the singular line eta = 0
+        if abs(base_x) != k * big:
+            raise ArithmeticError(f"bent leg meets {abs(base_x) // big} attachment spots, not {k}")
+        sing_above = _sing_above(singularity_xi, _bend_ratio(a, i, n, b, j, m, h))
+        count, sign = _disks(k, s, sing_above)
+        if sing_above:  # shear of the part before the bend, in the direction of travel
+            tangents[bent][1] += (1 if root_x > x else -1) * base_x
+        tangents[bent][1] += count * sign * big
+    if tangents[0][0] + tangents[1][0] or tangents[0][1] + tangents[1][1]:
+        raise ArithmeticError(
+            f"tropical witness of q_({a},{i})@{n} * q_({b},{j})@{m} at h={h} does not balance"
+        )
+    return math.comb(k, s)
 
 
 def singularity_position_invariance(

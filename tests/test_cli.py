@@ -238,3 +238,42 @@ def test_sweep_bound_that_checks_nothing_exits_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def _instance_file(tmp_path, polygon):
+    return _write_instance(tmp_path, affine.polygon_to_json(polygon))
+
+
+def test_json_copy_of_cp2_gets_the_polynomial_identity(tmp_path, capsys):
+    path = _instance_file(tmp_path, affine.CP2)
+    code, data = run_json(["mu2", path, "1", "1", "-1", "0", "1", "0"], capsys)
+    assert code == 0
+    assert [(c["name"], c["pass"]) for c in data["checks"]] == [
+        ("computed", True),
+        ("matches_polynomial_identity", True),
+    ]
+    code, out = run(["mu2", path, "1", "1", "-1", "0", "1", "0"], capsys)
+    assert code == 0 and "x * z = y^2 + p" in out
+
+
+def test_json_copy_of_cp2_renders_a_triangle(tmp_path, capsys):
+    path = _instance_file(tmp_path, affine.CP2)
+    out = tmp_path / "triangle.svg"
+    code, data = run_json(
+        ["render", path, "--triangle", "-2", "0", "2", "2", "0", "2", "1", str(out)], capsys
+    )
+    assert code == 0
+    assert data["results"]["triangle"]["bend"] == ["0", "-1/4"]
+    assert "mult 2" in out.read_text()
+
+
+def test_dp6_file_gets_neither_identity_nor_triangle(tmp_path, capsys):
+    path = _instance_file(tmp_path, affine.dp6_model((1, 1, 1)))
+    code, data = run_json(["mu2", path, "1", "1", "0", "0", "1", "0"], capsys)
+    assert code == 0
+    assert [c["name"] for c in data["checks"]] == ["computed"]
+    code = cli.main(
+        ["render", path, str(tmp_path / "x.svg"), "--triangle", "-2", "0", "2", "2", "0", "2", "1"]
+    )
+    assert code == 2
+    assert "cp2 instance only" in capsys.readouterr().err

@@ -335,3 +335,16 @@ def test_ring_product_of_mixed_arguments_is_bilinear():
     assert ring_product(xy, z).coeffs() == bilinear(xy.basis_vectors(), z.basis_vectors())
     assert ring_product(unit(0), x) == x == ring_product(x, unit(2))
     assert ring_product(unit(2), y).coeffs() == {(1, 0): 1}
+
+
+@pytest.mark.parametrize("c", [1, 3, -2, 0])
+def test_ring_product_of_one_term_sums_scales_mu2(c):
+    # a one-term product is mu2's sorted row scaled by the coefficient, with
+    # no zero terms, in either argument position
+    x = floer.FormalSum(0, 2, (((-2, 0), c),))
+    z = basis_vector(2, 4, 2, 0)
+    row = mu2(z, basis_vector(0, 2, -2, 0))
+    want = floer.FormalSum(0, 4, tuple((key, c * v) for key, v in row.terms if c))
+    assert ring_product(x, z) == want
+    assert ring_product(basis_vector(0, 2, -2, 0), floer.FormalSum(2, 4, (((2, 0), c),))) == want
+    assert [key for key, _ in want.terms] == sorted(key for key, _ in want.terms)

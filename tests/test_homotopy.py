@@ -1,6 +1,7 @@
 """Word combinatorics: reduction, admissible sequences, and the count oracle."""
 
 import math
+from itertools import product
 
 import pytest
 
@@ -48,28 +49,51 @@ def test_admissible_counts_are_powers_of_two():
         assert len(ht.enumerate_admissible(k)) == 2**k
 
 
-def test_binary_bijection():
-    from itertools import product
+def _delta_from_binary(s_seq):
+    """delta_r = s_r - s_{r-1} with s_{-1} = s_k = 0 appended."""
+    padded = [0] + list(s_seq) + [0]
+    return tuple(padded[r + 1] - padded[r] for r in range(len(s_seq) + 1))
 
+
+def test_binary_bijection():
     for k in range(0, 7):
         admissible = set(ht.enumerate_admissible(k))
-        via_binary = {
-            ht.delta_from_binary(bits) for bits in product((0, 1), repeat=k)
-        }
+        via_binary = {_delta_from_binary(bits) for bits in product((0, 1), repeat=k)}
         assert via_binary == admissible
         for deltas in admissible:
-            assert ht.delta_from_binary(ht.binary_from_delta(deltas)) == deltas
+            assert _delta_from_binary(ht.binary_from_delta(deltas)) == deltas
+
+
+def _brute_force_by_full_product(k, bound):
+    """The word oracle as a plain loop: build and reduce the word of every
+    candidate in [-bound, bound]^(k+1)."""
+    hits = []
+    for deltas in product(range(-bound, bound + 1), repeat=k + 1):
+        if sum(deltas) != 0:
+            continue
+        h = ht.output_height(0, 0, k, deltas)
+        if ht.free_reduce(ht.triangle_word(0, 0, h, k, deltas)).is_identity():
+            hits.append(deltas)
+    return sorted(hits)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_pruned_search_matches_full_product_loop(bound):
+    for k in range(0, 7):
+        assert ht.brute_force_admissible(k, bound) == _brute_force_by_full_product(k, bound)
 
 
 def test_brute_force_matches_enumeration():
     # bound 2 for k <= 8 is swept by verify.homotopy (acceptance criterion 4)
     assert ht.brute_force_admissible(0, 3) == [(0,)]
     assert len(ht.brute_force_admissible(4, 1)) == 16
+    with pytest.raises(ValueError):
+        ht.brute_force_admissible(2, 0)
+    with pytest.raises(ValueError):
+        ht.brute_force_admissible(-1, 2)
 
 
 def test_admissible_words_are_trivial_and_others_not():
-    from itertools import product
-
     for k in range(0, 6):
         admissible = set(ht.enumerate_admissible(k))
         for deltas in product((-2, -1, 0, 1, 2), repeat=k + 1):

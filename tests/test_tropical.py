@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from affinefloer import tropical as tr
-from affinefloer.affine import RationalPoint
+from affinefloer import verify
+from affinefloer.affine import CP2, RationalPoint
 from affinefloer.floer import index_range
 
 
@@ -42,10 +43,15 @@ def test_out_of_range_returns_none():
 
 
 def test_inadmissible_inputs_rejected():
-    with pytest.raises(ValueError):
-        tr.build_triangle(-3, 0, 2, 2, 0, 2, 0)
-    with pytest.raises(ValueError):
-        tr.build_triangle(-1, 1, 1, 1, 0, 1, 0)
+    # the integer count and the full triangle reject with the same message
+    for args, message in (
+        ((-3, 0, 2, 2, 0, 2, 0), r"^q_\(-3,0\) with denominator 2 is not admissible$"),
+        ((-1, 1, 1, 1, 0, 1, 0), r"^q_\(-1,1\) with denominator 1 is not admissible$"),
+        ((0, 0, 1, 0, 0, 0, 0), r"^q_\(0,0\) with denominator 0 is not admissible$"),
+    ):
+        for build in (tr.build_triangle, tr.tropical_structure_constant):
+            with pytest.raises(ValueError, match=message):
+                build(*args)
 
 
 def test_balancing_detects_perturbed_disk_count():
@@ -133,3 +139,58 @@ def test_triangle_json_shape():
     assert data["multiplicity"] == 2
     assert data["disks"][0]["count"] == 1
     assert len(data["legs"]) == 2
+
+
+# -- the integer structure-constant kernel -------------------------------------
+
+_LOW, _HIGH = Fraction(-10**6), Fraction(10**6)  # below / above every bend
+
+
+def _cp2_products(max_nm):
+    for n in range(1, max_nm + 1):
+        for m in range(1, max_nm + 1):
+            heights = CP2.column_counts(n + m)
+            for (a, i) in sorted(index_range(0, n)):
+                for (b, j) in sorted(index_range(n, n + m)):
+                    for h in range(heights[a + b]):
+                        yield a, i, n, b, j, m, h
+
+
+@pytest.mark.parametrize("xi", [_LOW, tr._DEFAULT_SING_XI, _HIGH])
+def test_integer_count_equals_built_multiplicity(xi):
+    directions = set()
+    for args in _cp2_products(4):
+        t = tr.build_triangle(*args, singularity_xi=xi)
+        assert tr.tropical_structure_constant(*args, singularity_xi=xi) == (
+            0 if t is None else t.multiplicity
+        )
+        if t is not None:
+            directions.update(d.direction for d in t.disks)
+    # the extreme heights put every bend on one side of the singularity
+    if xi == _LOW:
+        assert directions == {(0, 1)}
+    elif xi == _HIGH:
+        assert directions == {(0, -1)}
+    else:
+        assert directions == {(0, 1), (0, -1)}
+
+
+def test_planted_imbalance_is_raised_and_reported(monkeypatch):
+    disks = tr._disks
+
+    def one_disk_too_many(k, s, above):
+        count, sign = disks(k, s, above)
+        return count + 1, sign
+
+    monkeypatch.setattr(tr, "_disks", one_disk_too_many)
+    for xi in (_LOW, _HIGH):
+        with pytest.raises(ArithmeticError, match="does not balance"):
+            tr.tropical_structure_constant(-2, 0, 2, 2, 0, 2, 1, singularity_xi=xi)
+        with pytest.raises(ArithmeticError, match="does not balance"):
+            tr.build_triangle(-2, 0, 2, 2, 0, 2, 1, singularity_xi=xi)
+    # same-sign products have no disks and still count
+    assert tr.tropical_structure_constant(1, 0, 1, 1, 0, 1, 0) == 1
+    sweep = verify.tropical(1)
+    assert not sweep.ok
+    assert sweep.mismatches[0].count("tropical unbalanced (") == 1
+    assert all("unbalanced" in line for line in sweep.mismatches)
