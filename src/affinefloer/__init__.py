@@ -13,7 +13,6 @@ from .affine import (
     dp6_model,
     embed,
     fractional_points,
-    monodromy_shear,
     validate,
 )
 from .floer import (

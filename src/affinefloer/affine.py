@@ -128,22 +128,6 @@ class BoundaryPolyline:
                 return u.xi + (v.xi - u.xi) * (eta - u.eta) / (v.eta - u.eta)
         raise AssertionError("unreachable")
 
-    def slope_left(self, eta: Fraction) -> Fraction:
-        """Slope of the facet immediately left of eta (eta interior)."""
-        eta = rat(eta)
-        for (u, v), s in zip(zip(self.vertices, self.vertices[1:]), self.slopes):
-            if u.eta < eta <= v.eta:
-                return s
-        raise ValueError(f"no facet left of eta={eta}")
-
-    def slope_right(self, eta: Fraction) -> Fraction:
-        """Slope of the facet immediately right of eta (eta interior)."""
-        eta = rat(eta)
-        for (u, v), s in zip(zip(self.vertices, self.vertices[1:]), self.slopes):
-            if u.eta <= eta < v.eta:
-                return s
-        raise ValueError(f"no facet right of eta={eta}")
-
 
 @dataclass(frozen=True)
 class AffinePolygon:
@@ -455,11 +439,6 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     return total
 
 
-def monodromy_shear(s: Singularity, turns: int = 1) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Tangent-space monodromy around the singularity, counterclockwise^turns."""
-    return ((1, 0), (s.multiplicity * turns, 1))
-
-
 # -- JSON instance schema -----------------------------------------------------
 #
 # {eta_min, eta_max, singularities: [{eta, xi, mult}], top: [[eta, xi], ...],
@@ -528,9 +507,3 @@ def polygon_from_json(data: Any) -> AffinePolygon:
 def load_polygon(path: str) -> AffinePolygon:
     with open(path, "r", encoding="utf-8") as fh:
         return polygon_from_json(json.load(fh))
-
-
-def save_polygon(polygon: AffinePolygon, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polygon_to_json(polygon), fh, indent=2)
-        fh.write("\n")

@@ -225,12 +225,11 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _add_instance_args(parser, positional: bool = True) -> None:
-    if positional:
-        parser.add_argument(
-            "instance_arg", nargs="?", metavar="INSTANCE",
-            help="builtin name (cp2, dp6) or JSON instance path",
-        )
+def _add_instance_args(parser) -> None:
+    parser.add_argument(
+        "instance_arg", nargs="?", metavar="INSTANCE",
+        help="builtin name (cp2, dp6) or JSON instance path",
+    )
     parser.add_argument("--builtin", choices=_BUILTINS)
     parser.add_argument("--instance", metavar="PATH")
     parser.add_argument(

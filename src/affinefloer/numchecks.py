@@ -241,13 +241,6 @@ def hessian_identity(x: float, y: float, step: float = 1e-5) -> HessianReport:
     return HessianReport(closed, fd, max_rel, ratio)
 
 
-def coordinate_relation_error(params: FiberParams, tol: float = 1e-10) -> float:
-    """|xi + psi - expected| where expected is 0 (R < 1) or log R (R > 1)."""
-    coords = syz_coordinates(params, tol=tol)
-    expected = 0.0 if params.R < 1 else coords.eta
-    return abs(coords.xi + coords.psi - expected)
-
-
 def relation_grid(cells_per_side: int = 5) -> tuple[list[float], list[float]]:
     """The (R, lambda) verification grid: R in [0.2, 0.9] union [1.1, 5],
     lambda in [-2, 2], cells_per_side points per R-interval."""

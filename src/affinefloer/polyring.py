@@ -16,21 +16,20 @@ degree.  Every Q_{a,i} and every monomial x^al y^be z^ga lies in a column
 (a for Q_{a,i}, ga - al for the monomial), and p = xz - y^2 is homogeneous of
 column 0, so the matrix is block-diagonal by column: each block pairs the
 floor((d - |a|)/2) + 1 elements Q_{a,i} with the equally many monomials of
-column a.  Each block is inverted on its own by an exact Gauss-Jordan
-elimination that stays in integers while every pivot is 1 (for this basis
-all of them are) and falls back to rationals otherwise.  The fill still
-proves that the Q elements form a basis over the integers in each degree:
-it checks that every term of every Q element stays in its column and that
-each block is square, so the whole matrix is the direct sum of the blocks;
-it raises if a block is singular; and it raises if an inverse entry is not
-an integer.
+column a.  Ordered by x-exponent, those monomials sit at block positions 0,
+1, ...; Q_{a,i} puts coefficient 1 on position i and touches no later one,
+so each block is upper unitriangular and is inverted by back-substitution
+in integers.  The fill still proves that the Q elements form a basis over
+the integers in each degree: it checks that every term of every Q element
+stays in its column and that each block is square, so the whole matrix is
+the direct sum of the blocks; and it raises if a block is not triangular
+with every pivot +-1, so each block has determinant +-1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Mapping, Tuple
 
 Monomial = Tuple[int, int, int]  # exponents of (x, y, z)
@@ -166,49 +165,6 @@ def q_monomial(idx: QBasisIndex) -> HomogeneousPolynomial:
 _expansion_cache: Dict[int, tuple[list[QBasisIndex], dict[Monomial, dict[int, int]]]] = {}
 
 
-def _invert_exact(
-    columns: list[dict[int, int]], dim: int
-) -> list[dict[int, int | Fraction]]:
-    """Inverse of the matrix whose j-th column is columns[j], by Gauss-Jordan.
-
-    Rows are kept sparse (dicts) and entries stay ints while every pivot is
-    1; a row is divided, in Fractions, only by a pivot other than 1.  A
-    missing pivot anywhere means the claimed basis is not one.
-    """
-    left: list[dict[int, int | Fraction]] = [{} for _ in range(dim)]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            left[r][j] = v
-    right: list[dict[int, int | Fraction]] = [{r: 1} for r in range(dim)]
-    for col in range(dim):
-        pivot = next((r for r in range(col, dim) if left[r].get(col)), None)
-        if pivot is None:
-            raise ArithmeticError("change-of-basis matrix is singular: not a basis")
-        left[col], left[pivot] = left[pivot], left[col]
-        right[col], right[pivot] = right[pivot], right[col]
-        pv = left[col][col]
-        if pv != 1:
-            left[col] = {c: Fraction(v, pv) for c, v in left[col].items()}
-            right[col] = {c: Fraction(v, pv) for c, v in right[col].items()}
-        for r in range(dim):
-            f = left[r].get(col)
-            if r == col or not f:
-                continue
-            for c, v in left[col].items():
-                newv = left[r].get(c, 0) - f * v
-                if newv:
-                    left[r][c] = newv
-                else:
-                    left[r].pop(c, None)
-            for c, v in right[col].items():
-                newv = right[r].get(c, 0) - f * v
-                if newv:
-                    right[r][c] = newv
-                else:
-                    right[r].pop(c, None)
-    return right
-
-
 def _expansion_data(d: int) -> tuple[list[QBasisIndex], dict[Monomial, dict[int, int]]]:
     entry = _expansion_cache.get(d)
     if entry is not None:
@@ -232,26 +188,37 @@ def _expansion_data(d: int) -> tuple[list[QBasisIndex], dict[Monomial, dict[int,
                 f"for {len(rows)} monomials"
             )
         row_of = {mono: r for r, mono in enumerate(rows)}
-        columns = []
-        for k in ks:
+        # Back-substitution in increasing block position s: with U[r][s] the
+        # coefficient of monomial r in Q_s, monomial s is
+        # pivot * (Q_s - sum_{r<s} U[r][s] * monomial r), every monomial r < s
+        # being expanded already; 1/pivot = pivot for pivot = +-1.
+        for s, k in enumerate(ks):
+            i = indices[k].i
             column = {}
             for mono, c in q_monomial(indices[k]).coeffs.items():
                 if mono not in row_of:
                     raise ArithmeticError(
-                        f"Q_({a},{indices[k].i}) in degree {d} has the term {mono} "
+                        f"Q_({a},{i}) in degree {d} has the term {mono} "
                         f"outside its column"
                     )
                 column[row_of[mono]] = c
-            columns.append(column)
-        # Row s of the block inverse gives the Q_{indices[ks[s]]} coefficient;
-        # store it by monomial for sparse use, asserting integrality.
-        for s, inverse_row in enumerate(_invert_exact(columns, len(ks))):
-            for r, v in inverse_row.items():
-                if v.denominator != 1:
-                    raise ArithmeticError(
-                        f"non-integer entry {v} in the inverse change of basis"
-                    )
-                expansion[rows[r]][ks[s]] = v.numerator
+            pivot = column.pop(s, 0)
+            if not pivot or any(r > s for r in column):
+                raise ArithmeticError(
+                    f"Q_({a},{i}) in degree {d} leaves its column block "
+                    f"singular or not upper triangular"
+                )
+            if pivot not in (1, -1):
+                raise ArithmeticError(
+                    f"pivot {pivot} of Q_({a},{i}) in degree {d} gives "
+                    f"non-integer entries in the inverse change of basis"
+                )
+            row: dict[int, int] = {}
+            for r, u in column.items():
+                for q, v in expansion[rows[r]].items():
+                    row[q] = row.get(q, 0) - u * v
+            row[k] = 1
+            expansion[rows[s]] = {q: pivot * v for q, v in row.items() if v}
     _expansion_cache[d] = (indices, expansion)
     return indices, expansion
 
@@ -268,9 +235,6 @@ def expand_in_qbasis(poly: HomogeneousPolynomial) -> Dict[QBasisIndex, int]:
     return {indices[k]: v for k, v in acc.items() if v != 0}
 
 
-X = HomogeneousPolynomial(1, {(1, 0, 0): 1})
-Y = HomogeneousPolynomial(1, {(0, 1, 0): 1})
-Z = HomogeneousPolynomial(1, {(0, 0, 1): 1})
 P = HomogeneousPolynomial(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # xz - y^2
 
 

@@ -21,13 +21,13 @@ multiplicity C(k, s) with s disks below or C(k, k-s) with k-s disks above;
 the two counts are equal, which is why the exact singularity height never
 matters.  Same-sign columns admit only the straight segment with h = i + j.
 
-Two paths share these rules.  `tropical_structure_constant` counts the
-witness in integers: coordinates scaled by n*m*(n+m), the arrival tangents
-checked to cancel, no triangle object built.  `build_triangle` builds the
-full triangle in `Fraction` coordinates and checks it with
-`check_balancing`; it serves `render --triangle`, the JSON output and the
-figure and position-invariance checks of the acceptance suite.  Both raise
-ArithmeticError rather than return a witness that does not balance.
+One integer kernel, `_witness`, works out every witness in coordinates scaled
+by n*m*(n+m): the bend, the disks, the shear and the balance of the arrival
+tangents.  `tropical_structure_constant` returns its multiplicity;
+`build_triangle` divides its integers back into `Fraction` coordinates (for
+`render --triangle`, the JSON output and the acceptance checks) and re-checks
+them with the independent `check_balancing`.  Both raise ArithmeticError
+rather than return a witness that does not balance.
 
 The multi-singularity generalization is covered by the partition identity
 C(sum k_t, s) = sum over compositions (s_t) of prod C(k_t, s_t); the
@@ -37,10 +37,10 @@ instance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import comb
+from typing import NamedTuple, Optional, Sequence
 
 from .affine import CP2, RationalPoint
 from .floer import k_value_cp2
@@ -168,10 +168,6 @@ def _check_indices(a: int, i: int, n: int) -> None:
         raise ValueError(f"q_({a},{i}) with denominator {n} is not admissible")
 
 
-def _point(a: int, i: int, n: int) -> RationalPoint:
-    return RationalPoint(Fraction(a, n), Fraction(-i, n))
-
-
 def _disks(k: int, s: int, sing_above: bool) -> tuple[int, int]:
     """(count, sign of the direction (0, +-1)) of the disks attaching at the
     bend: k - s pushing down when the singularity is above the bend (the
@@ -191,52 +187,61 @@ def _bend_ratio(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> tuple
     return (-num, -den) if den < 0 else (num, den)
 
 
-def _sing_above(singularity_xi, bend: tuple[int, int]) -> bool:
-    """Whether the singularity sits above the bend num/den (den > 0)."""
-    xi = singularity_xi if isinstance(singularity_xi, Fraction) else Fraction(singularity_xi)
-    num, den = bend
-    return xi.numerator * den > num * xi.denominator
+class _Witness(NamedTuple):
+    """A balanced witness, its points and tangents scaled by `big`; `bend` is
+    the unscaled crossing height (numerator, denominator > 0) or None."""
+
+    big: int
+    leaves: tuple[tuple[int, int, int], tuple[int, int, int]]  # (eta, xi, weight)
+    root: tuple[int, int]
+    tangents: list[list[int]]
+    bend: Optional[tuple[int, int]]
+    disks: tuple[int, int]  # (count, sign of the direction (0, +-1))
+    multiplicity: int
 
 
-def _build(
-    a: int, i: int, n: int, b: int, j: int, m: int, h: int, sing_above: bool
-) -> Optional[TropicalTriangle]:
-    """The triangle with the singularity above or below the bend, in
-    `Fraction` coordinates; raises ArithmeticError unless it balances."""
+def _witness(
+    a: int, i: int, n: int, b: int, j: int, m: int, h: int, singularity_xi
+) -> Optional[_Witness]:
+    """The witness from q_{a,i}@n and q_{b,j}@m to q_{a+b,h}@(n+m), or None
+    when s = h - (i+j) lies outside [0, k].
+
+    The bent leg's arrival tangent is its straight tangent plus the disk
+    jump, plus the monodromy shear of the part before the bend when the
+    singularity is above it; the two arrival tangents must cancel.  Raises
+    ArithmeticError when they do not, or when the bent leg does not meet k
+    attachment spots.  The multiplicity is C(k, number of disks).
+    """
     _check_indices(a, i, n)
     _check_indices(b, j, m)
     s = h - (i + j)
     k = k_value_cp2(a, b)
     if not 0 <= s <= k:
         return None
-    root = _point(a + b, h, n + m)
-    leaves = [(_point(a, i, n), n), (_point(b, j, m), m)]
-    tangents = [_scale(w, _vec(root, q)) for q, w in leaves]
+    big = n * m * (n + m)
+    root_x, root_y = (a + b) * n * m, -h * n * m
+    leaves = ((a * m * (n + m), -i * m * (n + m), n), (b * n * (n + m), -j * n * (n + m), m))
+    tangents = [[w * (root_x - x), w * (root_y - y)] for x, y, w in leaves]
     # Same-sign columns (k = 0) give the straight segment with h = i + j.
-    bend, disks = None, ()
+    bend, count, sign = None, 0, 1
     if k:
         bent = 0 if abs(a) <= abs(b) else 1
-        q, w = leaves[bent]
-        bend = RationalPoint(_SING_ETA, Fraction(*_bend_ratio(a, i, n, b, j, m, h)))
-        base = _scale(w, _vec(bend, q))
-        if abs(base[0]) != k:  # |det(tangent, (0,1))| attachment spots
-            raise ArithmeticError(f"bent leg meets {abs(base[0])} attachment spots, not {k}")
+        x, _, w = leaves[bent]
+        base_x = -w * x  # the part before the bend ends on the singular line eta = 0
+        if abs(base_x) != k * big:  # |det(tangent, (0,1))| attachment spots
+            raise ArithmeticError(f"bent leg meets {abs(base_x) // big} attachment spots, not {k}")
+        bend = _bend_ratio(a, i, n, b, j, m, h)
+        xi = singularity_xi if isinstance(singularity_xi, Fraction) else Fraction(singularity_xi)
+        sing_above = xi.numerator * bend[1] > bend[0] * xi.denominator
         count, sign = _disks(k, s, sing_above)
-        if sing_above:
-            base = _shear(base, 1 if root.eta > q.eta else -1)
-        if count:
-            disks = (DiskAttachment(bend, count, (0, sign)),)
-        tangents[bent] = _add(_add(base, (0, count * sign)), _scale(w, _vec(root, bend)))
-    triangle = TropicalTriangle(
-        legs=tuple(TropicalLeg(q, root, w, t) for (q, w), t in zip(leaves, tangents)),
-        root=root,
-        bend=bend,
-        disks=disks,
-        multiplicity=math.comb(k, s),
-    )
-    if not check_balancing(triangle):
-        raise ArithmeticError(f"tropical triangle for h={h} does not balance")
-    return triangle
+        if sing_above:  # shear of the part before the bend, in the direction of travel
+            tangents[bent][1] += (1 if root_x > x else -1) * base_x
+        tangents[bent][1] += count * sign * big
+    if tangents[0][0] + tangents[1][0] or tangents[0][1] + tangents[1][1]:
+        raise ArithmeticError(
+            f"tropical witness of q_({a},{i})@{n} * q_({b},{j})@{m} at h={h} does not balance"
+        )
+    return _Witness(big, leaves, (root_x, root_y), tangents, bend, (count, sign), comb(k, count))
 
 
 def build_triangle(
@@ -254,13 +259,28 @@ def build_triangle(
 
     `singularity_xi` is the height of the singularity on its invariant line;
     it selects whether disks attach from below or above but never changes
-    the multiplicity.
+    the multiplicity.  Raises ArithmeticError unless `check_balancing`
+    accepts the triangle.
     """
-    k, s = k_value_cp2(a, b), h - (i + j)
-    sing_above = k > 0 and 0 <= s <= k and _sing_above(
-        singularity_xi, _bend_ratio(a, i, n, b, j, m, h)
+    w = _witness(a, i, n, b, j, m, h, singularity_xi)
+    if w is None:
+        return None
+
+    def point(x: int, y: int) -> RationalPoint:
+        return RationalPoint(Fraction(x, w.big), Fraction(y, w.big))
+
+    root = point(*w.root)
+    legs = tuple(
+        TropicalLeg(point(x, y), root, weight, (Fraction(tx, w.big), Fraction(ty, w.big)))
+        for (x, y, weight), (tx, ty) in zip(w.leaves, w.tangents)
     )
-    return _build(a, i, n, b, j, m, h, sing_above)
+    bend = None if w.bend is None else RationalPoint(_SING_ETA, Fraction(*w.bend))
+    count, sign = w.disks
+    disks = (DiskAttachment(bend, count, (0, sign)),) if count else ()
+    triangle = TropicalTriangle(legs, root, bend, disks, w.multiplicity)
+    if not check_balancing(triangle):
+        raise ArithmeticError(f"tropical triangle for h={h} does not balance")
+    return triangle
 
 
 def tropical_structure_constant(
@@ -273,54 +293,28 @@ def tropical_structure_constant(
     h: int,
     singularity_xi: Fraction = _DEFAULT_SING_XI,
 ) -> int:
-    """Total multiplicity C(k, s) of the triangles hitting output height h,
-    s = h - (i+j), counted in integers without building the triangle.
-
-    Coordinates are scaled by N = n*m*(n+m), which makes the leaves and the
-    root integral.  The bent leg's arrival tangent is its straight tangent
-    plus the disk jump, plus the monodromy shear of the part before the bend
-    when the singularity is above it; the two arrival tangents must cancel.
-    Raises ArithmeticError when they do not.
+    """Total multiplicity C(k, number of disks) of the witnesses hitting
+    output height h, s = h - (i+j), counted in integers without building
+    the triangle: s disks below the singularity, k - s above it.  Raises
+    ArithmeticError when the witness does not balance.
     """
-    _check_indices(a, i, n)
-    _check_indices(b, j, m)
-    s = h - (i + j)
-    k = k_value_cp2(a, b)
-    if not 0 <= s <= k:
-        return 0
-    big = n * m * (n + m)
-    root_x, root_y = (a + b) * n * m, -h * n * m
-    leaves = [(a * m * (n + m), -i * m * (n + m), n), (b * n * (n + m), -j * n * (n + m), m)]
-    tangents = [[w * (root_x - x), w * (root_y - y)] for x, y, w in leaves]
-    if k:
-        bent = 0 if abs(a) <= abs(b) else 1
-        x, _, w = leaves[bent]
-        base_x = -w * x  # the part before the bend ends on the singular line eta = 0
-        if abs(base_x) != k * big:
-            raise ArithmeticError(f"bent leg meets {abs(base_x) // big} attachment spots, not {k}")
-        sing_above = _sing_above(singularity_xi, _bend_ratio(a, i, n, b, j, m, h))
-        count, sign = _disks(k, s, sing_above)
-        if sing_above:  # shear of the part before the bend, in the direction of travel
-            tangents[bent][1] += (1 if root_x > x else -1) * base_x
-        tangents[bent][1] += count * sign * big
-    if tangents[0][0] + tangents[1][0] or tangents[0][1] + tangents[1][1]:
-        raise ArithmeticError(
-            f"tropical witness of q_({a},{i})@{n} * q_({b},{j})@{m} at h={h} does not balance"
-        )
-    return math.comb(k, s)
+    w = _witness(a, i, n, b, j, m, h, singularity_xi)
+    return 0 if w is None else w.multiplicity
 
 
 def singularity_position_invariance(
     a: int, i: int, n: int, b: int, j: int, m: int, h: int
 ) -> bool:
-    """Whether the below-placement count C(k,s) and the above-placement
-    count C(k,k-s) agree for this (necessarily opposite-sign) product."""
+    """Whether the triangle with the singularity below the bend (s disks,
+    multiplicity C(k,s)) and the one with it above (k-s disks, C(k,k-s))
+    agree for this (necessarily opposite-sign) product."""
     if k_value_cp2(a, b) == 0:
         raise ValueError("position invariance applies to the opposite-sign case")
-    below = _build(a, i, n, b, j, m, h, sing_above=False)
-    above = _build(a, i, n, b, j, m, h, sing_above=True)
-    if below is None or above is None:
-        return below is None and above is None
+    w = _witness(a, i, n, b, j, m, h, _DEFAULT_SING_XI)  # the bend does not depend on xi
+    if w is None:
+        return True  # no triangle for either placement
+    bend = Fraction(*w.bend)
+    below, above = (build_triangle(a, i, n, b, j, m, h, bend + side) for side in (-1, 1))
     return below.multiplicity == above.multiplicity
 
 
@@ -339,7 +333,7 @@ def partition_constant(k_list: Sequence[int], s: int) -> int:
     coeffs = [1] + [0] * s
     for k in k_list:
         coeffs = [
-            sum(math.comb(k, part) * coeffs[r - part] for part in range(min(k, r) + 1))
+            sum(comb(k, part) * coeffs[r - part] for part in range(min(k, r) + 1))
             for r in range(s + 1)
         ]
     return coeffs[s]

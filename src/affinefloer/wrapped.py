@@ -20,9 +20,8 @@ continuation maps as dilations of the completed base centered at (0, 0),
 (0, -1/2), (0, -1/3).
 
 The infinite bases are only ever materialized through caller-supplied
-windows; comparisons in the verification sweeps act on full products, and
-`restrict_to_window` raises rather than silently dropping out-of-window
-terms.
+windows; comparisons in the verification sweeps act on full products, so no
+term is dropped at a window's edge.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ class Complement(Enum):
     @property
     def wrap_step(self) -> int:
         return self.value
-
-
-class WindowTooSmallError(ValueError):
-    """A formal sum reaches outside the window it was asked to fit in."""
 
 
 @dataclass(frozen=True)
@@ -250,15 +245,3 @@ def embed(point: ExtendedPoint) -> tuple[Fraction, Fraction]:
     if point.d == 0:
         raise ValueError("the unit point has no embedding")
     return (Fraction(point.a, point.d), Fraction(-point.i, point.d))
-
-
-def restrict_to_window(total: WrappedSum, a_max: int, i_max: int) -> WrappedSum:
-    """Identity on sums supported inside the window; raises otherwise, so a
-    truncated comparison can never pass by silently clipping terms."""
-    for (a, i), c in total.items():
-        if c != 0 and (abs(a) > a_max or abs(i) > i_max):
-            raise WindowTooSmallError(
-                f"term ({a},{i}) exceeds the window (a_max={a_max}, i_max={i_max})"
-            )
-    return dict(total)
-

@@ -141,7 +141,7 @@ def test_render_base_only(tmp_path, capsys):
 
 def test_instance_file_round_trip(tmp_path, capsys):
     path = tmp_path / "inst.json"
-    affine.save_polygon(affine.dp6_model((1, 2, 1)), str(path))
+    path.write_text(json.dumps(affine.polygon_to_json(affine.dp6_model((1, 2, 1)))))
     code, data = run_json(["points", str(path), "1"], capsys)
     assert code == 0
     assert data["results"]["count"] == len(

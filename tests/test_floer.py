@@ -117,21 +117,24 @@ def _orient(p, q, r):
 def _recount_cover(polygon, a, b, n, m):
     """Independent oracle: count half-integer heights whose point on each
     singular line is strictly interior to the section triangle, by
-    orientation sign tests."""
-    verts = [
-        (Fraction(a, n), Fraction(0)),
-        (Fraction(b, m), Fraction(a) - Fraction(n * b, m)),
-        (Fraction(a + b, n + m), Fraction(0)),
-    ]
-    ys = [v[1] for v in verts]
+    orientation sign tests in integers, every coordinate scaled by
+    2*n*m*(n+m)*q with q the denominator of the line's position."""
     counts = []
     for s in polygon.singularities:
-        eta = s.eta_pos
+        q = s.eta_pos.denominator
+        scale = 2 * n * m * (n + m) * q
+        verts = [
+            (2 * a * m * (n + m) * q, 0),
+            (2 * b * n * (n + m) * q, 2 * (a * m - n * b) * n * (n + m) * q),
+            (2 * (a + b) * n * m * q, 0),
+        ]
+        ys = [v[1] for v in verts]
+        eta = s.eta_pos.numerator * 2 * n * m * (n + m)
         count = 0
-        twice_lo = 2 * math.floor(min(ys)) - 3
-        twice_hi = 2 * math.ceil(max(ys)) + 3
+        twice_lo = 2 * (min(ys) // scale) - 3
+        twice_hi = 2 * -(-max(ys) // scale) + 3
         for twice in range(twice_lo, twice_hi + 1, 2):
-            point = (eta, Fraction(twice, 2))
+            point = (eta, twice * n * m * (n + m) * q)
             signs = [
                 _orient(verts[t], verts[(t + 1) % 3], point) for t in range(3)
             ]

@@ -169,16 +169,6 @@ def test_column_blocks_agree_with_the_full_matrix_inverse():
         assert blocks == _full_matrix_expansion(d)
 
 
-def test_invert_exact_falls_back_to_fractions_for_other_pivots():
-    # columns of [[2, 1], [0, -1]]
-    inverse = pr._invert_exact([{0: 2}, {0: 1, 1: -1}], 2)
-    assert inverse == [{0: Fraction(1, 2), 1: Fraction(1, 2)}, {1: -1}]
-    # unit pivots keep every entry an int: columns of [[1, 1], [0, 1]]
-    inverse = pr._invert_exact([{0: 1}, {0: 1, 1: 1}], 2)
-    assert inverse == [{0: 1, 1: -1}, {1: 1}]
-    assert all(type(v) is int for row in inverse for v in row.values())
-
-
 @pytest.mark.parametrize(
     "bad_index, replacement, message",
     [
@@ -192,8 +182,14 @@ def test_invert_exact_falls_back_to_fractions_for_other_pivots():
             lambda q: q(QBasisIndex(1, 0, 4)) + poly(4, {(4, 0, 0): 1}),
             "outside its column",
         ),
+        # Q_(0,0) + xz y^2: a term below the diagonal of the column-0 block
+        (
+            QBasisIndex(0, 0, 4),
+            lambda q: q(QBasisIndex(0, 0, 4)) + poly(4, {(1, 2, 1): 1}),
+            "not upper triangular",
+        ),
     ],
-    ids=["pivot-2", "singular", "outside-column"],
+    ids=["pivot-2", "singular", "outside-column", "below-diagonal"],
 )
 def test_planted_bad_basis_is_rejected(monkeypatch, bad_index, replacement, message):
     original = pr.q_monomial

@@ -107,6 +107,15 @@ def test_position_invariance_examples_and_sweep():
         tr.singularity_position_invariance(1, 0, 1, 1, 0, 1, 0)
 
 
+def test_position_invariance_compares_the_two_disk_counts(monkeypatch):
+    # With a binomial that is not symmetric, C(k, s) below and C(k, k-s)
+    # above differ unless s = k - s.
+    monkeypatch.setattr(tr, "comb", lambda k, s: math.comb(k, s) + s)
+    assert not tr.singularity_position_invariance(-2, 0, 2, 2, 0, 2, 0)
+    assert not tr.singularity_position_invariance(-3, 0, 3, 3, 0, 3, 1)
+    assert tr.singularity_position_invariance(-2, 0, 2, 2, 0, 2, 1)
+
+
 def test_partition_constant_examples():
     assert tr.partition_constant([2], 1) == 2
     assert tr.partition_constant([1, 1], 1) == 2 == math.comb(2, 1)

@@ -174,11 +174,3 @@ def test_continuation_rejects_bad_levels():
     cmap = wr.continuation_map(Complement.L, 0, 1, 1)
     with pytest.raises(ValueError):
         cmap.apply(ExtendedPoint(0, 0, 2, Complement.L))
-
-
-def test_window_restriction_raises_instead_of_clipping():
-    total = {(0, 0): 1, (4, 1): 2}
-    assert wr.restrict_to_window(total, 4, 2) == total
-    with pytest.raises(wr.WindowTooSmallError):
-        wr.restrict_to_window(total, 3, 2)
-
