@@ -16,7 +16,6 @@ from .affine import (
     validate,
 )
 from .floer import (
-    BasisVector,
     CriticalCover,
     FormalSum,
     basis_vector,
@@ -57,7 +56,6 @@ from .wrapped import (
     ContinuationMap,
     ExtendedPoint,
     LaurentElement,
-    continuation_map,
     e_element,
     rational_function,
     wrapped_basis,

@@ -11,11 +11,11 @@ Subcommands:
   render INSTANCE OUT.svg        figure of the polygon, points, one triangle
   numeric                        JSON report of all floating-point checks
 
-INSTANCE is a builtin name ("cp2", "dp6") or a path to a JSON instance file;
-the same value may be passed via --builtin/--instance.  An instance equal to
-the cp2 builtin counts as cp2, whatever its name.  Every command prints
-a human summary by default or a machine-readable report with --json, and
-exits 0 exactly when all of its checks pass.
+INSTANCE is a builtin name ("cp2", "dp6") or a path to a JSON instance file,
+given by position only.  An instance equal to the cp2 builtin counts as cp2,
+whatever its name.  Every command prints a human summary by default or a
+machine-readable report with --json, and exits 0 exactly when all of its
+checks pass.
 """
 
 from __future__ import annotations
@@ -59,19 +59,16 @@ class CommandReport:
         return all(c["pass"] for c in self.checks)
 
 
-_BUILTINS = ("cp2", "dp6")
-
-
 def resolve_instance(args) -> tuple[str, AffinePolygon]:
-    """(name, polygon) from --builtin/--instance/positional.
+    """(name, polygon) from the positional INSTANCE.
 
     Every instance, the cp2 builtin included, is an `AffinePolygon`: products
     compute k geometrically on each of them.  The polygon is validated here
     once for every command; an invalid one raises ValueError (exit 2).
     """
-    name = args.builtin or args.instance or getattr(args, "instance_arg", None)
+    name = args.instance
     if name is None:
-        raise ValueError("no instance given (use --builtin NAME or --instance PATH)")
+        raise ValueError("no instance given (cp2, dp6 or a JSON instance path)")
     if name == "cp2":
         polygon = affine.CP2
     elif name == "dp6":
@@ -227,11 +224,9 @@ def positive_float(text: str) -> float:
 
 def _add_instance_args(parser) -> None:
     parser.add_argument(
-        "instance_arg", nargs="?", metavar="INSTANCE",
+        "instance", nargs="?", metavar="INSTANCE",
         help="builtin name (cp2, dp6) or JSON instance path",
     )
-    parser.add_argument("--builtin", choices=_BUILTINS)
-    parser.add_argument("--instance", metavar="PATH")
     parser.add_argument(
         "--widths", type=int, nargs=3, metavar=("W1", "W2", "W3"),
         help="affine widths of the dp6 builtin (default 1 1 1)",
@@ -271,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_render = sub.add_parser("render", help="write an SVG figure")
     p_render.add_argument(
-        "instance_arg", metavar="INSTANCE",
+        "instance", metavar="INSTANCE",
         help="builtin name (cp2, dp6) or JSON instance path",
     )
     p_render.add_argument("out", metavar="OUT.svg")
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--triangle", type=int, nargs=7, metavar=("A", "I", "N", "B", "J", "M", "H")
     )
     p_render.add_argument("--widths", type=int, nargs=3, metavar=("W1", "W2", "W3"))
-    p_render.set_defaults(func=cmd_render, builtin=None, instance=None)
+    p_render.set_defaults(func=cmd_render)
 
     p_numeric = sub.add_parser("numeric", help="floating-point checks report")
     p_numeric.add_argument("--tol", type=positive_float, default=1e-9)

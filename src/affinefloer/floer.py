@@ -1,8 +1,9 @@
 """Degree-zero morphism spaces and their triangle product.
 
-A basis vector is a fractional point of the polygon read as a morphism from
-level d1 to level d2 with denominator n = d2 - d1.  The product of two basis
-vectors is the integer formal sum
+A morphism from level d1 to level d2 is a `FormalSum`: an integer
+combination of fractional points (a, i) of the polygon with denominator
+n = d2 - d1.  A basis vector q_{a,i} is the one-term sum.  `mu2` is
+bilinear, and the product of two basis vectors is the integer formal sum
 
     mu2(q_{b,j}, q_{a,i}) = sum_{s=0}^{k} C(k, s) * q_{a+b, i+j+s}
 
@@ -23,7 +24,9 @@ integers whenever n*c and (n+m)*c are (hence for instances with integer
 singularity positions), which keeps the half-integer count unambiguous.
 
 Admissibility of every input and output index is a lookup in the polygon's
-cached column table (`AffinePolygon.column_counts`).
+cached column table (`AffinePolygon.column_counts`), and nowhere else: the
+table holds only q_{0,0} at denominator 0 (the unit) and rejects negative
+denominators, so a basis vector is not validated when it is built.
 
 `mu2` memoizes its terms on the polygon (`AffinePolygon._products`), keyed
 by (a, i, n, b, j, m): the levels d1, d2, d3 only shift the result.  The
@@ -40,48 +43,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping
 
-from .affine import CP2, AffinePolygon, FractionalPoint
-
-
-@dataclass(frozen=True)
-class BasisVector:
-    """A morphism generator from level d1 to level d2 (d2 - d1 = point.d)."""
-
-    d1: int
-    d2: int
-    point: FractionalPoint
-
-    def __post_init__(self):
-        if self.d2 - self.d1 != self.point.d:
-            raise ValueError("denominator must equal d2 - d1")
-
-    @property
-    def a(self) -> int:
-        return self.point.a
-
-    @property
-    def i(self) -> int:
-        return self.point.i
-
-    @property
-    def n(self) -> int:
-        return self.point.d
+from .affine import CP2, AffinePolygon
 
 
-def basis_vector(d1: int, d2: int, a: int, i: int) -> BasisVector:
-    return BasisVector(d1, d2, FractionalPoint(a, i, d2 - d1))
-
-
-def unit(d: int = 0) -> BasisVector:
-    """The identity morphism at level d."""
-    return BasisVector(d, d, FractionalPoint(0, 0, 0))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FormalSum:
-    """Integer combination of basis vectors sharing (d1, d2), keyed by (a, i)."""
+    """Integer combination of basis vectors sharing (d1, d2), keyed by (a, i).
+
+    Terms are sorted by key and carry no zero coefficient.  A basis vector
+    is the one-term sum with coefficient 1."""
 
     d1: int
     d2: int
@@ -95,11 +67,18 @@ class FormalSum:
     def coeffs(self) -> dict[tuple[int, int], int]:
         return dict(self.terms)
 
-    def basis_vectors(self) -> list[tuple[BasisVector, int]]:
-        return [
-            (BasisVector(self.d1, self.d2, FractionalPoint(a, i, self.d2 - self.d1)), c)
-            for (a, i), c in self.terms
-        ]
+
+def basis_vector(d1: int, d2: int, a: int, i: int) -> FormalSum:
+    """The generator q_{a,i} from level d1 to level d2 (denominator d2 - d1).
+
+    Its admissibility is checked by `mu2`, against the polygon's column
+    table."""
+    return FormalSum(d1, d2, (((a, i), 1),))
+
+
+def unit(d: int = 0) -> FormalSum:
+    """The identity morphism q_{0,0} at level d."""
+    return basis_vector(d, d, 0, 0)
 
 
 def sum_to_json(s: FormalSum) -> dict:
@@ -210,49 +189,43 @@ def _product_terms(
     return tuple(((col, depth + s), math.comb(k, s)) for s in range(k + 1))
 
 
-def mu2(q2: BasisVector, q1: BasisVector, polygon: AffinePolygon = CP2) -> FormalSum:
-    """Triangle product mu2(q2, q1) of composable degree-zero morphisms.
+def _row(polygon: AffinePolygon, key: tuple[int, int, int, int, int, int]):
+    """The memoized terms of one basis product, keyed (a, i, n, b, j, m)."""
+    terms = polygon._products.get(key)
+    if terms is None:
+        terms = polygon._products[key] = _product_terms(polygon, *key)
+    return terms
 
-    q1 goes d1 -> d2 and q2 goes d2 -> d3.  All coefficients are positive
-    binomials; the output column is a + b.  The terms depend on the levels
-    only through n and m, so they are memoized per polygon under (a, i, n,
-    b, j, m); a repeated product costs one dict lookup.
+
+def mu2(q2: FormalSum, q1: FormalSum, polygon: AffinePolygon = CP2) -> FormalSum:
+    """Triangle product mu2(q2, q1) of composable degree-zero morphisms,
+    bilinear in both arguments.
+
+    q1 goes d1 -> d2 and q2 goes d2 -> d3.  Every term pair reads its row
+    from the polygon's memo.  The product of two one-term sums is that row,
+    already sorted, scaled by the coefficient product; only several term
+    pairs are merged and re-sorted.
     """
     if q1.d2 != q2.d1:
         raise ValueError(
             f"not composable: q1 ends at level {q1.d2}, q2 starts at {q2.d1}"
         )
-    p1, p2 = q1.point, q2.point
-    key = (p1.a, p1.i, p1.d, p2.a, p2.i, p2.d)
-    terms = polygon._products.get(key)
-    if terms is None:
-        terms = polygon._products[key] = _product_terms(polygon, *key)
-    return FormalSum(q1.d1, q2.d2, terms)
-
-
-SumLike = Union[BasisVector, FormalSum]
-
-
-def ring_product(x: SumLike, y: SumLike, polygon: AffinePolygon = CP2) -> FormalSum:
-    """Bilinear ring product x * y = mu2(y, x) (all morphisms have degree 0,
-    so the usual sign (-1)^{|x|} is trivially +1).  A basis vector argument
-    is the one-term sum [(x, 1)].
-
-    The product of one term by one term is mu2's own sorted sum, scaled;
-    only several term pairs are merged and re-sorted."""
-    if x.d2 != y.d1:
-        raise ValueError(f"not composable: x ends at level {x.d2}, y starts at {y.d1}")
-    xs = [(x, 1)] if isinstance(x, BasisVector) else x.basis_vectors()
-    ys = [(y, 1)] if isinstance(y, BasisVector) else y.basis_vectors()
-    if len(xs) == 1 and len(ys) == 1:
-        (qx, cx), (qy, cy) = xs[0], ys[0]
-        out, c = mu2(qy, qx, polygon), cx * cy
-        if c == 1:
-            return out
-        return FormalSum(x.d1, y.d2, tuple((key, c * v) for key, v in out.terms) if c else ())
+    n, m = q1.d2 - q1.d1, q2.d2 - q2.d1
+    if len(q1.terms) == 1 and len(q2.terms) == 1:
+        ((a, i), c1), ((b, j), c2) = q1.terms[0], q2.terms[0]
+        terms, c = _row(polygon, (a, i, n, b, j, m)), c1 * c2
+        if c != 1:
+            terms = tuple((key, c * v) for key, v in terms) if c else ()
+        return FormalSum(q1.d1, q2.d2, terms)
     acc: dict[tuple[int, int], int] = {}
-    for qx, cx in xs:
-        for qy, cy in ys:
-            for key, c in mu2(qy, qx, polygon).terms:
-                acc[key] = acc.get(key, 0) + cx * cy * c
-    return FormalSum.from_dict(x.d1, y.d2, acc)
+    for (a, i), c1 in q1.terms:
+        for (b, j), c2 in q2.terms:
+            for key, v in _row(polygon, (a, i, n, b, j, m)):
+                acc[key] = acc.get(key, 0) + c1 * c2 * v
+    return FormalSum.from_dict(q1.d1, q2.d2, acc)
+
+
+def ring_product(x: FormalSum, y: FormalSum, polygon: AffinePolygon = CP2) -> FormalSum:
+    """Ring product x * y = mu2(y, x) (all morphisms have degree 0, so the
+    usual sign (-1)^{|x|} is trivially +1)."""
+    return mu2(y, x, polygon)

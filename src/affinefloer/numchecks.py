@@ -38,6 +38,13 @@ from typing import Callable
 
 import numpy as np
 
+QUADRATURE_START = 32  # trapezoid points before the first doubling
+NEWTON_STARTS = 12  # Newton starts, evenly spaced on the circle |v| = e^{L/3}
+NEWTON_MAX_ITER = 80
+ROOT_DEDUP_RADIUS = 1e-6  # roots closer than this in |dv| + |dw| are one root
+HESSIAN_STEP = 1e-5  # central-difference step of `hessian_identity`
+GRID_CELLS = 5  # `relation_grid` points per R-interval
+
 
 class QuadratureError(RuntimeError):
     """Raised when trapezoid doubling fails to reach tolerance in budget."""
@@ -77,7 +84,6 @@ class HessianReport:
 def periodic_quadrature(
     f: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
-    n_start: int = 32,
     n_max: int = 1 << 22,
 ) -> float:
     """Mean-free trapezoid integral of a 2pi-periodic function over [0, 2pi).
@@ -86,7 +92,7 @@ def periodic_quadrature(
     tol; for periodic integrands the uniform rule is already spectrally
     accurate, so the difference of refinements is a reliable error estimate.
     """
-    n = n_start
+    n = QUADRATURE_START
     theta = 2 * math.pi * np.arange(n) / n
     prev = float(np.mean(f(theta))) * 2 * math.pi
     while n <= n_max:
@@ -142,12 +148,7 @@ def _potential_hessian(v: complex, w: complex, t: float):
     )
 
 
-def critical_points(
-    Lambda: float,
-    n_starts: int = 12,
-    max_iter: int = 80,
-    dedup_radius: float = 1e-6,
-) -> list[tuple[tuple[complex, complex], complex]]:
+def critical_points(Lambda: float) -> list[tuple[tuple[complex, complex], complex]]:
     """All critical points of W with their critical values, by multi-start
     Newton on the gradient in the (v, w) chart.
 
@@ -160,10 +161,10 @@ def critical_points(
     t = math.exp(-Lambda)
     radius = math.exp(Lambda / 3)
     roots: list[tuple[complex, complex]] = []
-    for idx in range(n_starts):
-        v = radius * cmath.exp(2j * math.pi * idx / n_starts)
+    for idx in range(NEWTON_STARTS):
+        v = radius * cmath.exp(2j * math.pi * idx / NEWTON_STARTS)
         w = complex(1.1, 0.1)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             gv, gw = _potential_gradient(v, w, t)
             if abs(gv) + abs(gw) < 1e-14:
                 break
@@ -181,12 +182,12 @@ def critical_points(
         gv, gw = _potential_gradient(v, w, t)
         if math.hypot(abs(gv), abs(gw)) > 1e-12:
             continue
-        if all(abs(v - rv) + abs(w - rw) > dedup_radius for rv, rw in roots):
+        if all(abs(v - rv) + abs(w - rw) > ROOT_DEDUP_RADIUS for rv, rw in roots):
             roots.append((v, w))
     if len(roots) != 3:
         raise RootFindingError(
             f"expected 3 critical points, found {len(roots)} "
-            f"(Lambda={Lambda}, starts={n_starts})"
+            f"(Lambda={Lambda}, starts={NEWTON_STARTS})"
         )
 
     def value(v: complex, w: complex) -> complex:
@@ -205,7 +206,7 @@ def expected_critical_values(Lambda: float) -> list[complex]:
     return sorted(vals, key=cmath.phase)
 
 
-def hessian_identity(x: float, y: float, step: float = 1e-5) -> HessianReport:
+def hessian_identity(x: float, y: float) -> HessianReport:
     """Hessian of F(x, y) = x^2 + y^2/x, closed form against central
     differences, plus the orthogonality ratio -F_xy/F_yy = y/x."""
     if x <= 0:
@@ -220,7 +221,7 @@ def hessian_identity(x: float, y: float, step: float = 1e-5) -> HessianReport:
     )
 
     def second(di: tuple[float, float], dj: tuple[float, float]) -> float:
-        hi, hj = step, step
+        hi, hj = HESSIAN_STEP, HESSIAN_STEP
         return (
             F(x + hi * di[0] + hj * dj[0], y + hi * di[1] + hj * dj[1])
             - F(x + hi * di[0] - hj * dj[0], y + hi * di[1] - hj * dj[1])
@@ -241,10 +242,10 @@ def hessian_identity(x: float, y: float, step: float = 1e-5) -> HessianReport:
     return HessianReport(closed, fd, max_rel, ratio)
 
 
-def relation_grid(cells_per_side: int = 5) -> tuple[list[float], list[float]]:
+def relation_grid() -> tuple[list[float], list[float]]:
     """The (R, lambda) verification grid: R in [0.2, 0.9] union [1.1, 5],
-    lambda in [-2, 2], cells_per_side points per R-interval."""
-    n = cells_per_side
+    lambda in [-2, 2], GRID_CELLS points per R-interval."""
+    n = GRID_CELLS
     rs = [0.2 + (0.9 - 0.2) * k / (n - 1) for k in range(n)]
     rs += [1.1 + (5.0 - 1.1) * k / (n - 1) for k in range(n)]
     lams = [-2.0 + 4.0 * k / (2 * n - 1) for k in range(2 * n)]

@@ -236,10 +236,6 @@ class ContinuationMap:
         )
 
 
-def continuation_map(case: Complement, d1: int, d2: int, r: int) -> ContinuationMap:
-    return ContinuationMap(case, d1, d2, r)
-
-
 def embed(point: ExtendedPoint) -> tuple[Fraction, Fraction]:
     """Chart coordinates (a/d, -i/d) of a wrapped generator (d > 0)."""
     if point.d == 0:

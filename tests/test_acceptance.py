@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from affinefloer import affine, homotopy, numchecks, tropical, verify, wrapped
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
-from affinefloer.wrapped import Complement
+from affinefloer.wrapped import Complement, ContinuationMap
 
 
 def _report(name: str, ok: bool, detail: str = "") -> bool:
@@ -154,7 +154,7 @@ def test_criterion_7_wrapped_products_and_continuation():
     for case in Complement:
         step = case.wrap_step
         for r in range(step, 7, step):
-            cmap = wrapped.continuation_map(case, 0, 2, r)
+            cmap = ContinuationMap(case, 0, 2, r)
             ok = ok and cmap.center == centers[case]
             e = wrapped.e_element(case, r)
             factor = Fraction(2, 2 + r)
@@ -167,12 +167,10 @@ def test_criterion_7_wrapped_products_and_continuation():
         for r1 in range(step, 7, step):
             for r2 in range(step, 7 - r1 + step, step):
                 for q in wrapped.wrapped_basis(case, 1, a_max=2, i_max=1):
-                    stepwise = wrapped.continuation_map(case, 0, 1 + r1, r2).apply(
-                        wrapped.continuation_map(case, 0, 1, r1).apply(q)
+                    stepwise = ContinuationMap(case, 0, 1 + r1, r2).apply(
+                        ContinuationMap(case, 0, 1, r1).apply(q)
                     )
-                    ok = ok and stepwise == wrapped.continuation_map(
-                        case, 0, 1, r1 + r2
-                    ).apply(q)
+                    ok = ok and stepwise == ContinuationMap(case, 0, 1, r1 + r2).apply(q)
     assert _report(
         "criterion 7: wrapped products = localized ring; continuation = e_r = dilation",
         ok,

@@ -169,6 +169,15 @@ def test_invalid_input_exits_two_with_one_line(argv, tmp_path, monkeypatch, caps
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("option", ["--builtin", "--instance"])
+def test_instance_is_named_only_by_position(option, capsys):
+    # the instance is named by position only; the old options are unknown
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--json", "points", option, "dp6", "cp2", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_report_json_round_trips(capsys):
     code, data = run_json(["points", "cp2", "2"], capsys)
     assert code == 0

@@ -46,10 +46,33 @@ def test_mu2_rejects_non_composable_and_inadmissible():
         assert str(exc.value) == "not composable: q1 ends at level 1, q2 starts at 2"
         with pytest.raises(ValueError) as exc:
             ring_product(basis_vector(0, 1, 0, 0), basis_vector(2, 3, 0, 0), polygon)
-        assert str(exc.value) == "not composable: x ends at level 1, y starts at 2"
+        assert str(exc.value) == "not composable: q1 ends at level 1, q2 starts at 2"
         with pytest.raises(ValueError) as exc:
             mu2(basis_vector(1, 2, 0, 0), basis_vector(0, 1, 2, 0), polygon)
         assert str(exc.value) == "q_(2,0) with denominator 1 is not admissible"
+    assert not polygon._products
+
+
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        (basis_vector(1, 1, 1, 0), "q_(1,0) with denominator 0 is not admissible"),
+        (basis_vector(2, 1, 0, 0), "denominator must be nonnegative"),
+    ],
+    ids=["non-unit-at-denominator-0", "negative-denominator"],
+)
+def test_column_table_decides_the_unit_rule_and_the_sign(q, message):
+    # a basis vector is not validated when built: the column table rejects it
+    # in every product, and no failed product is memoized
+    polygon = affine.cp2_model()
+    right = basis_vector(q.d2, q.d2 + 1, 0, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            mu2(right, q, polygon)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            ring_product(q, right, polygon)
+        assert str(exc.value) == message
     assert not polygon._products
 
 
@@ -332,10 +355,13 @@ def test_ring_product_of_mixed_arguments_is_bilinear():
                     acc[key] = acc.get(key, 0) + cx * cy * c
         return {key: c for key, c in acc.items() if c}
 
+    def generators(s):
+        return [(basis_vector(s.d1, s.d2, *key), c) for key, c in s.terms]
+
     xy = ring_product(x, y)
-    assert xy.coeffs() == bilinear(x.basis_vectors(), [(y, 1)])
-    assert ring_product(y, z).coeffs() == bilinear([(y, 1)], z.basis_vectors())
-    assert ring_product(xy, z).coeffs() == bilinear(xy.basis_vectors(), z.basis_vectors())
+    assert xy.coeffs() == bilinear(generators(x), [(y, 1)])
+    assert ring_product(y, z).coeffs() == bilinear([(y, 1)], generators(z))
+    assert ring_product(xy, z).coeffs() == bilinear(generators(xy), generators(z))
     assert ring_product(unit(0), x) == x == ring_product(x, unit(2))
     assert ring_product(unit(2), y).coeffs() == {(1, 0): 1}
 

@@ -6,7 +6,7 @@ import pytest
 
 from affinefloer import wrapped as wr
 from affinefloer.floer import basis_vector, index_range, mu2
-from affinefloer.wrapped import Complement, ExtendedPoint
+from affinefloer.wrapped import Complement, ContinuationMap, ExtendedPoint
 
 
 def test_case_depth_rules():
@@ -126,7 +126,7 @@ def test_continuation_is_composition_with_e():
     for case in Complement:
         step = case.wrap_step
         for r in range(step, 7, step):
-            cmap = wr.continuation_map(case, 0, 2, r)
+            cmap = ContinuationMap(case, 0, 2, r)
             e = wr.e_element(case, r)
             for q in wr.wrapped_basis(case, 2, a_max=3, i_max=2):
                 image = cmap.apply(q)
@@ -142,7 +142,7 @@ def test_continuation_is_dilation_with_case_center():
     for case in Complement:
         step = case.wrap_step
         for r in range(step, 7, step):
-            cmap = wr.continuation_map(case, 1, 3, r)
+            cmap = ContinuationMap(case, 1, 3, r)
             assert cmap.center == centers[case]
             factor = Fraction(2, 2 + r)
             cx, cy = cmap.center
@@ -159,18 +159,18 @@ def test_continuation_directed_system():
         for r1 in range(step, 7, step):
             for r2 in range(step, 7, step):
                 for q in wr.wrapped_basis(case, 1, a_max=2, i_max=2):
-                    stepwise = wr.continuation_map(case, 0, 1 + r1, r2).apply(
-                        wr.continuation_map(case, 0, 1, r1).apply(q)
+                    stepwise = ContinuationMap(case, 0, 1 + r1, r2).apply(
+                        ContinuationMap(case, 0, 1, r1).apply(q)
                     )
-                    direct = wr.continuation_map(case, 0, 1, r1 + r2).apply(q)
+                    direct = ContinuationMap(case, 0, 1, r1 + r2).apply(q)
                     assert stepwise == direct
 
 
 def test_continuation_rejects_bad_levels():
     with pytest.raises(ValueError):
-        wr.continuation_map(Complement.L, 2, 2, 1)
+        ContinuationMap(Complement.L, 2, 2, 1)
     with pytest.raises(ValueError):
-        wr.continuation_map(Complement.C, 0, 1, 3)
-    cmap = wr.continuation_map(Complement.L, 0, 1, 1)
+        ContinuationMap(Complement.C, 0, 1, 3)
+    cmap = ContinuationMap(Complement.L, 0, 1, 1)
     with pytest.raises(ValueError):
         cmap.apply(ExtendedPoint(0, 0, 2, Complement.L))
