@@ -252,6 +252,15 @@ def relation_grid() -> tuple[list[float], list[float]]:
     return rs, lams
 
 
+def _check(name: str, error, tolerance: float) -> dict:
+    """One report entry.  `error` is the measured error, or the
+    QuadratureError of a quadrature that did not converge: a failed check."""
+    if isinstance(error, QuadratureError):
+        return {"name": name, "max_error": None, "tolerance": tolerance, "pass": False,
+                "error": str(error)}
+    return {"name": name, "max_error": error, "tolerance": tolerance, "pass": error <= tolerance}
+
+
 def numeric_report(tol: float = 1e-9) -> dict:
     """All numeric checks with measured errors, as one JSON-ready report."""
     checks: list[dict] = []
@@ -259,42 +268,28 @@ def numeric_report(tol: float = 1e-9) -> dict:
     grid_R, grid_lam = relation_grid()
     worst = 0.0
     monotone = True
-    for R in grid_R:
-        prev_xi = None
-        for lam in grid_lam:
-            coords = syz_coordinates(FiberParams(R, lam), tol=tol)
-            expected = 0.0 if R < 1 else coords.eta
-            worst = max(worst, abs(coords.xi + coords.psi - expected))
-            if prev_xi is not None and coords.xi < prev_xi - tol:
-                monotone = False
-            prev_xi = coords.xi
-    checks.append(
-        {
-            "name": "coordinate_relation_grid",
-            "max_error": worst,
-            "tolerance": 1e-8,
-            "pass": worst <= 1e-8,
-        }
-    )
-    checks.append(
-        {
-            "name": "xi_monotone_in_lambda",
-            "max_error": 0.0 if monotone else 1.0,
-            "tolerance": 0.0,
-            "pass": monotone,
-        }
-    )
+    try:
+        for R in grid_R:
+            prev_xi = None
+            for lam in grid_lam:
+                coords = syz_coordinates(FiberParams(R, lam), tol=tol)
+                expected = 0.0 if R < 1 else coords.eta
+                worst = max(worst, abs(coords.xi + coords.psi - expected))
+                if prev_xi is not None and coords.xi < prev_xi - tol:
+                    monotone = False
+                prev_xi = coords.xi
+        monotone_error = 0.0 if monotone else 1.0
+    except QuadratureError as exc:
+        worst = monotone_error = exc
+    checks.append(_check("coordinate_relation_grid", worst, 1e-8))
+    checks.append(_check("xi_monotone_in_lambda", monotone_error, 0.0))
 
     for R, expected, bound in ((0.5, 0.0, 1e-8), (2.0, 2 * math.pi * math.log(2), 1e-8)):
-        err = abs(log_integral(R, tol=tol) - expected)
-        checks.append(
-            {
-                "name": f"log_integral_R_{R}",
-                "max_error": err,
-                "tolerance": bound,
-                "pass": err <= bound,
-            }
-        )
+        try:
+            err = abs(log_integral(R, tol=tol) - expected)
+        except QuadratureError as exc:
+            err = exc
+        checks.append(_check(f"log_integral_R_{R}", err, bound))
 
     for Lambda in (1.0, 3.0, 6.0):
         found = [val for _, val in critical_points(Lambda)]
@@ -302,14 +297,7 @@ def numeric_report(tol: float = 1e-9) -> dict:
         rel = max(
             abs(f - e) / abs(e) for f, e in zip(found, expect)
         )
-        checks.append(
-            {
-                "name": f"critical_values_Lambda_{Lambda}",
-                "max_error": rel,
-                "tolerance": 1e-10,
-                "pass": rel <= 1e-10,
-            }
-        )
+        checks.append(_check(f"critical_values_Lambda_{Lambda}", rel, 1e-10))
 
     worst_h = 0.0
     positive_definite = True
@@ -320,21 +308,7 @@ def numeric_report(tol: float = 1e-9) -> dict:
             (a, b), (_, c) = report.closed_form
             if not (a + c > 0 and a * c - b * b > 0):
                 positive_definite = False
-    checks.append(
-        {
-            "name": "hessian_closed_vs_finite_difference",
-            "max_error": worst_h,
-            "tolerance": 1e-6,
-            "pass": worst_h <= 1e-6,
-        }
-    )
-    checks.append(
-        {
-            "name": "hessian_positive_definite",
-            "max_error": 0.0 if positive_definite else 1.0,
-            "tolerance": 0.0,
-            "pass": positive_definite,
-        }
-    )
+    checks.append(_check("hessian_closed_vs_finite_difference", worst_h, 1e-6))
+    checks.append(_check("hessian_positive_definite", 0.0 if positive_definite else 1.0, 0.0))
 
     return {"checks": checks, "pass": all(c["pass"] for c in checks)}

@@ -75,7 +75,9 @@ def render_svg(
     triangle: Optional[TropicalTriangle] = None,
 ) -> str:
     """SVG of the polygon, its cuts and singularities, the (1/d)-points when
-    d is given, and one tropical triangle when given."""
+    d (at least 1) is given, and one tropical triangle when given."""
+    if d is not None and d < 1:
+        raise ValueError(f"points need a denominator d >= 1, got {d}")
     canvas = _Canvas(polygon)
 
     region = list(polygon.top.vertices) + list(reversed(polygon.bottom.vertices))
@@ -110,7 +112,7 @@ def render_svg(
         )
         canvas.cross(RationalPoint(s.eta_pos, s.xi_pos))
 
-    if d is not None and d > 0:
+    if d is not None:
         for point in fractional_points(polygon, d):
             canvas.circle(embed(polygon, point), r=4.0, fill="#1f4e8c")
 

@@ -97,6 +97,14 @@ def test_numeric_subcommand(capsys):
     assert data["results"]["numeric"]["pass"]
 
 
+def test_unconverged_quadrature_is_a_failed_check(capsys):
+    code, data = run_json(["numeric", "--tol", "1e-300"], capsys)
+    assert code == 1
+    assert not data["results"]["numeric"]["pass"]
+    failed = [c for c in data["checks"] if not c["pass"]]
+    assert failed and all("no convergence" in c["detail"] for c in failed)
+
+
 def test_render_points(tmp_path, capsys):
     out = tmp_path / "figure.svg"
     code, _ = run(["render", "cp2", "--points", "4", str(out)], capsys)
@@ -159,6 +167,8 @@ def test_missing_file_exit_code(capsys):
     [
         ["points", "2"],
         ["render", "dp6", "x.svg", "--triangle", "-2", "0", "2", "2", "0", "2", "1"],
+        ["render", "cp2", "x.svg", "--points", "0"],
+        ["render", "cp2", "x.svg", "--points", "-1"],
     ],
 )
 def test_invalid_input_exits_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
@@ -167,6 +177,7 @@ def test_invalid_input_exits_two_with_one_line(argv, tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.svg").exists()
 
 
 @pytest.mark.parametrize("option", ["--builtin", "--instance"])

@@ -1,0 +1,73 @@
+"""Cold start: the package loads a submodule, and numpy, only when it is used.
+
+Each case runs in a fresh interpreter, because this test process has numpy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import affinefloer
+
+SOURCE = str(Path(affinefloer.__file__).resolve().parent.parent)
+
+
+def run_fresh(code: str) -> dict:
+    """Run `code` in a new interpreter that imports this checkout's package;
+    the last line it prints is a JSON object, returned."""
+    env = dict(os.environ, PYTHONPATH=SOURCE)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_package_loads_submodules_on_first_access():
+    seen = run_fresh(
+        "import json, sys\n"
+        "import affinefloer\n"
+        "before = sorted(m for m in sys.modules if m.startswith('affinefloer.'))\n"
+        "floer = affinefloer.floer\n"
+        "q1, q2 = floer.basis_vector(0, 1, 1, 0), floer.basis_vector(1, 2, 1, 0)\n"
+        "floer.mu2(q2, q1, affinefloer.affine.dp6_model((1, 1, 1)))\n"
+        "exact = 'numpy' in sys.modules\n"
+        "numchecks = affinefloer.numchecks\n"
+        "try:\n"
+        "    affinefloer.no_such_name\n"
+        "    missing = None\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "print(json.dumps({'before': before, 'exact': exact,\n"
+        "    'numchecks': numchecks is sys.modules['affinefloer.numchecks'],\n"
+        "    'numpy': 'numpy' in sys.modules, 'missing': missing}))\n"
+    )
+    assert seen["before"] == []
+    assert not seen["exact"]
+    assert seen["numchecks"] and seen["numpy"]
+    assert "no_such_name" in seen["missing"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["mu2", "cp2", "1", "1", "-1", "0", "1", "0"], False),
+        (["points", "dp6", "2"], False),
+        (["verify", "ring", "--max-degree", "2"], False),
+        (["numeric"], True),
+    ],
+)
+def test_cli_loads_numpy_only_for_numeric_checks(argv, loads_numpy):
+    seen = run_fresh(
+        "import json, runpy, sys\n"
+        f"sys.argv = ['affinefloer', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('affinefloer.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "print(json.dumps({'status': status, 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert seen == {"status": 0, "numpy": loads_numpy}
