@@ -32,7 +32,13 @@ RatLike = Union[Fraction, int, str]
 
 
 def rat(value: RatLike) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or "p/q" string."""
+    """Parse an exact rational from an int, Fraction, or "p/q" string.
+
+    A bool is an int to Python but not a number in an instance file, so it
+    is rejected like any other non-rational.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"not an exact rational: {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -77,7 +83,8 @@ class Singularity:
     def __post_init__(self):
         object.__setattr__(self, "eta_pos", rat(self.eta_pos))
         object.__setattr__(self, "xi_pos", rat(self.xi_pos))
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
+        m = self.multiplicity
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ValueError("multiplicity must be a positive integer")
 
 
@@ -168,11 +175,26 @@ class AffinePolygon:
         return self.bottom.value(eta), self.top.value(eta)
 
     def contains(self, point: RationalPoint) -> bool:
-        """Exact membership in the closed region (boundary points count)."""
-        if not (self.eta_min <= point.eta <= self.eta_max):
+        """Exact membership in the closed region (boundary points count).
+
+        The point is brought to one denominator d, as (a/d, b/d), and tested
+        against the bottom and top segments over its column by integer
+        cross-multiplication (`_column_bounds`), the predicate `count_points`
+        scans with.  It shares nothing with `fiber`, `column_range` or
+        `column_counts`, so a membership check is a derivation independent
+        of the column table.
+        """
+        eta, xi = point.eta, point.xi
+        if not (self.eta_min <= eta <= self.eta_max):
             return False
-        lo, hi = self.fiber(point.eta)
-        return lo <= point.xi <= hi
+        d = math.lcm(eta.denominator, xi.denominator)
+        bounds = _column_bounds(
+            _segment_lines(self.bottom),
+            _segment_lines(self.top),
+            eta.numerator * (d // eta.denominator),
+            d,
+        )
+        return bounds is not None and _in_column(bounds, xi.numerator * (d // xi.denominator))
 
     def column_counts(self, d: int) -> Mapping[int, int]:
         """Table column a -> number of (1/d)-integral points at eta = a/d,
@@ -418,24 +440,73 @@ def embed(polygon: AffinePolygon, point: FractionalPoint) -> RationalPoint:
     return RationalPoint(Fraction(point.a, point.d), xi_top - Fraction(point.i, point.d))
 
 
+_Lines = tuple[tuple[int, int, int, int, int], ...]
+
+
+def _segment_lines(line: BoundaryPolyline) -> _Lines:
+    """Each segment u -> v of `line`, left to right, as integers
+    (n, m, P, Q, R) with v.eta = n/m and P > 0: a point (a/d, b/d), d > 0,
+    lies on or above the segment's line exactly when P*b - Q*a - R*d >= 0."""
+    lines = []
+    for u, v in zip(line.vertices, line.vertices[1:]):
+        d_eta, d_xi = v.eta - u.eta, v.xi - u.xi
+        r = d_eta * u.xi - d_xi * u.eta
+        scale = math.lcm(d_eta.denominator, d_xi.denominator, r.denominator)
+        n, m = v.eta.numerator, v.eta.denominator
+        lines.append((n, m, int(d_eta * scale), int(d_xi * scale), int(r * scale)))
+    return tuple(lines)
+
+
+def _column_bounds(
+    bottom: _Lines, top: _Lines, a: int, d: int
+) -> tuple[int, int, int, int] | None:
+    """Integers (p_lo, k_lo, p_hi, k_hi) of the column eta = a/d, d > 0, at
+    or right of the left end, from the `_segment_lines` of both polylines:
+    (a/d, b/d) lies in the closed region exactly when p_lo*b >= k_lo and
+    p_hi*b <= k_hi (`_in_column`).  None when the column lies right of the
+    eta-range.  At a vertex either neighbouring segment will do: the graph
+    is continuous."""
+    bounds = []
+    for lines in (bottom, top):
+        for n, m, p, q, r in lines:
+            if a * m <= n * d:
+                bounds += (p, q * a + r * d)
+                break
+        else:
+            return None
+    return tuple(bounds)
+
+
+def _in_column(bounds: tuple[int, int, int, int], b: int) -> bool:
+    """The membership predicate: is (a/d, b/d) on or above the bottom and on
+    or below the top of the column with these `_column_bounds`?"""
+    p_lo, k_lo, p_hi, k_hi = bounds
+    return p_lo * b >= k_lo and p_hi * b <= k_hi
+
+
 def count_points(polygon: AffinePolygon, d: int) -> int:
     """Brute-force membership count over the whole (1/d)-lattice bounding box.
 
     Independent oracle for `fractional_points`: every candidate (a/d, b/d) in
-    the bounding box is tested directly against the boundary polylines.
+    the bounding box is tested against the boundary polylines by integer
+    cross-multiplication: each column's bottom and top segment are picked
+    once (`_column_bounds`) and every height is tested with `_in_column`, the
+    predicate of `AffinePolygon.contains`.  It shares nothing with
+    `column_range`, `column_counts` or `fiber`, which derive the enumeration
+    in Fractions.
     """
     if d < 0:
         raise ValueError("denominator must be nonnegative")
     if d == 0:
         return 1
     xi_values = [v.xi for v in polygon.top.vertices] + [v.xi for v in polygon.bottom.vertices]
-    b_lo = math.ceil(min(xi_values) * d)
-    b_hi = math.floor(max(xi_values) * d)
+    heights = range(math.ceil(min(xi_values) * d), math.floor(max(xi_values) * d) + 1)
+    bottom, top = _segment_lines(polygon.bottom), _segment_lines(polygon.top)
     total = 0
     for a in range(math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d) + 1):
-        for b in range(b_lo, b_hi + 1):
-            if polygon.contains(RationalPoint(Fraction(a, d), Fraction(b, d))):
-                total += 1
+        bounds = _column_bounds(bottom, top, a, d)
+        if bounds is not None:
+            total += sum(_in_column(bounds, b) for b in heights)
     return total
 
 

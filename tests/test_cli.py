@@ -236,6 +236,26 @@ def test_malformed_instance_names_the_key(tmp_path, capsys, change, key):
     assert f"'{key}'" in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "change, key",
+    [
+        (lambda data: data.update(eta_min=False), "eta_min"),
+        (lambda data: data["top"][0].__setitem__(1, False), "top"),
+        (lambda data: data["singularities"][0].update(mult=True), "singularities"),
+    ],
+    ids=["eta_min", "top", "mult"],
+)
+def test_boolean_in_instance_exits_two_with_one_line(tmp_path, capsys, change, key):
+    # dp6's eta_min, first top height and multiplicity are 0, 0 and 1, so
+    # each boolean stands where an equal number was
+    data = affine.polygon_to_json(affine.dp6_model())
+    change(data)
+    assert cli.main(["--json", "points", _write_instance(tmp_path, data), "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{key}'" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", [["numeric"], ["verify", "numeric"]])
 @pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf", "tiny"])
 def test_tolerance_must_be_positive_and_finite(command, tol, capsys):
