@@ -59,6 +59,15 @@ class HomogeneousPolynomial:
         self.degree = degree
         self.coeffs = clean
 
+    @classmethod
+    def _trusted(cls, degree: int, coeffs: Dict[Monomial, int]) -> "HomogeneousPolynomial":
+        """Wrap integer coefficients known to be homogeneous of `degree`
+        (a product of checked polynomials), dropping only the zeros."""
+        poly = object.__new__(cls)
+        poly.degree = degree
+        poly.coeffs = {mono: c for mono, c in coeffs.items() if c}
+        return poly
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HomogeneousPolynomial)
@@ -99,10 +108,6 @@ class HomogeneousPolynomial:
         return " + ".join(fmt(m, c) for m, c in sorted(self.coeffs.items(), reverse=True))
 
 
-def zero(degree: int) -> HomogeneousPolynomial:
-    return HomogeneousPolynomial(degree, {})
-
-
 def multiply(p1: HomogeneousPolynomial, p2: HomogeneousPolynomial) -> HomogeneousPolynomial:
     """Exact product; degrees add."""
     acc: Dict[Monomial, int] = {}
@@ -110,7 +115,7 @@ def multiply(p1: HomogeneousPolynomial, p2: HomogeneousPolynomial) -> Homogeneou
         for m2, c2 in p2.coeffs.items():
             mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
             acc[mono] = acc.get(mono, 0) + c1 * c2
-    return HomogeneousPolynomial(p1.degree + p2.degree, acc)
+    return HomogeneousPolynomial._trusted(p1.degree + p2.degree, acc)
 
 
 @dataclass(frozen=True)
@@ -143,12 +148,22 @@ def monomial_basis(d: int) -> list[Monomial]:
     return sorted(monos, key=lambda m: (m[2] - m[0], m[0]))
 
 
+# Q elements already expanded, keyed by (a, i, d).
+_q_cache: Dict[Tuple[int, int, int], HomogeneousPolynomial] = {}
+
+
 def q_monomial(idx: QBasisIndex) -> HomogeneousPolynomial:
     """Expand the distinguished basis element into monomials.
 
     The factor p^i = (xz - y^2)^i contributes C(i,t) (-1)^{i-t} (xz)^t y^{2(i-t)}.
+    The polynomial is memoized per index: every call returns the same shared
+    object, which must not be mutated.
     """
     a, i, d = idx.a, idx.i, idx.d
+    key = (a, i, d)
+    cached = _q_cache.get(key)
+    if cached is not None:
+        return cached
     coeffs: Dict[Monomial, int] = {}
     for t in range(i + 1):
         c = math.comb(i, t) * (-1) ** (i - t)
@@ -157,7 +172,8 @@ def q_monomial(idx: QBasisIndex) -> HomogeneousPolynomial:
         else:
             mono = (t, d - a - 2 * t, a + t)
         coeffs[mono] = coeffs.get(mono, 0) + c
-    return HomogeneousPolynomial(d, coeffs)
+    poly = _q_cache[key] = HomogeneousPolynomial(d, coeffs)
+    return poly
 
 
 # Per-degree cache: the Q indices in (a, i) order, and for each monomial its
@@ -233,9 +249,6 @@ def expand_in_qbasis(poly: HomogeneousPolynomial) -> Dict[QBasisIndex, int]:
         for k, v in expansion[mono].items():
             acc[k] = acc.get(k, 0) + c * v
     return {indices[k]: v for k, v in acc.items() if v != 0}
-
-
-P = HomogeneousPolynomial(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # xz - y^2
 
 
 def q_label(a: int, i: int, d: int) -> str:

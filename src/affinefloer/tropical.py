@@ -323,8 +323,9 @@ def partition_constant(k_list: Sequence[int], s: int) -> int:
 
     Computed as the coefficient of x^s in prod (1+x)^(k_t), multiplying in
     one factor at a time and keeping degrees <= s: after t factors, entry r
-    is the same sum over compositions of r into t parts.  Equals
-    C(sum k_t, s), the coefficient of x^s in (1+x)^(sum k_t).
+    is the same sum over compositions of r into t parts.  Each factor is
+    convolved in from its row C(k_t, 0..min(k_t, s)), computed once per
+    part.  Equals C(sum k_t, s), the coefficient of x^s in (1+x)^(sum k_t).
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
@@ -332,10 +333,12 @@ def partition_constant(k_list: Sequence[int], s: int) -> int:
         raise ValueError("covering counts must be nonnegative")
     coeffs = [1] + [0] * s
     for k in k_list:
-        coeffs = [
-            sum(comb(k, part) * coeffs[r - part] for part in range(min(k, r) + 1))
-            for r in range(s + 1)
-        ]
+        row = [comb(k, part) for part in range(min(k, s) + 1)]
+        convolved = [0] * (s + 1)
+        for part, c in enumerate(row):
+            for r in range(part, s + 1):
+                convolved[r] += c * coeffs[r - part]
+        coeffs = convolved
     return coeffs[s]
 
 

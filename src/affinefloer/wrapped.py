@@ -19,6 +19,11 @@ y^r, p^{r/2}, (yp)^{r/3} respectively, and composing with it realizes the
 continuation maps as dilations of the completed base centered at (0, 0),
 (0, -1/2), (0, -1/3).
 
+The oracle `laurent_product_in_qbasis` clears each factor's denominator with
+powers of the inverted elements (y and p each by its own power in case D),
+multiplies the numerators in the polynomial ring and divides the powers back
+out.
+
 The infinite bases are only ever materialized through caller-supplied
 windows; comparisons in the verification sweeps act on full products, so no
 term is dropped at a window's edge.
@@ -137,39 +142,38 @@ def wrapped_product(case: Complement, q2: ExtendedPoint, q1: ExtendedPoint) -> W
     return out
 
 
+def _clearing(case: Complement, elt: LaurentElement) -> tuple[int, int]:
+    """Powers (ry, rp) of y and p that make y^ry p^rp * elt a polynomial of
+    positive degree, using only the elements the case inverts."""
+    ry = max(0, -elt.y_exp) if case is not Complement.C else 0
+    rp = max(0, -elt.p_exp) if case is not Complement.L else 0
+    # Numerators must have positive degree; clear one more invertible
+    # factor if a unit slips through.
+    if elt.degree + 2 * rp + ry == 0:
+        if case is Complement.C:
+            rp += 1
+        else:
+            ry += 1
+    return ry, rp
+
+
 def laurent_product_in_qbasis(
     case: Complement, l1: LaurentElement, l2: LaurentElement
 ) -> WrappedSum:
     """Independent oracle: multiply in the localized ring and re-expand.
 
-    Denominators are cleared with the case's inverted element (y, p, or yp),
-    the numerators are multiplied as honest polynomials and expanded over
-    the distinguished polynomial basis, and the clearing power is divided
-    back out as a depth/degree shift.
+    Denominators are cleared with the case's inverted elements: y in case L,
+    p in case C, and in case D y and p each by its own power.  The
+    numerators are multiplied as honest polynomials and expanded over the
+    distinguished polynomial basis, and the clearing powers are divided back
+    out: a power of p as a depth shift, a power of y as a degree shift that
+    leaves the (a, i) labels alone.
     """
-    def clearing(elt: LaurentElement) -> tuple[int, int]:
-        if case is Complement.L:
-            ry, rp = max(0, -elt.y_exp), 0
-        elif case is Complement.C:
-            ry, rp = 0, max(0, -elt.p_exp)
-        else:
-            ry = rp = max(0, -elt.y_exp, -elt.p_exp)
-        # Numerators must have positive degree; clear one more invertible
-        # factor if a unit slips through.
-        if elt.degree + 2 * rp + ry == 0:
-            if case is Complement.C:
-                rp += 1
-            elif case is Complement.L:
-                ry += 1
-            else:
-                ry, rp = ry + 1, rp + 1
-        return ry, rp
-
     factors, total_rp = [], 0
     for elt in (l1, l2):
-        ry, rp = clearing(elt)
+        ry, rp = _clearing(case, elt)
         total_rp += rp
-        d_num = abs(elt.a) + 2 * (elt.p_exp + rp) + (elt.y_exp + ry)
+        d_num = elt.degree + 2 * rp + ry
         factors.append(q_monomial(QBasisIndex(elt.a, elt.p_exp + rp, d_num)))
     expansion = expand_in_qbasis(multiply(factors[0], factors[1]))
     return {(idx.a, idx.i - total_rp): c for idx, c in expansion.items()}

@@ -14,6 +14,27 @@ def poly(degree, coeffs):
     return HomogeneousPolynomial(degree, coeffs)
 
 
+def zero(degree):
+    return poly(degree, {})
+
+
+P = poly(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # xz - y^2
+
+
+def _unmemoized_q(idx):
+    """Q_{a,i} = x^{-a} p^i y^{d+a-2i} (a <= 0) or z^a p^i y^{d-a-2i}, expanded
+    afresh through the binomial theorem for p^i."""
+    a, i, d = idx.a, idx.i, idx.d
+    coeffs = {}
+    for t in range(i + 1):
+        if a <= 0:
+            mono = (-a + t, d + a - 2 * t, t)
+        else:
+            mono = (t, d - a - 2 * t, a + t)
+        coeffs[mono] = math.comb(i, t) * (-1) ** (i - t)
+    return poly(d, coeffs)
+
+
 def test_q_monomial_examples():
     assert pr.q_monomial(QBasisIndex(0, 0, 1)) == poly(1, {(0, 1, 0): 1})  # y
     assert pr.q_monomial(QBasisIndex(0, 1, 2)) == poly(2, {(1, 0, 1): 1, (0, 2, 0): -1})
@@ -22,6 +43,14 @@ def test_q_monomial_examples():
         4, {(3, 0, 1): 1, (2, 2, 0): -1}
     )
     assert pr.q_monomial(QBasisIndex(3, 0, 3)) == poly(3, {(0, 0, 3): 1})  # z^3
+
+
+def test_q_monomial_is_memoized_and_equals_the_formula():
+    for d in range(1, 13):
+        for idx in pr.qbasis_indices(d):
+            q = pr.q_monomial(idx)
+            assert pr.q_monomial(QBasisIndex(idx.a, idx.i, idx.d)) is q
+            assert q == _unmemoized_q(idx)
 
 
 def test_q_monomial_rejects_bad_index():
@@ -35,9 +64,13 @@ def test_multiply_examples():
     x = poly(1, {(1, 0, 0): 1})
     z = poly(1, {(0, 0, 1): 1})
     assert pr.multiply(x, z) == poly(2, {(1, 0, 1): 1})
-    p2 = pr.multiply(pr.P, pr.P)
+    p2 = pr.multiply(P, P)
     assert p2 == poly(4, {(2, 0, 2): 1, (1, 2, 1): -2, (0, 4, 0): 1})
-    assert pr.multiply(pr.P, pr.zero(3)).is_zero()
+    assert pr.multiply(P, zero(3)).is_zero()
+    # cancellation leaves no zero coefficient behind
+    x_plus_y = poly(1, {(1, 0, 0): 1, (0, 1, 0): 1})
+    x_minus_y = poly(1, {(1, 0, 0): 1, (0, 1, 0): -1})
+    assert pr.multiply(x_plus_y, x_minus_y).coeffs == {(2, 0, 0): 1, (0, 2, 0): -1}
 
 
 def test_multiply_commutative_associative_random():
@@ -93,14 +126,14 @@ def test_dimension_agreement():
 def test_expansion_linear():
     f = poly(2, {(1, 0, 1): 3, (0, 2, 0): -2, (2, 0, 0): 1})
     expansion = pr.expand_in_qbasis(f)
-    rebuilt = pr.zero(2)
+    rebuilt = zero(2)
     for idx, c in expansion.items():
         rebuilt = rebuilt + pr.q_monomial(idx).scale(c)
     assert rebuilt == f
 
 
 def test_expand_zero():
-    assert pr.expand_in_qbasis(pr.zero(5)) == {}
+    assert pr.expand_in_qbasis(zero(5)) == {}
 
 
 
@@ -202,3 +235,7 @@ def test_planted_bad_basis_is_rejected(monkeypatch, bad_index, replacement, mess
     assert 4 not in pr._expansion_cache
     pr.expand_in_qbasis(poly(3, {(0, 3, 0): 1}))  # other degrees are untouched
     assert 3 in pr._expansion_cache
+    monkeypatch.undo()
+    # the planted element never reached the memo of the true q_monomial
+    assert pr.q_monomial(bad_index) == _unmemoized_q(bad_index)
+    assert pr.q_monomial(QBasisIndex(0, 1, 4)) == poly(4, {(1, 2, 1): 1, (0, 4, 0): -1})

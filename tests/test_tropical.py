@@ -125,20 +125,21 @@ def test_partition_constant_examples():
     assert tr.partition_constant([2, 2], 5) == 0
 
 
-def test_partition_identity_all_compositions():
-    # the full sweep to total 12 runs in the acceptance suite
-    def compositions(total):
-        if total == 0:
-            yield ()
-            return
-        for first in range(1, total + 1):
-            for rest in compositions(total - first):
-                yield (first,) + rest
-
-    for total in range(0, 10):
-        for k_list in compositions(total):
-            for s in range(total + 1):
-                assert tr.partition_constant(k_list, s) == math.comb(total, s)
+def test_partition_constant_edge_cases():
+    # the identity over every composition of sum k <= 12 is criterion 6
+    assert tr.partition_constant([0, 0], 0) == 1
+    assert tr.partition_constant([0, 0], 1) == 0
+    assert tr.partition_constant([0, 3, 0], 2) == 3
+    assert tr.partition_constant([1, 2], 4) == 0  # s > sum(k_list)
+    assert tr.partition_constant([], 3) == 0
+    assert tr.partition_constant([4, 1], 0) == 1
+    assert tr.partition_constant([5], 2) == 10  # row cut at s < k
+    assert tr.partition_constant([2, 5], 7) == 1  # every row used in full
+    for bad in ([1, -1], [-2]):
+        with pytest.raises(ValueError):
+            tr.partition_constant(bad, 1)
+    with pytest.raises(ValueError):
+        tr.partition_constant([2, 2], -1)
 
 
 def test_triangle_json_shape():

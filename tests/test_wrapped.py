@@ -6,6 +6,7 @@ import pytest
 
 from affinefloer import wrapped as wr
 from affinefloer.floer import basis_vector, index_range, mu2
+from affinefloer.polyring import QBasisIndex, expand_in_qbasis, multiply, q_monomial
 from affinefloer.wrapped import Complement, ContinuationMap, ExtendedPoint
 
 
@@ -174,3 +175,44 @@ def test_continuation_rejects_bad_levels():
     cmap = ContinuationMap(Complement.L, 0, 1, 1)
     with pytest.raises(ValueError):
         cmap.apply(ExtendedPoint(0, 0, 2, Complement.L))
+
+
+def _yp_cleared_product(case, l1, l2):
+    """The localized-ring product with each case D factor cleared by one
+    power of yp, the larger of the powers of y and p it needs."""
+    factors, total_rp = [], 0
+    for elt in (l1, l2):
+        if case is Complement.L:
+            ry, rp = max(0, -elt.y_exp), 0
+        elif case is Complement.C:
+            ry, rp = 0, max(0, -elt.p_exp)
+        else:
+            ry = rp = max(0, -elt.y_exp, -elt.p_exp)
+        if elt.degree + 2 * rp + ry == 0:
+            if case is Complement.C:
+                rp += 1
+            elif case is Complement.L:
+                ry += 1
+            else:
+                ry, rp = ry + 1, rp + 1
+        total_rp += rp
+        d_num = abs(elt.a) + 2 * (elt.p_exp + rp) + (elt.y_exp + ry)
+        factors.append(q_monomial(QBasisIndex(elt.a, elt.p_exp + rp, d_num)))
+    expansion = expand_in_qbasis(multiply(factors[0], factors[1]))
+    return {(idx.a, idx.i - total_rp): c for idx, c in expansion.items()}
+
+
+def test_clearing_y_and_p_apart_matches_the_yp_clearing():
+    # the window of verify.wrapped(4): d1 + d2 <= 4, |a| <= d + 2, |i| <= 2
+    for case in Complement:
+        for d1 in range(5):
+            for d2 in range(5 - d1):
+                for q1 in wr.wrapped_basis(case, d1, a_max=d1 + 2, i_max=2):
+                    for q2 in wr.wrapped_basis(case, d2, a_max=d2 + 2, i_max=2):
+                        l1, l2 = wr.rational_function(q1), wr.rational_function(q2)
+                        assert wr.laurent_product_in_qbasis(
+                            case, l1, l2
+                        ) == _yp_cleared_product(case, l1, l2)
+    # p^-2 y is cleared by p^2 alone, where the yp clearing took (yp)^2
+    assert wr._clearing(Complement.D, wr.LaurentElement(0, -2, 1)) == (0, 2)
+    assert wr._clearing(Complement.D, wr.LaurentElement(1, 1, -3)) == (3, 0)
