@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -219,8 +219,7 @@ class AffinePolygon:
         return table
 
 
-@dataclass(frozen=True)
-class FractionalPoint:
+class FractionalPoint(NamedTuple):
     """A (1/d)-integral point of the polygon: column index a, depth index i.
 
     The column sits at eta = a/d; the depth counts (1/d)-steps downward from
@@ -228,17 +227,16 @@ class FractionalPoint:
     plane instance (top boundary at xi = 0) the embedded coordinates are
     (a/d, -i/d).  The denominator d = 0 is reserved for the unit point
     q_{0,0} by convention, so that the graded ring of formal sums has a unit.
+
+    The same triples index the distinguished basis of the homogeneous
+    coordinate ring (`polyring.QBasisIndex` is this class).  The tuple checks
+    nothing itself: an index is checked where one is computed, against the
+    region by `embed` and against the ring's rule by `polyring.q_monomial`.
     """
 
     a: int
     i: int
     d: int
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("denominator must be nonnegative")
-        if self.d == 0 and (self.a, self.i) != (0, 0):
-            raise ValueError("denominator 0 is reserved for the unit point q_{0,0}")
 
 
 def _slope_jumps(line: BoundaryPolyline) -> dict[Fraction, Fraction]:
@@ -432,8 +430,8 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
 
 def embed(polygon: AffinePolygon, point: FractionalPoint) -> RationalPoint:
     """Chart coordinates of a fractional point: (a/d, top_lattice - i/d)."""
-    if point.d == 0:
-        raise ValueError("the unit point has no embedding")
+    if point.d < 1:
+        raise ValueError(f"{point} has no embedding: its denominator is not positive")
     xi_top, count = column_range(polygon, point.d, point.a)
     if not 0 <= point.i < count:
         raise ValueError(f"{point} does not lie in the region")

@@ -116,13 +116,7 @@ def cmd_mu2(args) -> CommandReport:
     report.check("computed", True)
     is_cp2 = polygon == affine.CP2
     if is_cp2:
-        lhs = polyring.multiply(
-            polyring.q_monomial(polyring.QBasisIndex(args.a, args.i, args.n)),
-            polyring.q_monomial(polyring.QBasisIndex(args.b, args.j, args.m)),
-        )
-        expansion = {
-            (k.a, k.i): c for k, c in polyring.expand_in_qbasis(lhs).items()
-        }
+        expansion = verify.ring_expansion(args.a, args.i, args.n, args.b, args.j, args.m)
         report.check("matches_polynomial_identity", expansion == product.coeffs())
     if not args.json:
         terms = " + ".join(

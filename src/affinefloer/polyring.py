@@ -1,14 +1,15 @@
 """Exact homogeneous coordinate ring of the plane with its distinguished basis.
 
-Degree-d polynomials in x, y, z carry a basis indexed like the fractional
-points: with p = xz - y^2,
+Degree-d polynomials in x, y, z carry a basis indexed by the fractional
+points (`QBasisIndex` is `affine.FractionalPoint`): with p = xz - y^2,
 
     Q_{a,i} = x^{-a} p^i y^{d+a-2i}   (a <= 0),
     Q_{a,i} = z^{a}  p^i y^{d-a-2i}   (a > 0),
 
-for |a| <= d and 0 <= i <= floor((d - |a|)/2).  Multiplying two such elements
-and re-expanding reproduces the binomial structure constants of the triangle
-product, which is what `verify.ring` sweeps.
+for |a| <= d and 0 <= i <= floor((d - |a|)/2), the ring's own index rule,
+which `qbasis_indices` enumerates and `q_monomial` checks.  Multiplying two
+such elements and re-expanding reproduces the binomial structure constants
+of the triangle product, which is what `verify.ring` sweeps.
 
 Expansion in the Q basis inverts the change-of-basis matrix from the Q
 elements to the monomials, one degree at a time, and caches the inverse per
@@ -29,10 +30,14 @@ with every pivot +-1, so each block has determinant +-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
+from .affine import FractionalPoint
+
 Monomial = Tuple[int, int, int]  # exponents of (x, y, z)
+
+# The Q basis is indexed by the fractional points (a, i, d) themselves.
+QBasisIndex = FractionalPoint
 
 
 class HomogeneousPolynomial:
@@ -75,9 +80,6 @@ class HomogeneousPolynomial:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.coeffs.items()))))
-
     def __add__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         if self.degree != other.degree:
             raise ValueError("degrees differ")
@@ -118,23 +120,10 @@ def multiply(p1: HomogeneousPolynomial, p2: HomogeneousPolynomial) -> Homogeneou
     return HomogeneousPolynomial._trusted(p1.degree + p2.degree, acc)
 
 
-@dataclass(frozen=True)
-class QBasisIndex:
-    """Index (a, i) of a distinguished basis element in degree d."""
-
-    a: int
-    i: int
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("degree must be positive")
-        if abs(self.a) > self.d or not 0 <= self.i <= (self.d - abs(self.a)) // 2:
-            raise ValueError(f"index ({self.a},{self.i}) invalid in degree {self.d}")
-
-
 def qbasis_indices(d: int) -> list[QBasisIndex]:
-    """All indices in degree d, ordered by (a, i)."""
+    """All indices in degree d >= 1, ordered by (a, i)."""
+    if d < 1:
+        raise ValueError("degree must be positive")
     return [
         QBasisIndex(a, i, d)
         for a in range(-d, d + 1)
@@ -148,22 +137,29 @@ def monomial_basis(d: int) -> list[Monomial]:
     return sorted(monos, key=lambda m: (m[2] - m[0], m[0]))
 
 
-# Q elements already expanded, keyed by (a, i, d).
+# Q elements already expanded, keyed by the index (a, i, d); a plain tuple
+# and a QBasisIndex are equal keys.
 _q_cache: Dict[Tuple[int, int, int], HomogeneousPolynomial] = {}
 
 
-def q_monomial(idx: QBasisIndex) -> HomogeneousPolynomial:
-    """Expand the distinguished basis element into monomials.
+def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
+    """Expand the distinguished basis element Q_{a,i} of degree d into
+    monomials; `idx` is (a, i, d), a QBasisIndex or a plain tuple.
 
     The factor p^i = (xz - y^2)^i contributes C(i,t) (-1)^{i-t} (xz)^t y^{2(i-t)}.
     The polynomial is memoized per index: every call returns the same shared
-    object, which must not be mutated.
+    object, which must not be mutated.  An index outside the ring's rule
+    (d >= 1, |a| <= d, 0 <= i <= (d - |a|)//2) raises ValueError and is not
+    memoized.
     """
-    a, i, d = idx.a, idx.i, idx.d
-    key = (a, i, d)
-    cached = _q_cache.get(key)
+    cached = _q_cache.get(idx)
     if cached is not None:
         return cached
+    a, i, d = idx
+    if d < 1:
+        raise ValueError("degree must be positive")
+    if abs(a) > d or not 0 <= i <= (d - abs(a)) // 2:
+        raise ValueError(f"index ({a},{i}) invalid in degree {d}")
     coeffs: Dict[Monomial, int] = {}
     for t in range(i + 1):
         c = math.comb(i, t) * (-1) ** (i - t)
@@ -172,7 +168,7 @@ def q_monomial(idx: QBasisIndex) -> HomogeneousPolynomial:
         else:
             mono = (t, d - a - 2 * t, a + t)
         coeffs[mono] = coeffs.get(mono, 0) + c
-    poly = _q_cache[key] = HomogeneousPolynomial(d, coeffs)
+    poly = _q_cache[idx] = HomogeneousPolynomial(d, coeffs)
     return poly
 
 

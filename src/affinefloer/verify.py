@@ -7,7 +7,8 @@ command and the acceptance suite both run these functions, so every sweep is
 written once.  Library calls go through module attributes (`floer.mu2`), so a
 replacement installed on a module is the one the sweep runs.
 
-* `ring`: Q-basis expansion of Q_{a,i} Q_{b,j} in the polynomial ring;
+* `ring`: Q-basis expansion of Q_{a,i} Q_{b,j} in the polynomial ring
+  (`ring_expansion`, which the CLI's `mu2` also checks on cp2);
 * `homotopy`: the admissible delta-sequences against the brute-force word
   search, and their height counts against the binomials;
 * `tropical`: total multiplicity of the tropical witnesses per output height,
@@ -40,6 +41,13 @@ class Sweep:
         return not self.mismatches
 
 
+def ring_expansion(a: int, i: int, n: int, b: int, j: int, m: int) -> dict[tuple[int, int], int]:
+    """Q_{a,i} of degree n times Q_{b,j} of degree m, expanded over the
+    degree n + m basis and keyed by (a, i), as mu2's coefficients are."""
+    product = polyring.multiply(polyring.q_monomial((a, i, n)), polyring.q_monomial((b, j, m)))
+    return {(col, depth): c for (col, depth, _), c in polyring.expand_in_qbasis(product).items()}
+
+
 def ring(max_degree: int) -> Sweep:
     """Q-basis expansion of Q_{a,i} Q_{b,j} against mu2 for every pair of
     ring basis elements with factor degrees up to max_degree."""
@@ -47,26 +55,18 @@ def ring(max_degree: int) -> Sweep:
         raise ValueError("max_degree must be at least 1")
     checked = 0
     mismatches: list[str] = []
-    elements = {
-        d: [(idx, polyring.q_monomial(idx)) for idx in polyring.qbasis_indices(d)]
-        for d in range(1, max_degree + 1)
-    }
     for n in range(1, max_degree + 1):
         for m in range(1, max_degree + 1):
-            for q_idx, lhs in elements[n]:
-                for r_idx, rhs in elements[m]:
+            for a, i, _ in polyring.qbasis_indices(n):
+                for b, j, _ in polyring.qbasis_indices(m):
                     checked += 1
-                    product = polyring.multiply(lhs, rhs)
-                    expanded = {
-                        (k.a, k.i): c for k, c in polyring.expand_in_qbasis(product).items()
-                    }
+                    expanded = ring_expansion(a, i, n, b, j, m)
                     coeffs = floer.mu2(
-                        floer.basis_vector(n, n + m, r_idx.a, r_idx.i),
-                        floer.basis_vector(0, n, q_idx.a, q_idx.i),
+                        floer.basis_vector(n, n + m, b, j), floer.basis_vector(0, n, a, i)
                     ).coeffs()
                     if expanded != coeffs:
                         mismatches.append(
-                            f"Q_({q_idx.a},{q_idx.i})@{n} * Q_({r_idx.a},{r_idx.i})@{m}: "
+                            f"Q_({a},{i})@{n} * Q_({b},{j})@{m}: "
                             f"ring {expanded} vs product {coeffs}"
                         )
     return Sweep(checked, tuple(mismatches))

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .floer import k_value_cp2
-from .polyring import expand_in_qbasis, multiply, q_monomial, QBasisIndex
+from .polyring import expand_in_qbasis, multiply, q_monomial
 
 
 class Complement(Enum):
@@ -174,9 +174,9 @@ def laurent_product_in_qbasis(
         ry, rp = _clearing(case, elt)
         total_rp += rp
         d_num = elt.degree + 2 * rp + ry
-        factors.append(q_monomial(QBasisIndex(elt.a, elt.p_exp + rp, d_num)))
+        factors.append(q_monomial((elt.a, elt.p_exp + rp, d_num)))
     expansion = expand_in_qbasis(multiply(factors[0], factors[1]))
-    return {(idx.a, idx.i - total_rp): c for idx, c in expansion.items()}
+    return {(a, i - total_rp): c for (a, i, _), c in expansion.items()}
 
 
 def e_element(case: Complement, r: int) -> ExtendedPoint:

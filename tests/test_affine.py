@@ -137,8 +137,21 @@ def test_json_rationals_are_strings():
 def test_invalid_denominator_rejected():
     with pytest.raises(ValueError):
         affine.fractional_points(affine.cp2_model(), -1)
-    with pytest.raises(ValueError):
-        FractionalPoint(1, 0, 0)
+    for point in (FractionalPoint(1, 0, 0), FractionalPoint(0, 0, 0), FractionalPoint(1, 0, -1)):
+        with pytest.raises(ValueError, match="no embedding"):
+            affine.embed(affine.cp2_model(), point)
+
+
+def test_embed_rejects_a_point_outside_the_region():
+    m = affine.cp2_model()
+    assert affine.embed(m, FractionalPoint(0, 1, 2)) == RationalPoint(Fraction(0), Fraction(-1, 2))
+    for point in (
+        FractionalPoint(0, 2, 2),  # below the bottom
+        FractionalPoint(0, -1, 2),  # above the top
+        FractionalPoint(3, 0, 2),  # right of the region
+    ):
+        with pytest.raises(ValueError, match="does not lie in the region"):
+            affine.embed(m, point)
 
 
 def test_degenerate_polylines_rejected():

@@ -51,6 +51,16 @@ def test_package_loads_submodules_on_first_access():
     assert "no_such_name" in seen["missing"]
 
 
+def test_polyring_loads_affine_and_no_other_submodule():
+    seen = run_fresh(
+        "import json, sys\n"
+        "import affinefloer.polyring\n"
+        "print(json.dumps({'loaded': sorted(m for m in sys.modules\n"
+        "    if m.startswith('affinefloer.')), 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert seen == {"loaded": ["affinefloer.affine", "affinefloer.polyring"], "numpy": False}
+
+
 @pytest.mark.parametrize(
     "argv, loads_numpy",
     [

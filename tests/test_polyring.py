@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from affinefloer import affine
 from affinefloer import polyring as pr
 from affinefloer.polyring import HomogeneousPolynomial, QBasisIndex
 
@@ -50,14 +51,40 @@ def test_q_monomial_is_memoized_and_equals_the_formula():
         for idx in pr.qbasis_indices(d):
             q = pr.q_monomial(idx)
             assert pr.q_monomial(QBasisIndex(idx.a, idx.i, idx.d)) is q
+            assert pr.q_monomial((idx.a, idx.i, idx.d)) is q
             assert q == _unmemoized_q(idx)
 
 
+def test_the_q_basis_is_indexed_by_the_fractional_points():
+    assert QBasisIndex is affine.FractionalPoint
+    assert pr.qbasis_indices(2)[:2] == [(-2, 0, 2), (-1, 0, 2)]
+    assert affine.FractionalPoint(1, 0, 2) == (1, 0, 2)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(tuple, QBasisIndex._make), (QBasisIndex._make, tuple)],
+    ids=["tuple-first", "index-first"],
+)
+def test_a_tuple_and_an_index_share_one_memo_entry(monkeypatch, first, second):
+    monkeypatch.setattr(pr, "_q_cache", {})
+    q = pr.q_monomial(first((-1, 1, 5)))
+    assert pr.q_monomial(second((-1, 1, 5))) is q
+    assert len(pr._q_cache) == 1
+
+
 def test_q_monomial_rejects_bad_index():
+    before = dict(pr._q_cache)
+    for bad in ((3, 0, 2), (0, 2, 2), (0, 0, 0), (0, -1, 2)):
+        for idx in (bad, QBasisIndex._make(bad)):
+            with pytest.raises(ValueError):
+                pr.q_monomial(idx)
+    assert pr._q_cache == before
+
+
+def test_qbasis_indices_rejects_degree_zero():
     with pytest.raises(ValueError):
-        QBasisIndex(3, 0, 2)
-    with pytest.raises(ValueError):
-        QBasisIndex(0, 2, 2)
+        pr.qbasis_indices(0)
 
 
 def test_multiply_examples():

@@ -216,3 +216,18 @@ def test_clearing_y_and_p_apart_matches_the_yp_clearing():
     # p^-2 y is cleared by p^2 alone, where the yp clearing took (yp)^2
     assert wr._clearing(Complement.D, wr.LaurentElement(0, -2, 1)) == (0, 2)
     assert wr._clearing(Complement.D, wr.LaurentElement(1, 1, -3)) == (3, 0)
+
+
+@pytest.mark.parametrize("case", list(Complement))
+def test_an_under_cleared_factor_is_an_invalid_q_index(monkeypatch, case):
+    original = wr._clearing
+
+    def one_short(case, elt):
+        ry, rp = original(case, elt)
+        return (ry, rp - 1) if rp else (max(0, ry - 1), rp)
+
+    monkeypatch.setattr(wr, "_clearing", one_short)
+    # y^-1 (L, D) and p^-1 y^3 (C) each need one factor more than one_short gives
+    elt = wr.LaurentElement(0, -1, 3) if case is Complement.C else wr.LaurentElement(0, 0, -1)
+    with pytest.raises(ValueError):
+        wr.laurent_product_in_qbasis(case, elt, wr.LaurentElement(0, 0, 1))
