@@ -3,9 +3,8 @@ cross-verified through a polynomial ring, free-group word counts, tropical
 geometry, and floating-point coordinate integrals.
 
 Each submodule is imported the first time it is read as an attribute of the
-package (`affinefloer.floer`), so a process loads only the modules it uses;
-numpy in particular is loaded by `numchecks` alone.  Names are imported from
-their module: `from affinefloer.floer import mu2`.
+package (`affinefloer.floer`), so a process loads only the modules it uses.
+Names are imported from their module: `from affinefloer.floer import mu2`.
 """
 
 import importlib

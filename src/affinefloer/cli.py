@@ -27,7 +27,7 @@ import sys
 import time
 from typing import Optional
 
-from . import affine, floer, polyring, render, tropical, verify
+from . import affine, floer, numchecks, polyring, render, tropical, verify
 from .affine import AffinePolygon
 
 
@@ -153,8 +153,6 @@ def _run_suites(report: CommandReport, args, suites) -> CommandReport:
     floating-point check, every other suite one check for its sweep."""
     for suite in suites:
         if suite == "numeric":
-            from . import numchecks  # the only module that loads numpy
-
             numeric = numchecks.numeric_report(tol=args.tol)
             report.results["numeric"] = numeric
             for item in numeric["checks"]:

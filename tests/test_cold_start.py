@@ -1,7 +1,8 @@
-"""Cold start: the package loads a submodule, and numpy, only when it is used.
+"""Cold start: the package loads a submodule only when it is used, and never
+loads numpy.
 
-Each case runs in a fresh interpreter, because this test process has numpy
-loaded already.
+Each case runs in a fresh interpreter, because this test process may have
+numpy loaded already.
 """
 
 import json
@@ -34,20 +35,18 @@ def test_package_loads_submodules_on_first_access():
         "floer = affinefloer.floer\n"
         "q1, q2 = floer.basis_vector(0, 1, 1, 0), floer.basis_vector(1, 2, 1, 0)\n"
         "floer.mu2(q2, q1, affinefloer.affine.dp6_model((1, 1, 1)))\n"
-        "exact = 'numpy' in sys.modules\n"
         "numchecks = affinefloer.numchecks\n"
         "try:\n"
         "    affinefloer.no_such_name\n"
         "    missing = None\n"
         "except AttributeError as exc:\n"
         "    missing = str(exc)\n"
-        "print(json.dumps({'before': before, 'exact': exact,\n"
+        "print(json.dumps({'before': before,\n"
         "    'numchecks': numchecks is sys.modules['affinefloer.numchecks'],\n"
         "    'numpy': 'numpy' in sys.modules, 'missing': missing}))\n"
     )
     assert seen["before"] == []
-    assert not seen["exact"]
-    assert seen["numchecks"] and seen["numpy"]
+    assert seen["numchecks"] and not seen["numpy"]
     assert "no_such_name" in seen["missing"]
 
 
@@ -61,16 +60,25 @@ def test_polyring_loads_affine_and_no_other_submodule():
     assert seen == {"loaded": ["affinefloer.affine", "affinefloer.polyring"], "numpy": False}
 
 
+def test_numchecks_import_does_not_load_numpy():
+    seen = run_fresh(
+        "import json, sys\n"
+        "import affinefloer.numchecks\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert seen == {"numpy": False}
+
+
 @pytest.mark.parametrize(
-    "argv, loads_numpy",
+    "argv",
     [
-        (["mu2", "cp2", "1", "1", "-1", "0", "1", "0"], False),
-        (["points", "dp6", "2"], False),
-        (["verify", "ring", "--max-degree", "2"], False),
-        (["numeric"], True),
+        ["mu2", "cp2", "1", "1", "-1", "0", "1", "0"],
+        ["points", "dp6", "2"],
+        ["verify", "ring", "--max-degree", "2"],
+        ["numeric"],
     ],
 )
-def test_cli_loads_numpy_only_for_numeric_checks(argv, loads_numpy):
+def test_cli_never_loads_numpy(argv):
     seen = run_fresh(
         "import json, runpy, sys\n"
         f"sys.argv = ['affinefloer', *{argv!r}]\n"
@@ -80,4 +88,4 @@ def test_cli_loads_numpy_only_for_numeric_checks(argv, loads_numpy):
         "    status = exc.code\n"
         "print(json.dumps({'status': status, 'numpy': 'numpy' in sys.modules}))\n"
     )
-    assert seen == {"status": 0, "numpy": loads_numpy}
+    assert seen == {"status": 0, "numpy": False}

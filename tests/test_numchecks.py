@@ -52,8 +52,23 @@ def test_log_integral_rejects_singular_radius():
 
 
 def test_quadrature_error_budget():
-    with pytest.raises(nc.QuadratureError):
-        nc.periodic_quadrature(lambda t: t * 0 + 1.0, tol=-1.0, n_max=64)
+    nodes = []
+
+    def f(theta):
+        nodes.append(theta)
+        return 1.0
+
+    with pytest.raises(nc.QuadratureError, match="within 64 points"):
+        nc.periodic_quadrature(f, tol=-1.0, n_max=64)
+    steps = [theta * 64 / (2 * math.pi) for theta in nodes]
+    assert all(abs(k - round(k)) < 1e-9 for k in steps)  # all on the 64-point grid
+    assert any(round(k) % 2 for k in steps)  # the 64-point grid was reached
+
+
+def test_quadrature_takes_a_float():
+    # (1/2pi) int_0^{2pi} e^{cos t} dt is the modified Bessel value I_0(1)
+    mean = nc.periodic_quadrature(lambda t: math.exp(math.cos(t)), tol=1e-14) / (2 * math.pi)
+    assert abs(mean - 1.2660658777520084) < 1e-14
 
 
 def test_critical_points_match_closed_form():
