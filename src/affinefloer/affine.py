@@ -180,9 +180,9 @@ class AffinePolygon:
         The point is brought to one denominator d, as (a/d, b/d), and tested
         against the bottom and top segments over its column by integer
         cross-multiplication (`_column_bounds`), the predicate `count_points`
-        scans with.  It shares nothing with `fiber`, `column_range` or
-        `column_counts`, so a membership check is a derivation independent
-        of the column table.
+        scans with.  It shares nothing with `fiber`, `column_range`,
+        `column_counts` or their integer walk (`_column_walk`), so a
+        membership check is a derivation independent of the column table.
         """
         eta, xi = point.eta, point.xi
         if not (self.eta_min <= eta <= self.eta_max):
@@ -201,9 +201,10 @@ class AffinePolygon:
         for every column in the eta-range, in increasing a.
 
         A point q_{a,i} with denominator d lies in the region exactly when
-        0 <= i < column_counts(d).get(a, 0).  Built once per denominator and
-        shared by every caller, so it must not be mutated; d = 0 gives the
-        unit point's table {0: 1}.
+        0 <= i < column_counts(d).get(a, 0).  Filled once per denominator by
+        one left-to-right integer walk over the boundary segments
+        (`_column_walk`) and shared by every caller, so it must not be
+        mutated; d = 0 gives the unit point's table {0: 1}.
         """
         table = self._columns.get(d)
         if table is None:
@@ -213,8 +214,8 @@ class AffinePolygon:
                 counts = {0: 1}
             else:
                 a_lo = math.ceil(self.eta_min * d)
-                a_hi = math.floor(self.eta_max * d)
-                counts = {a: column_range(self, d, a)[1] for a in range(a_lo, a_hi + 1)}
+                walk = _column_walk(self, d, a_lo, math.floor(self.eta_max * d))
+                counts = {a: count for a, (_, count) in enumerate(walk, a_lo)}
             table = self._columns[d] = counts
         return table
 
@@ -398,20 +399,68 @@ def dp6_model(widths: Sequence[int] = (1, 1, 1)) -> AffinePolygon:
 
 
 def column_range(polygon: AffinePolygon, d: int, a: int) -> tuple[Fraction, int]:
-    """Topmost (1/d)-integral height and point count in the column eta = a/d.
+    """Topmost (1/d)-integral height and point count in the column eta = a/d,
+    d > 0, from the same integers as the column table (`_column_walk`).
 
     Returns (xi_top_lattice, count); count = 0 when the column misses the
     region.
     """
-    eta = Fraction(a, d)
-    if not (polygon.eta_min <= eta <= polygon.eta_max):
+    if d < 1:
+        raise ValueError("denominator must be positive")
+    if not polygon.eta_min * d <= a <= polygon.eta_max * d:
         return Fraction(0), 0
-    lo, hi = polygon.fiber(eta)
-    b_hi = math.floor(hi * d)
-    b_lo = math.ceil(lo * d)
-    if b_hi < b_lo:
+    ((b_hi, count),) = _column_walk(polygon, d, a, a)
+    if not count:
         return Fraction(0), 0
-    return Fraction(b_hi, d), b_hi - b_lo + 1
+    return Fraction(b_hi, d), count
+
+
+def _column_walk(
+    polygon: AffinePolygon, d: int, a_lo: int, a_hi: int
+) -> list[tuple[int, int]]:
+    """(b_hi, count) of each column eta = a/d, a_lo <= a <= a_hi, d > 0, in
+    integers: b_hi/d is the topmost (1/d)-integral height at or below the
+    top and count the number of (1/d)-integral heights between the bottom
+    and the top (0 when there are none).
+
+    Each polyline's vertices are brought to one common denominator L, as
+    integers (e, x) = L * (eta, xi).  Over the column a/d, the segment
+    (e0, x0) -> (e1, x1) has height times d equal to (A*d + B*a) / D with
+    A = x0*e1 - x1*e0, B = (x1 - x0)*L and D = L*(e1 - e0) > 0.  The columns
+    are walked left to right with one segment index per polyline, advanced
+    while a*L > e1*d; at a vertex either neighbouring segment will do, since
+    the graph is continuous.  The top's lattice height is the floor of that
+    quotient and the bottom's its ceiling, taken as minus the floor of the
+    negated quotient.  Shares nothing with the membership scan
+    (`_segment_lines`), which stays a second derivation of the region.
+    """
+    floors = []
+    for line, sign in ((polygon.top, 1), (polygon.bottom, -1)):
+        verts = line.vertices
+        scale = math.lcm(*(v.eta.denominator for v in verts), *(v.xi.denominator for v in verts))
+        pts = [
+            (v.eta.numerator * (scale // v.eta.denominator),
+             v.xi.numerator * (scale // v.xi.denominator))
+            for v in verts
+        ]
+        if a_lo * scale < pts[0][0] * d or a_hi * scale > pts[-1][0] * d:
+            raise ValueError(f"columns {a_lo}/{d}..{a_hi}/{d} outside polyline range")
+        # Per segment: (e1*d, sign*A*d, sign*B, D), the sign negating the
+        # bottom's quotient so that one floor serves both polylines.
+        segments = [
+            (e1 * d, sign * (x0 * e1 - x1 * e0) * d, sign * (x1 - x0) * scale, scale * (e1 - e0))
+            for (e0, x0), (e1, x1) in zip(pts, pts[1:])
+        ]
+        k = 0
+        end, c, slope, den = segments[0]
+        heights = []
+        for a in range(a_lo, a_hi + 1):
+            while a * scale > end:
+                k += 1
+                end, c, slope, den = segments[k]
+            heights.append((c + slope * a) // den)
+        floors.append(heights)
+    return [(hi, max(0, hi + neg_lo + 1)) for hi, neg_lo in zip(*floors)]
 
 
 def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
@@ -490,8 +539,8 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     cross-multiplication: each column's bottom and top segment are picked
     once (`_column_bounds`) and every height is tested with `_in_column`, the
     predicate of `AffinePolygon.contains`.  It shares nothing with
-    `column_range`, `column_counts` or `fiber`, which derive the enumeration
-    in Fractions.
+    `column_range`, `column_counts` or `fiber`, nor with `_column_walk`, the
+    integer walk over the boundary segments that derives the enumeration.
     """
     if d < 0:
         raise ValueError("denominator must be nonnegative")

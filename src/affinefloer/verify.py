@@ -41,10 +41,23 @@ class Sweep:
         return not self.mismatches
 
 
+def _q_element(a: int, i: int, d: int) -> polyring.HomogeneousPolynomial:
+    """Q_{a,i} of degree d, where degree 0 holds only the unit 1 = Q_{0,0}."""
+    if d == 0 and (a, i) == (0, 0):
+        return polyring.HomogeneousPolynomial(0, {(0, 0, 0): 1})
+    return polyring.q_monomial((a, i, d))
+
+
 def ring_expansion(a: int, i: int, n: int, b: int, j: int, m: int) -> dict[tuple[int, int], int]:
     """Q_{a,i} of degree n times Q_{b,j} of degree m, expanded over the
-    degree n + m basis and keyed by (a, i), as mu2's coefficients are."""
-    product = polyring.multiply(polyring.q_monomial((a, i, n)), polyring.q_monomial((b, j, m)))
+    degree n + m basis and keyed by (a, i), as mu2's coefficients are.
+
+    A degree-0 factor is the ring's unit, so the product is the other
+    factor expanded in the Q basis; the product of two units is {(0, 0): 1}.
+    """
+    product = polyring.multiply(_q_element(a, i, n), _q_element(b, j, m))
+    if product.degree == 0:
+        return {(0, 0): 1}
     return {(col, depth): c for (col, depth, _), c in polyring.expand_in_qbasis(product).items()}
 
 

@@ -285,13 +285,103 @@ def test_membership_scan_shares_nothing_with_the_column_table(monkeypatch):
         patch.setattr(affine.AffinePolygon, "fiber", forbidden)
         patch.setattr(affine.AffinePolygon, "column_counts", forbidden)
         patch.setattr(affine, "column_range", forbidden)
+        patch.setattr(affine, "_column_walk", forbidden)
         assert {d: affine.count_points(fresh, d) for d in range(6)} == expected
         assert fresh.contains(spot)
     with monkeypatch.context() as patch:
         for name in ("_segment_lines", "_column_bounds", "_in_column"):
             patch.setattr(affine, name, forbidden)
+        # The column table is filled in integers: no `Fraction` fiber per column.
+        patch.setattr(affine.AffinePolygon, "fiber", forbidden)
+        patch.setattr(affine.BoundaryPolyline, "value", forbidden)
         assert {d: len(affine.fractional_points(fresh, d)) for d in range(6)} == expected
         assert affine.embed(fresh, FractionalPoint(3, 1, 2)) == spot
+
+
+# -- the integer column walk against the Fraction columns it replaced ---------
+
+
+def _fraction_column(polygon, d, a):
+    """The Fraction column `column_range` read before the integer walk:
+    (topmost (1/d)-integral height, count) from `fiber`, by floor and ceil."""
+    eta = Fraction(a, d)
+    if not (polygon.eta_min <= eta <= polygon.eta_max):
+        return Fraction(0), 0
+    lo, hi = polygon.fiber(eta)
+    b_hi, b_lo = math.floor(hi * d), math.ceil(lo * d)
+    if b_hi < b_lo:
+        return Fraction(0), 0
+    return Fraction(b_hi, d), b_hi - b_lo + 1
+
+
+def _fraction_table(polygon, d):
+    """The column table `column_counts` filled through `_fraction_column`."""
+    if d == 0:
+        return {0: 1}
+    return {
+        a: _fraction_column(polygon, d, a)[1]
+        for a in range(math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d) + 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "polygon", [case[1] for case in _SCAN_CASES], ids=[case[0] for case in _SCAN_CASES]
+)
+def test_column_table_matches_fraction_columns(polygon):
+    fresh = affine.polygon_from_json(affine.polygon_to_json(polygon))
+    for d in range(0, 31):
+        assert fresh.column_counts(d) == _fraction_table(fresh, d), d
+
+
+@pytest.mark.parametrize(
+    "polygon, max_d", [case[1:] for case in _SCAN_CASES], ids=[case[0] for case in _SCAN_CASES]
+)
+def test_embed_matches_fraction_columns(polygon, max_d):
+    for d in range(1, max_d + 1):
+        tops = {}
+        for p in affine.fractional_points(polygon, d):
+            if p.a not in tops:
+                tops[p.a] = _fraction_column(polygon, d, p.a)[0]
+            want = RationalPoint(Fraction(p.a, d), tops[p.a] - Fraction(p.i, d))
+            assert affine.embed(polygon, p) == want, p
+
+
+@pytest.mark.parametrize("d", [4, 12])
+def test_walk_on_columns_at_interior_vertices(d):
+    polygon = _hand_built()
+    vertex_columns = {
+        int(v.eta * d) for v in polygon.bottom.vertices[1:-1] if (v.eta * d).denominator == 1
+    }
+    assert vertex_columns == {d // 2, 7 * d // 4}
+    table = polygon.column_counts(d)
+    for a in sorted(vertex_columns):
+        want = _fraction_column(polygon, d, a)
+        assert want[1] > 0
+        assert table[a] == want[1]
+        assert affine.column_range(polygon, d, a) == want
+    assert table == _fraction_table(polygon, d)
+
+
+def test_column_table_of_unvalidated_polygons_matches_fraction_columns():
+    F = Fraction
+    # The bottom rises above the top between eta = 1/2 and 3/2: those columns are empty.
+    crossing = affine.AffinePolygon(
+        eta_min=F(0),
+        eta_max=F(2),
+        singularities=(),
+        top=BoundaryPolyline(((0, 0), (2, 0))),
+        bottom=BoundaryPolyline(((0, F(-1, 2)), (1, F(1, 2)), (2, F(-1, 2)))),
+    )
+    assert affine.validate(crossing)
+    for d in range(1, 13):
+        table = crossing.column_counts(d)
+        assert table == _fraction_table(crossing, d), d
+        assert table[d] == 0
+    # Polylines that stop short of the eta-range: the walk raises as `fiber` does.
+    short = replace(affine.cp2_model(), eta_max=F(2))
+    for run in (lambda: short.fiber(F(2)), lambda: short.column_counts(1)):
+        with pytest.raises(ValueError, match="outside polyline range"):
+            run()
 
 
 # -- JSON booleans are not numbers ---------------------------------------------

@@ -62,6 +62,28 @@ def test_mu2_trivial_case(capsys):
     assert data["results"]["product"]["terms"] == [{"a": 0, "i": 0, "c": 1}]
 
 
+@pytest.mark.parametrize(
+    "args, term",
+    [
+        (["1", "0", "0", "0", "0", "0"], {"a": 0, "i": 0, "c": 1}),
+        (["0", "1", "0", "0", "1", "0"], {"a": 1, "i": 0, "c": 1}),
+        (["0", "0", "0", "0", "0", "0"], {"a": 0, "i": 0, "c": 1}),
+    ],
+    ids=["unit-right", "unit-left", "unit-unit"],
+)
+def test_mu2_with_a_unit_factor_checks_the_identity_on_cp2(args, term, capsys):
+    code, data = run_json(["mu2", "cp2"] + args, capsys)
+    assert code == 0
+    assert data["results"]["product"]["terms"] == [term]
+    assert [(c["name"], c["pass"]) for c in data["checks"]] == [
+        ("computed", True),
+        ("matches_polynomial_identity", True),
+    ]
+    code, dp6 = run_json(["mu2", "dp6"] + args, capsys)
+    assert code == 0
+    assert dp6["results"]["product"] == data["results"]["product"]
+
+
 def test_mu2_inadmissible_exits_nonzero(capsys):
     assert cli.main(["mu2", "cp2", "1", "1", "5", "0", "1", "0"]) == 2
     capsys.readouterr()
