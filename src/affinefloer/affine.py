@@ -155,11 +155,16 @@ class AffinePolygon:
     _columns: dict[int, dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Beside each table in `_columns`: column a -> top lattice height times
+    # d, for `column_range`.
+    _tops: dict[int, dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     # Memo of `floer.mu2`: (a, i, n, b, j, m) -> the product's sorted terms.
     # Filled only by successful products (errors are raised, never stored),
     # it grows by one entry per distinct product asked of this polygon.  Like
-    # `_columns` it is per instance: equal polygons share nothing, and it
-    # takes no part in equality, hashing, repr or JSON.
+    # `_columns` and `_tops` it is per instance: equal polygons share
+    # nothing, and it takes no part in equality, hashing, repr or JSON.
     _products: dict[tuple[int, ...], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -203,20 +208,16 @@ class AffinePolygon:
         A point q_{a,i} with denominator d lies in the region exactly when
         0 <= i < column_counts(d).get(a, 0).  Filled once per denominator by
         one left-to-right integer walk over the boundary segments
-        (`_column_walk`) and shared by every caller, so it must not be
+        (`_column_walk`), which also keeps each column's top lattice height
+        for `column_range`, and shared by every caller, so it must not be
         mutated; d = 0 gives the unit point's table {0: 1}.
         """
         table = self._columns.get(d)
         if table is None:
             if d < 0:
                 raise ValueError("denominator must be nonnegative")
-            if d == 0:
-                counts = {0: 1}
-            else:
-                a_lo = math.ceil(self.eta_min * d)
-                walk = _column_walk(self, d, a_lo, math.floor(self.eta_max * d))
-                counts = {a: count for a, (_, count) in enumerate(walk, a_lo)}
-            table = self._columns[d] = counts
+            table, self._tops[d] = _column_walk(self, d) if d else ({0: 1}, {0: 0})
+            self._columns[d] = table
         return table
 
 
@@ -400,25 +401,24 @@ def dp6_model(widths: Sequence[int] = (1, 1, 1)) -> AffinePolygon:
 
 def column_range(polygon: AffinePolygon, d: int, a: int) -> tuple[Fraction, int]:
     """Topmost (1/d)-integral height and point count in the column eta = a/d,
-    d > 0, from the same integers as the column table (`_column_walk`).
+    d > 0, read from the column table (`AffinePolygon.column_counts`).
 
     Returns (xi_top_lattice, count); count = 0 when the column misses the
     region.
     """
     if d < 1:
         raise ValueError("denominator must be positive")
-    if not polygon.eta_min * d <= a <= polygon.eta_max * d:
-        return Fraction(0), 0
-    ((b_hi, count),) = _column_walk(polygon, d, a, a)
+    count = polygon.column_counts(d).get(a, 0)
     if not count:
         return Fraction(0), 0
-    return Fraction(b_hi, d), count
+    return Fraction(polygon._tops[d][a], d), count
 
 
 def _column_walk(
-    polygon: AffinePolygon, d: int, a_lo: int, a_hi: int
-) -> list[tuple[int, int]]:
-    """(b_hi, count) of each column eta = a/d, a_lo <= a <= a_hi, d > 0, in
+    polygon: AffinePolygon, d: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The column tables (a -> count, a -> b_hi) of denominator d > 0 for
+    every column eta = a/d in the eta-range, in increasing a and in
     integers: b_hi/d is the topmost (1/d)-integral height at or below the
     top and count the number of (1/d)-integral heights between the bottom
     and the top (0 when there are none).
@@ -434,6 +434,8 @@ def _column_walk(
     negated quotient.  Shares nothing with the membership scan
     (`_segment_lines`), which stays a second derivation of the region.
     """
+    a_lo, a_hi = math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d)
+    columns = range(a_lo, a_hi + 1)
     floors = []
     for line, sign in ((polygon.top, 1), (polygon.bottom, -1)):
         verts = line.vertices
@@ -454,13 +456,15 @@ def _column_walk(
         k = 0
         end, c, slope, den = segments[0]
         heights = []
-        for a in range(a_lo, a_hi + 1):
+        for a in columns:
             while a * scale > end:
                 k += 1
                 end, c, slope, den = segments[k]
             heights.append((c + slope * a) // den)
         floors.append(heights)
-    return [(hi, max(0, hi + neg_lo + 1)) for hi, neg_lo in zip(*floors)]
+    tops, neg_bottoms = floors
+    counts = {a: max(0, hi + neg_lo + 1) for a, hi, neg_lo in zip(columns, tops, neg_bottoms)}
+    return counts, dict(zip(columns, tops))
 
 
 def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:

@@ -80,17 +80,6 @@ class HomogeneousPolynomial:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        acc = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            acc[mono] = acc.get(mono, 0) + c
-        return HomogeneousPolynomial(self.degree, acc)
-
-    def scale(self, c: int) -> "HomogeneousPolynomial":
-        return HomogeneousPolynomial(self.degree, {m: c * v for m, v in self.coeffs.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -60,6 +60,24 @@ def test_polyring_loads_affine_and_no_other_submodule():
     assert seen == {"loaded": ["affinefloer.affine", "affinefloer.polyring"], "numpy": False}
 
 
+def test_wrapped_loads_affine_floer_polyring_and_no_other_submodule():
+    seen = run_fresh(
+        "import json, sys\n"
+        "import affinefloer.wrapped\n"
+        "print(json.dumps({'loaded': sorted(m for m in sys.modules\n"
+        "    if m.startswith('affinefloer.')), 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert seen == {
+        "loaded": [
+            "affinefloer.affine",
+            "affinefloer.floer",
+            "affinefloer.polyring",
+            "affinefloer.wrapped",
+        ],
+        "numpy": False,
+    }
+
+
 def test_numchecks_import_does_not_load_numpy():
     seen = run_fresh(
         "import json, sys\n"

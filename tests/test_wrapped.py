@@ -5,19 +5,95 @@ from fractions import Fraction
 import pytest
 
 from affinefloer import wrapped as wr
+from affinefloer.affine import FractionalPoint
 from affinefloer.floer import basis_vector, index_range, mu2
 from affinefloer.polyring import QBasisIndex, expand_in_qbasis, multiply, q_monomial
-from affinefloer.wrapped import Complement, ContinuationMap, ExtendedPoint
+from affinefloer.wrapped import Complement, ContinuationMap
+
+# Generators each case rejects, with the message: a negative degree in every
+# case, and a depth outside the case-L and case-C rules.
+_REJECTED = [
+    (Complement.L, FractionalPoint(0, -1, 1), "depth i=-1 violates the case-L rule for (a=0, d=1)"),
+    (Complement.C, FractionalPoint(0, 1, 1), "depth i=1 violates the case-C rule for (a=0, d=1)"),
+    (Complement.L, FractionalPoint(0, 0, -1), "degree must be nonnegative"),
+    (Complement.C, FractionalPoint(0, 0, -1), "degree must be nonnegative"),
+    (Complement.D, FractionalPoint(2, 5, -1), "degree must be nonnegative"),
+]
 
 
 def test_case_depth_rules():
-    ExtendedPoint(0, 5, 1, Complement.L)
-    ExtendedPoint(0, -5, 1, Complement.C)
-    ExtendedPoint(7, -3, 0, Complement.D)
-    with pytest.raises(ValueError):
-        ExtendedPoint(0, -1, 1, Complement.L)
-    with pytest.raises(ValueError):
-        ExtendedPoint(0, 1, 1, Complement.C)  # i > floor((1-0)/2)
+    for case, q in (
+        (Complement.L, FractionalPoint(0, 5, 1)),
+        (Complement.C, FractionalPoint(0, -5, 1)),
+        (Complement.D, FractionalPoint(7, -3, 0)),
+    ):
+        assert q in wr.wrapped_basis(case, q.d, a_max=abs(q.a), i_max=abs(q.i))
+        assert wr.wrapped_product(case, q, FractionalPoint(0, 0, 0)) == {(q.a, q.i): 1}
+        if q.d:
+            image = ContinuationMap(case, 0, q.d, case.wrap_step).apply(q)
+            assert image == (q.a, q.i + wr.e_element(case, case.wrap_step).i, q.d + case.wrap_step)
+
+
+@pytest.mark.parametrize("case, q, message", _REJECTED)
+def test_case_depth_rules_reject_at_the_point_of_use(case, q, message):
+    unit = FractionalPoint(0, 0, 0)
+    for run in (
+        lambda: wr.wrapped_product(case, q, unit),
+        lambda: wr.wrapped_product(case, unit, q),
+        lambda: ContinuationMap(case, 0, max(q.d, 1), case.wrap_step).apply(q),
+    ):
+        with pytest.raises(ValueError) as info:
+            run()
+        assert str(info.value) == message
+    if q.d < 0:
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            wr.wrapped_basis(case, q.d, a_max=3, i_max=3)
+    else:
+        assert q not in wr.wrapped_basis(case, q.d, a_max=3, i_max=3)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_embed_rejects_a_nonpositive_degree(d):
+    with pytest.raises(ValueError, match="no embedding"):
+        wr.embed(FractionalPoint(0, 0, d))
+
+
+def _depth_ok_by_case(case, a, i, d):
+    """The depth rule as per-case branches: i >= 0 (L), 2i <= d - |a| (C),
+    any i (D)."""
+    if case is Complement.L:
+        return i >= 0
+    if case is Complement.C:
+        return 2 * i <= d - abs(a)
+    return True
+
+
+def _clearing_by_case(case, elt):
+    """The clearing powers as per-case branches: y in L, p in C, y and p
+    apart in D; a unit is cleared by one more p in C and one more y else."""
+    ry = max(0, -elt.y_exp) if case is not Complement.C else 0
+    rp = max(0, -elt.p_exp) if case is not Complement.L else 0
+    if elt.degree + 2 * rp + ry == 0:
+        if case is Complement.C:
+            rp += 1
+        else:
+            ry += 1
+    return ry, rp
+
+
+def test_flag_rules_equal_the_per_case_branches():
+    assert [(c.inverts_y, c.inverts_p) for c in Complement] == [
+        (True, False),
+        (False, True),
+        (True, True),
+    ]
+    for case in Complement:
+        for a in range(-8, 9):
+            for i in range(-8, 9):
+                for d in range(9):
+                    assert wr._depth_ok(case, a, i, d) == _depth_ok_by_case(case, a, i, d)
+                    elt = wr.rational_function(FractionalPoint(a, i, d))
+                    assert wr._clearing(case, elt) == _clearing_by_case(case, elt), elt
 
 
 def test_wrap_steps():
@@ -40,10 +116,10 @@ def test_wrapped_basis_window_counts():
 
 
 def test_rational_function_examples():
-    assert wr.rational_function(ExtendedPoint(0, 1, 0, Complement.L)) == wr.LaurentElement(0, 1, -2)
-    assert wr.rational_function(ExtendedPoint(0, -1, 0, Complement.C)) == wr.LaurentElement(0, -1, 2)
-    assert wr.rational_function(ExtendedPoint(0, 0, 0, Complement.D)) == wr.LaurentElement(0, 0, 0)
-    assert wr.rational_function(ExtendedPoint(-2, 1, 4, Complement.L)) == wr.LaurentElement(-2, 1, 0)
+    assert wr.rational_function(FractionalPoint(0, 1, 0)) == wr.LaurentElement(0, 1, -2)
+    assert wr.rational_function(FractionalPoint(0, -1, 0)) == wr.LaurentElement(0, -1, 2)
+    assert wr.rational_function(FractionalPoint(0, 0, 0)) == wr.LaurentElement(0, 0, 0)
+    assert wr.rational_function(FractionalPoint(-2, 1, 4)) == wr.LaurentElement(-2, 1, 0)
 
 
 def test_rational_function_bijective_on_window():
@@ -57,17 +133,17 @@ def test_rational_function_bijective_on_window():
 
 def test_wrapped_product_worked_examples():
     # case D: x * zp = y^2 p + p^2
-    q1 = ExtendedPoint(-1, 0, 1, Complement.D)
-    q2 = ExtendedPoint(1, 1, 1, Complement.D)
+    q1 = FractionalPoint(-1, 0, 1)
+    q2 = FractionalPoint(1, 1, 1)
     assert wr.wrapped_product(Complement.D, q2, q1) == {(0, 1): 1, (0, 2): 1}
     # case L: p^2 y^-3 times y = p^2 y^-2
-    q1 = ExtendedPoint(0, 2, 1, Complement.L)
-    q2 = ExtendedPoint(0, 0, 1, Complement.L)
+    q1 = FractionalPoint(0, 2, 1)
+    q2 = FractionalPoint(0, 0, 1)
     assert wr.wrapped_product(Complement.L, q2, q1) == {(0, 2): 1}
     # unit acts trivially
     for case in Complement:
-        q = ExtendedPoint(2, 0, 3, case)
-        e0 = ExtendedPoint(0, 0, 0, case)
+        q = FractionalPoint(2, 0, 3)
+        e0 = FractionalPoint(0, 0, 0)
         assert wr.wrapped_product(case, q, e0) == {(2, 0): 1}
 
 
@@ -83,8 +159,8 @@ def test_wrapped_product_restricted_to_compact_range_is_mu2():
                             continue
                         got = wr.wrapped_product(
                             case,
-                            ExtendedPoint(b, j, m, case),
-                            ExtendedPoint(a, i, n, case),
+                            FractionalPoint(b, j, m),
+                            FractionalPoint(a, i, n),
                         )
                         want = mu2(
                             basis_vector(n, n + m, b, j), basis_vector(0, n, a, i)
@@ -93,11 +169,11 @@ def test_wrapped_product_restricted_to_compact_range_is_mu2():
 
 
 def test_e_element_examples():
-    assert wr.e_element(Complement.L, 1) == ExtendedPoint(0, 0, 1, Complement.L)
+    assert wr.e_element(Complement.L, 1) == FractionalPoint(0, 0, 1)
     assert wr.rational_function(wr.e_element(Complement.L, 1)) == wr.LaurentElement(0, 0, 1)
-    assert wr.e_element(Complement.C, 2) == ExtendedPoint(0, 1, 2, Complement.C)
+    assert wr.e_element(Complement.C, 2) == FractionalPoint(0, 1, 2)
     assert wr.rational_function(wr.e_element(Complement.C, 2)) == wr.LaurentElement(0, 1, 0)
-    assert wr.e_element(Complement.D, 3) == ExtendedPoint(0, 1, 3, Complement.D)
+    assert wr.e_element(Complement.D, 3) == FractionalPoint(0, 1, 3)
     assert wr.rational_function(wr.e_element(Complement.D, 3)) == wr.LaurentElement(0, 1, 1)
     with pytest.raises(ValueError):
         wr.e_element(Complement.C, 3)
@@ -174,7 +250,7 @@ def test_continuation_rejects_bad_levels():
         ContinuationMap(Complement.C, 0, 1, 3)
     cmap = ContinuationMap(Complement.L, 0, 1, 1)
     with pytest.raises(ValueError):
-        cmap.apply(ExtendedPoint(0, 0, 2, Complement.L))
+        cmap.apply(FractionalPoint(0, 0, 2))
 
 
 def _yp_cleared_product(case, l1, l2):
