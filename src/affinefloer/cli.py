@@ -209,11 +209,15 @@ def cmd_numeric(args) -> CommandReport:
     return _run_suites(CommandReport("numeric", {"tol": args.tol}), args, ("numeric",))
 
 
-def positive_float(text: str) -> float:
-    """argparse type of --tol; argparse reports a ValueError as invalid input."""
+def tolerance(text: str) -> float:
+    """argparse type of --tol: a finite float no smaller than the quadrature's
+    rounding floor; argparse reports a ValueError as invalid input."""
     value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    if not (math.isfinite(value) and value >= numchecks.TOL_FLOOR):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least the rounding floor {numchecks.TOL_FLOOR:g}, "
+            f"got {text!r}"
+        )
     return value
 
 
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-degree", type=int, default=6, dest="max_degree")
     p_verify.add_argument("--max-k", type=int, default=8, dest="max_k")
     p_verify.add_argument("--max", type=int, default=4)
-    p_verify.add_argument("--tol", type=positive_float, default=1e-9)
+    p_verify.add_argument("--tol", type=tolerance, default=1e-9)
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="write an SVG figure")
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=cmd_render)
 
     p_numeric = sub.add_parser("numeric", help="floating-point checks report")
-    p_numeric.add_argument("--tol", type=positive_float, default=1e-9)
+    p_numeric.add_argument("--tol", type=tolerance, default=1e-9)
     p_numeric.set_defaults(func=cmd_numeric)
 
     return parser

@@ -35,6 +35,11 @@ lookup.  Errors (inadmissible inputs, closure violations) are raised and
 never stored, so a bad input fails on every call.  The memo holds one entry
 per distinct product asked of the polygon and is never trimmed.
 
+A formal sum is a named tuple (d1, d2, terms).  Inside the library it is
+built through `tuple.__new__` (`_new`), which skips the Python frame of the
+generated constructor; `FormalSum(d1, d2, terms)` builds an equal object.
+Like any named tuple it compares equal to a plain tuple with the same fields.
+
 All coefficients are arbitrary-precision integers; every sign is positive.
 """
 
@@ -43,13 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .affine import CP2, AffinePolygon
 
 
-@dataclass(frozen=True, slots=True)
-class FormalSum:
+class FormalSum(NamedTuple):
     """Integer combination of basis vectors sharing (d1, d2), keyed by (a, i).
 
     Terms are sorted by key and carry no zero coefficient.  A basis vector
@@ -62,10 +66,13 @@ class FormalSum:
     @staticmethod
     def from_dict(d1: int, d2: int, coeffs: Mapping[tuple[int, int], int]) -> "FormalSum":
         terms = tuple(sorted((k, c) for k, c in coeffs.items() if c != 0))
-        return FormalSum(d1, d2, terms)
+        return _new(FormalSum, (d1, d2, terms))
 
     def coeffs(self) -> dict[tuple[int, int], int]:
         return dict(self.terms)
+
+
+_new = tuple.__new__  # _new(FormalSum, (d1, d2, terms)): FormalSum without its frame
 
 
 def basis_vector(d1: int, d2: int, a: int, i: int) -> FormalSum:
@@ -73,7 +80,7 @@ def basis_vector(d1: int, d2: int, a: int, i: int) -> FormalSum:
 
     Its admissibility is checked by `mu2`, against the polygon's column
     table."""
-    return FormalSum(d1, d2, (((a, i), 1),))
+    return _new(FormalSum, (d1, d2, (((a, i), 1),)))
 
 
 def unit(d: int = 0) -> FormalSum:
@@ -206,23 +213,23 @@ def mu2(q2: FormalSum, q1: FormalSum, polygon: AffinePolygon = CP2) -> FormalSum
     already sorted, scaled by the coefficient product; only several term
     pairs are merged and re-sorted.
     """
-    if q1.d2 != q2.d1:
-        raise ValueError(
-            f"not composable: q1 ends at level {q1.d2}, q2 starts at {q2.d1}"
-        )
-    n, m = q1.d2 - q1.d1, q2.d2 - q2.d1
-    if len(q1.terms) == 1 and len(q2.terms) == 1:
-        ((a, i), c1), ((b, j), c2) = q1.terms[0], q2.terms[0]
+    d1, d2, terms1 = q1
+    e2, d3, terms2 = q2
+    if d2 != e2:
+        raise ValueError(f"not composable: q1 ends at level {d2}, q2 starts at {e2}")
+    n, m = d2 - d1, d3 - d2
+    if len(terms1) == 1 and len(terms2) == 1:
+        ((a, i), c1), ((b, j), c2) = terms1[0], terms2[0]
         terms, c = _row(polygon, (a, i, n, b, j, m)), c1 * c2
         if c != 1:
             terms = tuple((key, c * v) for key, v in terms) if c else ()
-        return FormalSum(q1.d1, q2.d2, terms)
+        return _new(FormalSum, (d1, d3, terms))
     acc: dict[tuple[int, int], int] = {}
-    for (a, i), c1 in q1.terms:
-        for (b, j), c2 in q2.terms:
+    for (a, i), c1 in terms1:
+        for (b, j), c2 in terms2:
             for key, v in _row(polygon, (a, i, n, b, j, m)):
                 acc[key] = acc.get(key, 0) + c1 * c2 * v
-    return FormalSum.from_dict(q1.d1, q2.d2, acc)
+    return FormalSum.from_dict(d1, d3, acc)
 
 
 def ring_product(x: FormalSum, y: FormalSum, polygon: AffinePolygon = CP2) -> FormalSum:

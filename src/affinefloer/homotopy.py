@@ -17,46 +17,18 @@ admissible sequences hitting a given h therefore reproduces the binomial
 C(k, h-(i+j)) independently of both the section-count argument and the
 ring oracle.
 
-Words are stored run-length encoded so reduction is linear in the number of
-runs.
+Words are lists of run-length encoded (generator, exponent) runs, so that
+`brute_force_admissible` reduces each one in time linear in its runs.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
 Run = tuple[str, int]  # (generator "a" or "b", nonzero exponent)
 DeltaSequence = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FreeWord:
-    runs: tuple[Run, ...]
-
-    def __post_init__(self):
-        for gen, exp in self.runs:
-            if gen not in ("a", "b") or exp == 0:
-                raise ValueError(f"bad run ({gen}, {exp})")
-
-    def is_identity(self) -> bool:
-        return not self.runs
-
-    def __repr__(self):
-        if not self.runs:
-            return "1"
-        return "".join(f"{g}^{e}" if e != 1 else g for g, e in self.runs)
-
-
-def word(runs: Iterable[tuple[str, int]]) -> FreeWord:
-    """Build a word, dropping zero exponents but not merging or reducing."""
-    return FreeWord(tuple((g, e) for g, e in runs if e != 0))
-
-
-def inverse(w: FreeWord) -> FreeWord:
-    return FreeWord(tuple((g, -e) for g, e in reversed(w.runs)))
 
 
 def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[list[Run], int]:
@@ -80,11 +52,6 @@ def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[list[Run], 
     return out, lost
 
 
-def free_reduce(w: FreeWord) -> FreeWord:
-    """Fully reduced form; the empty word is the identity."""
-    return FreeWord(tuple(_reduce_onto((), w.runs)[0]))
-
-
 def _power_runs(r: int, delta: int) -> list[Run]:
     """Runs of (a^r b)^delta, with a^0 dropped."""
     if delta >= 0:
@@ -92,16 +59,6 @@ def _power_runs(r: int, delta: int) -> list[Run]:
     else:
         unit = [("b", -1), ("a", -r)] if r else [("b", -1)]
     return unit * abs(delta)
-
-
-def triangle_word(i: int, j: int, h: int, k: int, deltas: Sequence[int]) -> FreeWord:
-    """The (unreduced) boundary word of the candidate coded by deltas."""
-    if len(deltas) != k + 1:
-        raise ValueError(f"need {k + 1} deltas, got {len(deltas)}")
-    runs: list[Run] = [("a", i + j - h + k)]
-    for r, delta in enumerate(deltas):
-        runs.extend(_power_runs(r, delta))
-    return word(runs)
 
 
 def is_admissible(deltas: Sequence[int]) -> bool:
@@ -132,11 +89,6 @@ def binary_from_delta(deltas: Sequence[int]) -> tuple[int, ...]:
         s += d
         out.append(s)
     return tuple(out)
-
-
-def output_height(i: int, j: int, k: int, deltas: Sequence[int]) -> int:
-    """The unique h the candidate can contribute to: i+j-h+k + sum(r*delta_r) = 0."""
-    return i + j + k + sum(r * d for r, d in enumerate(deltas))
 
 
 @functools.cache

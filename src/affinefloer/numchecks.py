@@ -38,6 +38,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 QUADRATURE_START = 32  # trapezoid points before the first doubling
+QUADRATURE_MAX = 1 << 22  # trapezoid points at which doubling gives up
+# The smallest quadrature tolerance that float rounding cannot decide.  Every
+# integrand of the report is a logarithm over |1 + R e^{it}| <= 6 (R <= 5),
+# so no integral exceeds about 2pi log 6 ~ 11 (the largest is about 5.7), and
+# 2^-52 of 11 is about 2.5e-15: two sums that close may differ by rounding
+# alone.  1e-14 leaves four such units.
+TOL_FLOOR = 1e-14
 NEWTON_STARTS = 12  # Newton starts, evenly spaced on the circle |v| = e^{L/3}
 NEWTON_MAX_ITER = 80
 ROOT_DEDUP_RADIUS = 1e-6  # roots closer than this in |dv| + |dw| are one root
@@ -83,22 +90,21 @@ class HessianReport:
 def periodic_quadrature(
     f: Callable[[float], float],
     tol: float = 1e-10,
-    n_max: int = 1 << 22,
 ) -> float:
     """Trapezoid integral of an even 2pi-periodic function over [0, 2pi).
 
     `f` takes one float and must be even, f(theta) = f(2pi - theta), so an
     n-point grid needs only its nodes in [0, pi]: f(0) + f(pi) + twice each
-    interior node.  Doubles the uniform grid, up to n_max points, until two
-    successive values differ by at most tol; for periodic integrands the
-    uniform rule is already spectrally accurate, so the difference of
-    refinements is a reliable error estimate.
+    interior node.  Doubles the uniform grid, up to QUADRATURE_MAX points,
+    until two successive values differ by at most tol; for periodic
+    integrands the uniform rule is already spectrally accurate, so the
+    difference of refinements is a reliable error estimate.
     """
     n = QUADRATURE_START
     step = 2 * math.pi / n
     interior = math.fsum(map(f, [k * step for k in range(1, n // 2)]))
     prev = math.fsum((f(0.0), f(math.pi), 2 * interior)) * step
-    while n < n_max:
+    while n < QUADRATURE_MAX:
         n *= 2
         step = 2 * math.pi / n
         # the new odd nodes below pi; their mirror images above pi are equal
@@ -107,7 +113,7 @@ def periodic_quadrature(
         if abs(refined - prev) <= tol:
             return refined
         prev = refined
-    raise QuadratureError(f"no convergence to {tol} within {n_max} points")
+    raise QuadratureError(f"no convergence to {tol} within {QUADRATURE_MAX} points")
 
 
 def log_integral(R: float, tol: float = 1e-10) -> float:

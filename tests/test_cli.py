@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from affinefloer import affine, cli
+from affinefloer import affine, cli, numchecks
 
 
 def run(argv, capsys):
@@ -119,8 +119,10 @@ def test_numeric_subcommand(capsys):
     assert data["results"]["numeric"]["pass"]
 
 
-def test_unconverged_quadrature_is_a_failed_check(capsys):
-    code, data = run_json(["numeric", "--tol", "1e-300"], capsys)
+def test_unconverged_quadrature_is_a_failed_check(monkeypatch, capsys):
+    # one doubling is too few for the smallest tolerance the CLI accepts
+    monkeypatch.setattr(numchecks, "QUADRATURE_MAX", 2 * numchecks.QUADRATURE_START)
+    code, data = run_json(["numeric", "--tol", str(numchecks.TOL_FLOOR)], capsys)
     assert code == 1
     assert not data["results"]["numeric"]["pass"]
     failed = [c for c in data["checks"] if not c["pass"]]
@@ -285,6 +287,17 @@ def test_tolerance_must_be_positive_and_finite(command, tol, capsys):
         cli.main(command + ["--tol", tol])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["numeric"], ["verify", "numeric"]])
+def test_tolerance_below_the_rounding_floor_exits_two(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--tol", "1e-300"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--tol" in errors[0] and "1e-14" in errors[0]
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,16 @@ def test_polyring_loads_affine_and_no_other_submodule():
     assert seen == {"loaded": ["affinefloer.affine", "affinefloer.polyring"], "numpy": False}
 
 
+def test_floer_loads_affine_and_no_other_submodule():
+    seen = run_fresh(
+        "import json, sys\n"
+        "import affinefloer.floer\n"
+        "print(json.dumps({'loaded': sorted(m for m in sys.modules\n"
+        "    if m.startswith('affinefloer.'))}))\n"
+    )
+    assert seen == {"loaded": ["affinefloer.affine", "affinefloer.floer"]}
+
+
 def test_wrapped_loads_affine_floer_polyring_and_no_other_submodule():
     seen = run_fresh(
         "import json, sys\n"

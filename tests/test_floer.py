@@ -239,6 +239,24 @@ def test_associativity_small():
                     assert ring_product(left, q3) == ring_product(q1, ring_product(q2, q3))
 
 
+def test_formal_sum_rejects_attribute_assignment():
+    s = floer.FormalSum.from_dict(0, 2, {(-2, 0): 3, (0, 1): -1})
+    for name in ("d1", "d2", "terms", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+    assert s == floer.FormalSum(0, 2, (((-2, 0), 3), ((0, 1), -1)))
+
+
+def test_basis_vector_equals_the_public_constructor():
+    q = basis_vector(0, 2, 0, 1)
+    r = floer.FormalSum(0, 2, (((0, 1), 1),))
+    assert q == r and hash(q) == hash(r)
+    assert type(q) is type(r) is floer.FormalSum
+    assert (q.d1, q.d2, q.terms) == (0, 2, (((0, 1), 1),))
+    out = mu2(basis_vector(2, 4, 2, 0), q)
+    assert type(out) is floer.FormalSum and out.d1 == 0 and out.d2 == 4
+
+
 def test_formal_sum_json_round_trip():
     out = mu2(basis_vector(2, 4, 2, 0), basis_vector(0, 2, -2, 0))
     data = floer.sum_to_json(out)
@@ -342,28 +360,39 @@ def test_closure_violation_fails_on_every_call():
     assert not bad._products
 
 
-def test_ring_product_of_mixed_arguments_is_bilinear():
-    x = floer.FormalSum.from_dict(0, 2, {(-2, 0): 3, (0, 1): -1, (1, 0): 2})
-    y = basis_vector(2, 3, 1, 0)
-    z = floer.FormalSum.from_dict(3, 5, {(-1, 0): 1, (2, 0): 4})
+@pytest.mark.parametrize(
+    "polygon, x_terms, y_key, z_terms",
+    [
+        (affine.CP2, {(-2, 0): 3, (0, 1): -1, (1, 0): 2}, (1, 0), {(-1, 0): 1, (2, 0): 4}),
+        (affine.dp6_model((1, 1, 1)), {(1, 0): 3, (2, 1): -1, (4, 2): 2}, (2, 0),
+         {(0, 0): 1, (3, 1): 4}),
+    ],
+    ids=["cp2", "dp6-111"],
+)
+def test_ring_product_of_mixed_arguments_is_bilinear(polygon, x_terms, y_key, z_terms):
+    x = floer.FormalSum.from_dict(0, 2, x_terms)
+    y = basis_vector(2, 3, *y_key)
+    z = floer.FormalSum.from_dict(3, 5, z_terms)
 
     def bilinear(left, right):
         acc = {}
         for qx, cx in left:
             for qy, cy in right:
-                for key, c in mu2(qy, qx).terms:
+                for key, c in mu2(qy, qx, polygon).terms:
                     acc[key] = acc.get(key, 0) + cx * cy * c
         return {key: c for key, c in acc.items() if c}
 
     def generators(s):
         return [(basis_vector(s.d1, s.d2, *key), c) for key, c in s.terms]
 
-    xy = ring_product(x, y)
+    xy = ring_product(x, y, polygon)
     assert xy.coeffs() == bilinear(generators(x), [(y, 1)])
-    assert ring_product(y, z).coeffs() == bilinear([(y, 1)], generators(z))
-    assert ring_product(xy, z).coeffs() == bilinear(generators(xy), generators(z))
-    assert ring_product(unit(0), x) == x == ring_product(x, unit(2))
-    assert ring_product(unit(2), y).coeffs() == {(1, 0): 1}
+    assert ring_product(y, z, polygon).coeffs() == bilinear([(y, 1)], generators(z))
+    xyz = ring_product(xy, z, polygon)
+    assert xyz.coeffs() == bilinear(generators(xy), generators(z))
+    assert any(c > 1 for _, c in xyz.terms)  # term pairs merged into one key
+    assert ring_product(unit(0), x, polygon) == x == ring_product(x, unit(2), polygon)
+    assert ring_product(unit(2), y, polygon).coeffs() == {y_key: 1}
 
 
 @pytest.mark.parametrize("c", [1, 3, -2, 0])
@@ -377,3 +406,32 @@ def test_ring_product_of_one_term_sums_scales_mu2(c):
     assert ring_product(x, z) == want
     assert ring_product(basis_vector(0, 2, -2, 0), floer.FormalSum(2, 4, (((2, 0), c),))) == want
     assert [key for key, _ in want.terms] == sorted(key for key, _ in want.terms)
+
+
+def _kink(polygon, a, n):
+    """phi(a, n) = sum_t mu_t * max(0, a - n*c_t): the exponent of (1 + W) in
+    the theta function of q_(a,i) at denominator n, kinked at each wall c_t."""
+    return sum(s.multiplicity * max(0, a - n * s.eta_pos) for s in polygon.singularities)
+
+
+@pytest.mark.parametrize(
+    "polygon",
+    [affine.CP2, *(affine.dp6_model(w) for w in ((1, 1, 1), (2, 1, 3), (1, 3, 2)))],
+    ids=["cp2", "dp6-111", "dp6-213", "dp6-132"],
+)
+def test_kink_defect_equals_critical_cover(polygon):
+    # the kink defect phi(a,n) + phi(b,m) - phi(a+b,n+m) is a second formula
+    # for the cover count, sharing no cross-section geometry with it
+    pairs = 0
+    for n in range(1, 5):
+        for m in range(1, 5):
+            for a, count_a in polygon.column_counts(n).items():
+                for b, count_b in polygon.column_counts(m).items():
+                    if not (count_a and count_b):
+                        continue
+                    defect = _kink(polygon, a, n) + _kink(polygon, b, m) - _kink(
+                        polygon, a + b, n + m
+                    )
+                    assert defect == floer.critical_cover(polygon, a, b, n, m).total
+                    pairs += 1
+    assert pairs

@@ -51,7 +51,8 @@ def test_log_integral_rejects_singular_radius():
         nc.log_integral(-2.0)
 
 
-def test_quadrature_error_budget():
+def test_quadrature_error_budget(monkeypatch):
+    monkeypatch.setattr(nc, "QUADRATURE_MAX", 64)
     nodes = []
 
     def f(theta):
@@ -59,7 +60,7 @@ def test_quadrature_error_budget():
         return 1.0
 
     with pytest.raises(nc.QuadratureError, match="within 64 points"):
-        nc.periodic_quadrature(f, tol=-1.0, n_max=64)
+        nc.periodic_quadrature(f, tol=-1.0)
     steps = [theta * 64 / (2 * math.pi) for theta in nodes]
     assert all(abs(k - round(k)) < 1e-9 for k in steps)  # all on the 64-point grid
     assert any(round(k) % 2 for k in steps)  # the 64-point grid was reached
