@@ -156,7 +156,7 @@ class AffinePolygon:
         default_factory=dict, init=False, repr=False, compare=False
     )
     # Beside each table in `_columns`: column a -> top lattice height times
-    # d, for `column_range`.
+    # d, for `embed`.
     _tops: dict[int, dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -185,7 +185,7 @@ class AffinePolygon:
         The point is brought to one denominator d, as (a/d, b/d), and tested
         against the bottom and top segments over its column by integer
         cross-multiplication (`_column_bounds`), the predicate `count_points`
-        scans with.  It shares nothing with `fiber`, `column_range`,
+        scans with.  It shares nothing with `fiber`, `embed`,
         `column_counts` or their integer walk (`_column_walk`), so a
         membership check is a derivation independent of the column table.
         """
@@ -209,7 +209,7 @@ class AffinePolygon:
         0 <= i < column_counts(d).get(a, 0).  Filled once per denominator by
         one left-to-right integer walk over the boundary segments
         (`_column_walk`), which also keeps each column's top lattice height
-        for `column_range`, and shared by every caller, so it must not be
+        for `embed`, and shared by every caller, so it must not be
         mutated; d = 0 gives the unit point's table {0: 1}.
         """
         table = self._columns.get(d)
@@ -333,17 +333,17 @@ def validate(polygon: AffinePolygon) -> list[str]:
     return errs
 
 
-def cp2_model(singularity_xi: RatLike = Fraction(-1, 4)) -> AffinePolygon:
+def cp2_model(xi: RatLike = Fraction(-1, 4)) -> AffinePolygon:
     """The bigon mirror to the projective plane, scaled to top length 2.
 
     eta runs over [-1, 1]; the top boundary is xi = 0; the bottom runs from
     (-1, 0) down to (0, -1/2) and back up to (1, 0); one simple singularity
-    sits at eta = 0.  Its height on the invariant line is a free parameter in
-    (-1/2, 0); no enumeration output depends on it.
+    sits at eta = 0.  Its height xi on the invariant line is a free parameter
+    in (-1/2, 0); no enumeration output depends on it.
     """
-    xi = rat(singularity_xi)
+    xi = rat(xi)
     if not Fraction(-1, 2) < xi < 0:
-        raise ValueError("singularity_xi must lie strictly between -1/2 and 0")
+        raise ValueError("the singularity's height xi must lie strictly between -1/2 and 0")
     return AffinePolygon(
         eta_min=Fraction(-1),
         eta_max=Fraction(1),
@@ -397,21 +397,6 @@ def dp6_model(widths: Sequence[int] = (1, 1, 1)) -> AffinePolygon:
         left_corner=False,
         right_corner=False,
     )
-
-
-def column_range(polygon: AffinePolygon, d: int, a: int) -> tuple[Fraction, int]:
-    """Topmost (1/d)-integral height and point count in the column eta = a/d,
-    d > 0, read from the column table (`AffinePolygon.column_counts`).
-
-    Returns (xi_top_lattice, count); count = 0 when the column misses the
-    region.
-    """
-    if d < 1:
-        raise ValueError("denominator must be positive")
-    count = polygon.column_counts(d).get(a, 0)
-    if not count:
-        return Fraction(0), 0
-    return Fraction(polygon._tops[d][a], d), count
 
 
 def _column_walk(
@@ -482,13 +467,15 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
 
 
 def embed(polygon: AffinePolygon, point: FractionalPoint) -> RationalPoint:
-    """Chart coordinates of a fractional point: (a/d, top_lattice - i/d)."""
-    if point.d < 1:
+    """Chart coordinates of a fractional point: (a/d, top_lattice - i/d),
+    with the column's count and top lattice height read from the column
+    table (`AffinePolygon.column_counts`)."""
+    a, i, d = point
+    if d < 1:
         raise ValueError(f"{point} has no embedding: its denominator is not positive")
-    xi_top, count = column_range(polygon, point.d, point.a)
-    if not 0 <= point.i < count:
+    if not 0 <= i < polygon.column_counts(d).get(a, 0):
         raise ValueError(f"{point} does not lie in the region")
-    return RationalPoint(Fraction(point.a, point.d), xi_top - Fraction(point.i, point.d))
+    return RationalPoint(Fraction(a, d), Fraction(polygon._tops[d][a] - i, d))
 
 
 _Lines = tuple[tuple[int, int, int, int, int], ...]
@@ -543,7 +530,7 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     cross-multiplication: each column's bottom and top segment are picked
     once (`_column_bounds`) and every height is tested with `_in_column`, the
     predicate of `AffinePolygon.contains`.  It shares nothing with
-    `column_range`, `column_counts` or `fiber`, nor with `_column_walk`, the
+    `embed`, `column_counts` or `fiber`, nor with `_column_walk`, the
     integer walk over the boundary segments that derives the enumeration.
     """
     if d < 0:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Optional
@@ -60,19 +59,22 @@ class CommandReport:
 
 
 def resolve_instance(args) -> tuple[str, AffinePolygon]:
-    """(name, polygon) from the positional INSTANCE.
+    """(name, polygon) from the positional INSTANCE and --widths.
 
     Every instance, the cp2 builtin included, is an `AffinePolygon`: products
     compute k geometrically on each of them.  The polygon is validated here
-    once for every command; an invalid one raises ValueError (exit 2).
+    once for every command; an invalid one, or --widths given with any
+    instance but dp6, raises ValueError (exit 2).
     """
     name = args.instance
     if name is None:
         raise ValueError("no instance given (cp2, dp6 or a JSON instance path)")
+    if args.widths is not None and name != "dp6":
+        raise ValueError(f"--widths applies to the dp6 builtin only, not to {name}")
     if name == "cp2":
         polygon = affine.CP2
     elif name == "dp6":
-        polygon = affine.dp6_model(getattr(args, "widths", None) or (1, 1, 1))
+        polygon = affine.dp6_model(args.widths or (1, 1, 1))
     else:
         polygon = affine.load_polygon(name)
     problems = affine.validate(polygon)
@@ -210,15 +212,14 @@ def cmd_numeric(args) -> CommandReport:
 
 
 def tolerance(text: str) -> float:
-    """argparse type of --tol: a finite float no smaller than the quadrature's
-    rounding floor; argparse reports a ValueError as invalid input."""
+    """argparse type of --tol: a float that `numchecks.check_tolerance`
+    accepts.  argparse reports text that is not a float as invalid input and
+    a rejected tolerance with the reason `check_tolerance` gives."""
     value = float(text)
-    if not (math.isfinite(value) and value >= numchecks.TOL_FLOOR):
-        raise argparse.ArgumentTypeError(
-            f"must be finite and at least the rounding floor {numchecks.TOL_FLOOR:g}, "
-            f"got {text!r}"
-        )
-    return value
+    try:
+        return numchecks.check_tolerance(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_instance_args(parser) -> None:
@@ -232,8 +233,17 @@ def _add_instance_args(parser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (subcommand parsers are built from the same class)
+    that reports invalid arguments as one `error:` line and exit status 2,
+    like invalid input found inside a command, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affinefloer",
         description="Exact bases, products and cross-checks on singular affine polygons.",
     )

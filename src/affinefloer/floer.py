@@ -83,11 +83,6 @@ def basis_vector(d1: int, d2: int, a: int, i: int) -> FormalSum:
     return _new(FormalSum, (d1, d2, (((a, i), 1),)))
 
 
-def unit(d: int = 0) -> FormalSum:
-    """The identity morphism q_{0,0} at level d."""
-    return basis_vector(d, d, 0, 0)
-
-
 def sum_to_json(s: FormalSum) -> dict:
     return {
         "d1": s.d1,

@@ -274,8 +274,20 @@ def _check(name: str, error, tolerance: float) -> dict:
     return {"name": name, "max_error": error, "tolerance": tolerance, "pass": error <= tolerance}
 
 
+def check_tolerance(tol: float) -> float:
+    """`tol` if it is finite and at least TOL_FLOOR, so that float rounding
+    cannot decide a quadrature to it; ValueError otherwise."""
+    if not (math.isfinite(tol) and tol >= TOL_FLOOR):
+        raise ValueError(
+            f"tol must be finite and at least the rounding floor {TOL_FLOOR:g}, got {tol!r}"
+        )
+    return tol
+
+
 def numeric_report(tol: float = 1e-9) -> dict:
-    """All numeric checks with measured errors, as one JSON-ready report."""
+    """All numeric checks with measured errors, as one JSON-ready report.
+    Raises ValueError for a tolerance `check_tolerance` rejects."""
+    check_tolerance(tol)
     checks: list[dict] = []
 
     grid_R, grid_lam = relation_grid()

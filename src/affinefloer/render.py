@@ -87,20 +87,17 @@ def render_svg(
     canvas.parts.append(f'<polygon points="{coords}" fill="#f2f0ea" stroke="none"/>')
     canvas.polyline(polygon.top.vertices, stroke="#333333", width=2.5)
     canvas.polyline(polygon.bottom.vertices, stroke="#333333", width=2.5)
-    if not polygon.left_corner:
-        eta = polygon.eta_min
-        canvas.polyline(
-            [RationalPoint(eta, polygon.bottom.value(eta)), RationalPoint(eta, polygon.top.value(eta))],
-            stroke="#333333",
-            width=2.5,
-        )
-    if not polygon.right_corner:
-        eta = polygon.eta_max
-        canvas.polyline(
-            [RationalPoint(eta, polygon.bottom.value(eta)), RationalPoint(eta, polygon.top.value(eta))],
-            stroke="#333333",
-            width=2.5,
-        )
+    facets = ((polygon.left_corner, polygon.eta_min), (polygon.right_corner, polygon.eta_max))
+    for corner, eta in facets:
+        if not corner:  # a vertical boundary facet
+            canvas.polyline(
+                [
+                    RationalPoint(eta, polygon.bottom.value(eta)),
+                    RationalPoint(eta, polygon.top.value(eta)),
+                ],
+                stroke="#333333",
+                width=2.5,
+            )
 
     for s in polygon.singularities:
         cut_bottom = polygon.bottom.value(s.eta_pos)

@@ -21,6 +21,11 @@ multiplicity C(k, s) with s disks below or C(k, k-s) with k-s disks above;
 the two counts are equal, which is why the exact singularity height never
 matters.  Same-sign columns admit only the straight segment with h = i + j.
 
+The singular line and the singularity's height on it are those of the one
+singularity of `affine.CP2`, read each time a witness is worked out, so a
+polygon substituted for `CP2` moves the singularity everywhere at once.  Its
+height selects only whether the disks attach from below or from above.
+
 One integer kernel, `_witness`, works out every witness in coordinates scaled
 by n*m*(n+m): the bend, the disks, the shear and the balance of the arrival
 tangents.  `tropical_structure_constant` returns its multiplicity;
@@ -46,9 +51,6 @@ from .affine import CP2, RationalPoint
 from .floer import k_value_cp2
 
 Vec = tuple[Fraction, Fraction]
-
-_SING_ETA = Fraction(0)  # the singular vertical line of the bigon
-_DEFAULT_SING_XI = Fraction(-1, 4)
 
 
 def _vec(p: RationalPoint, q: RationalPoint) -> Vec:
@@ -94,7 +96,7 @@ class DiskAttachment:
             raise ValueError("disk count must be positive")
         if self.direction not in ((0, 1), (0, -1)):
             raise ValueError("direction must be +-(0, 1)")
-        if self.point.eta != _SING_ETA:
+        if self.point.eta != CP2.singularities[0].eta_pos:
             raise ValueError("attachment must lie on the singular vertical line")
 
 
@@ -200,9 +202,7 @@ class _Witness(NamedTuple):
     multiplicity: int
 
 
-def _witness(
-    a: int, i: int, n: int, b: int, j: int, m: int, h: int, singularity_xi
-) -> Optional[_Witness]:
+def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional[_Witness]:
     """The witness from q_{a,i}@n and q_{b,j}@m to q_{a+b,h}@(n+m), or None
     when s = h - (i+j) lies outside [0, k].
 
@@ -231,7 +231,7 @@ def _witness(
         if abs(base_x) != k * big:  # |det(tangent, (0,1))| attachment spots
             raise ArithmeticError(f"bent leg meets {abs(base_x) // big} attachment spots, not {k}")
         bend = _bend_ratio(a, i, n, b, j, m, h)
-        xi = singularity_xi if isinstance(singularity_xi, Fraction) else Fraction(singularity_xi)
+        xi = CP2.singularities[0].xi_pos
         sing_above = xi.numerator * bend[1] > bend[0] * xi.denominator
         count, sign = _disks(k, s, sing_above)
         if sing_above:  # shear of the part before the bend, in the direction of travel
@@ -245,24 +245,14 @@ def _witness(
 
 
 def build_triangle(
-    a: int,
-    i: int,
-    n: int,
-    b: int,
-    j: int,
-    m: int,
-    h: int,
-    singularity_xi: Fraction = _DEFAULT_SING_XI,
+    a: int, i: int, n: int, b: int, j: int, m: int, h: int
 ) -> Optional[TropicalTriangle]:
     """The unique tropical triangle from q_{a,i}@n and q_{b,j}@m to
     q_{a+b,h}@(n+m), or None when no triangle exists for this h.
 
-    `singularity_xi` is the height of the singularity on its invariant line;
-    it selects whether disks attach from below or above but never changes
-    the multiplicity.  Raises ArithmeticError unless `check_balancing`
-    accepts the triangle.
+    Raises ArithmeticError unless `check_balancing` accepts the triangle.
     """
-    w = _witness(a, i, n, b, j, m, h, singularity_xi)
+    w = _witness(a, i, n, b, j, m, h)
     if w is None:
         return None
 
@@ -274,7 +264,9 @@ def build_triangle(
         TropicalLeg(point(x, y), root, weight, (Fraction(tx, w.big), Fraction(ty, w.big)))
         for (x, y, weight), (tx, ty) in zip(w.leaves, w.tangents)
     )
-    bend = None if w.bend is None else RationalPoint(_SING_ETA, Fraction(*w.bend))
+    bend = None
+    if w.bend is not None:
+        bend = RationalPoint(CP2.singularities[0].eta_pos, Fraction(*w.bend))
     count, sign = w.disks
     disks = (DiskAttachment(bend, count, (0, sign)),) if count else ()
     triangle = TropicalTriangle(legs, root, bend, disks, w.multiplicity)
@@ -283,39 +275,14 @@ def build_triangle(
     return triangle
 
 
-def tropical_structure_constant(
-    a: int,
-    i: int,
-    n: int,
-    b: int,
-    j: int,
-    m: int,
-    h: int,
-    singularity_xi: Fraction = _DEFAULT_SING_XI,
-) -> int:
+def tropical_structure_constant(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> int:
     """Total multiplicity C(k, number of disks) of the witnesses hitting
     output height h, s = h - (i+j), counted in integers without building
     the triangle: s disks below the singularity, k - s above it.  Raises
     ArithmeticError when the witness does not balance.
     """
-    w = _witness(a, i, n, b, j, m, h, singularity_xi)
+    w = _witness(a, i, n, b, j, m, h)
     return 0 if w is None else w.multiplicity
-
-
-def singularity_position_invariance(
-    a: int, i: int, n: int, b: int, j: int, m: int, h: int
-) -> bool:
-    """Whether the triangle with the singularity below the bend (s disks,
-    multiplicity C(k,s)) and the one with it above (k-s disks, C(k,k-s))
-    agree for this (necessarily opposite-sign) product."""
-    if k_value_cp2(a, b) == 0:
-        raise ValueError("position invariance applies to the opposite-sign case")
-    w = _witness(a, i, n, b, j, m, h, _DEFAULT_SING_XI)  # the bend does not depend on xi
-    if w is None:
-        return True  # no triangle for either placement
-    bend = Fraction(*w.bend)
-    below, above = (build_triangle(a, i, n, b, j, m, h, bend + side) for side in (-1, 1))
-    return below.multiplicity == above.multiplicity
 
 
 def partition_constant(k_list: Sequence[int], s: int) -> int:

@@ -1,4 +1,4 @@
-"""Wrapped bases, products and continuation maps for the divisor complements.
+"""Wrapped bases and products for the divisor complements.
 
 Removing the line {y = 0} from the boundary divisor makes y invertible,
 removing the conic {p = 0} (p = xz - y^2) makes p invertible, and removing
@@ -18,19 +18,20 @@ binomial rule as the compact case.
 The wrap step is [y] + 2[p] (1, 2, 3 for L, C, D), writing [y] and [p] for
 the flags as 0 or 1.  The distinguished wrapped generator e_r, for r a
 positive multiple of the step, is (y^[y] p^[p])^{r/step}: its depth is
-[p]*r/step.  Composing with it realizes the continuation maps as dilations
-of the completed base centered at (0, -[p]/step).
+[p]*r/step.  The continuation map from degree d to degree d + r is the
+product with it, `wrapped_product(case, e_element(case, r), q)`: one term
+with coefficient 1, whose chart point (a/d, -i/d) is the image of q's under
+the dilation by d/(d+r) centered at (0, -[p]/step).
 
 The oracle `laurent_product_in_qbasis` clears each factor's negative powers
 of y and p, each by its own power and only where the case inverts it,
 multiplies the numerators in the polynomial ring and divides the powers
 back out.
 
-A generator is checked against its case where it is used (`wrapped_product`,
-`ContinuationMap.apply`), not when it is built.  The infinite bases are only
-ever materialized through caller-supplied windows; comparisons in the
-verification sweeps act on full products, so no term is dropped at a
-window's edge.
+A generator is checked against its case where it is used (`wrapped_product`),
+not when it is built.  The infinite bases are only ever materialized through
+caller-supplied windows; comparisons in the verification sweeps act on full
+products, so no term is dropped at a window's edge.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .affine import FractionalPoint
@@ -74,11 +74,6 @@ def _check_point(case: Complement, point: FractionalPoint) -> None:
             f"depth i={point.i} violates the case-{case.name} rule "
             f"for (a={point.a}, d={point.d})"
         )
-
-
-def _check_level(case: Complement, r: int) -> None:
-    if r <= 0 or r % case.wrap_step != 0:
-        raise ValueError(f"r must be a positive multiple of {case.wrap_step}")
 
 
 @dataclass(frozen=True)
@@ -181,44 +176,6 @@ def laurent_product_in_qbasis(
 def e_element(case: Complement, r: int) -> FractionalPoint:
     """The distinguished wrapped generator (y^[y] p^[p])^{r/step} at
     wrapping level r, a positive multiple of the case's wrap step."""
-    _check_level(case, r)
+    if r <= 0 or r % case.wrap_step != 0:
+        raise ValueError(f"r must be a positive multiple of {case.wrap_step}")
     return FractionalPoint(0, case.inverts_p * r // case.wrap_step, r)
-
-
-@dataclass(frozen=True)
-class ContinuationMap:
-    """Index map induced by composing with e_r, from denominator d2 - d1 to
-    denominator d2 - d1 + r.
-
-    Geometrically this is the inverse of the dilation by
-    (d2-d1)/(d2-d1+r) of the completed base centered at (0, -[p]/step).
-    """
-
-    case: Complement
-    d1: int
-    d2: int
-    r: int
-
-    def __post_init__(self):
-        if self.d2 - self.d1 <= 0:
-            raise ValueError("continuation requires d2 > d1")
-        _check_level(self.case, self.r)
-
-    @property
-    def center(self) -> tuple[Fraction, Fraction]:
-        return (Fraction(0), Fraction(-self.case.inverts_p, self.case.wrap_step))
-
-    def apply(self, point: FractionalPoint) -> FractionalPoint:
-        _check_point(self.case, point)
-        n = self.d2 - self.d1
-        if point.d != n:
-            raise ValueError(f"point has denominator {point.d}, expected {n}")
-        shift = e_element(self.case, self.r).i
-        return FractionalPoint(point.a, point.i + shift, n + self.r)
-
-
-def embed(point: FractionalPoint) -> tuple[Fraction, Fraction]:
-    """Chart coordinates (a/d, -i/d) of a wrapped generator (d > 0)."""
-    if point.d < 1:
-        raise ValueError(f"{point} has no embedding: its degree is not positive")
-    return (Fraction(point.a, point.d), Fraction(-point.i, point.d))

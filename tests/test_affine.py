@@ -284,7 +284,6 @@ def test_membership_scan_shares_nothing_with_the_column_table(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(affine.AffinePolygon, "fiber", forbidden)
         patch.setattr(affine.AffinePolygon, "column_counts", forbidden)
-        patch.setattr(affine, "column_range", forbidden)
         patch.setattr(affine, "_column_walk", forbidden)
         assert {d: affine.count_points(fresh, d) for d in range(6)} == expected
         assert fresh.contains(spot)
@@ -302,7 +301,7 @@ def test_membership_scan_shares_nothing_with_the_column_table(monkeypatch):
 
 
 def _fraction_column(polygon, d, a):
-    """The Fraction column `column_range` read before the integer walk:
+    """The Fraction column that `embed` read before the integer walk:
     (topmost (1/d)-integral height, count) from `fiber`, by floor and ceil."""
     eta = Fraction(a, d)
     if not (polygon.eta_min <= eta <= polygon.eta_max):
@@ -358,7 +357,7 @@ def test_walk_on_columns_at_interior_vertices(d):
         want = _fraction_column(polygon, d, a)
         assert want[1] > 0
         assert table[a] == want[1]
-        assert affine.column_range(polygon, d, a) == want
+        assert affine.embed(polygon, FractionalPoint(a, 0, d)).xi == want[0]
     assert table == _fraction_table(polygon, d)
 
 

@@ -33,6 +33,26 @@ def test_points_human_output(capsys):
     assert "total: 3 points" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["points", "cp2", "1"],
+        ["mu2", "INSTANCE.json", "1", "1", "0", "0", "1", "0"],
+        ["render", "INSTANCE.json", "x.svg"],
+    ],
+    ids=["points-cp2", "mu2-json", "render-json"],
+)
+def test_widths_off_dp6_exits_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "INSTANCE.json").write_text(json.dumps(affine.polygon_to_json(affine.dp6_model())))
+    assert cli.main(argv + ["--widths", "2", "1", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and "--widths" in error
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_points_dp6_with_widths(capsys):
     # columns at eta = 0..4 hold 2, 3, 4, 4, 3 points
     code, data = run_json(["points", "--widths", "2", "1", "1", "dp6", "1"], capsys)
@@ -162,6 +182,16 @@ def test_mu2_prints_polynomial_identity(capsys):
     code, out = run(["mu2", "cp2", "1", "1", "-1", "0", "1", "0"], capsys)
     assert code == 0
     assert "x * z = y^2 + p" in out
+
+
+def test_render_dp6_draws_both_vertical_facets(tmp_path, capsys):
+    out = tmp_path / "dp6.svg"
+    code, _ = run(["render", "dp6", "--points", "2", str(out)], capsys)
+    assert code == 0
+    svg = out.read_text()
+    # dp6 (1,1,1) spans eta in [0, 3] with both facets from xi = -1 to 0
+    for x in ("40.00", "700.00"):
+        assert f'<polyline points="{x},260.00 {x},40.00" fill="none" stroke="#333333"' in svg
 
 
 def test_render_base_only(tmp_path, capsys):
@@ -296,8 +326,18 @@ def test_tolerance_below_the_rounding_floor_exits_two(command, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "--tol" in errors[0] and "1e-14" in errors[0]
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and "--tol" in error and "1e-14" in error
+
+
+def test_unknown_suite_exits_two_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "bogus"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and "'bogus'" in error
 
 
 @pytest.mark.parametrize(

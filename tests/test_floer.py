@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from affinefloer import affine, floer
-from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product, unit
+from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
 
 
 def test_index_range_examples():
@@ -78,9 +78,9 @@ def test_column_table_decides_the_unit_rule_and_the_sign(q, message):
 
 def test_unit_laws():
     q = basis_vector(0, 3, 2, 0)
-    assert mu2(unit(3), q).coeffs() == {(2, 0): 1}
-    assert mu2(q, unit(0)).coeffs() == {(2, 0): 1}
-    assert ring_product(unit(0), q) == ring_product(q, unit(3))
+    assert mu2(basis_vector(3, 3, 0, 0), q).coeffs() == {(2, 0): 1}
+    assert mu2(q, basis_vector(0, 0, 0, 0)).coeffs() == {(2, 0): 1}
+    assert ring_product(basis_vector(0, 0, 0, 0), q) == ring_product(q, basis_vector(3, 3, 0, 0))
 
 
 def test_ring_product_convention_and_bilinearity():
@@ -391,8 +391,9 @@ def test_ring_product_of_mixed_arguments_is_bilinear(polygon, x_terms, y_key, z_
     xyz = ring_product(xy, z, polygon)
     assert xyz.coeffs() == bilinear(generators(xy), generators(z))
     assert any(c > 1 for _, c in xyz.terms)  # term pairs merged into one key
-    assert ring_product(unit(0), x, polygon) == x == ring_product(x, unit(2), polygon)
-    assert ring_product(unit(2), y, polygon).coeffs() == {y_key: 1}
+    one, one_at_2 = basis_vector(0, 0, 0, 0), basis_vector(2, 2, 0, 0)
+    assert ring_product(one, x, polygon) == x == ring_product(x, one_at_2, polygon)
+    assert ring_product(one_at_2, y, polygon).coeffs() == {y_key: 1}
 
 
 @pytest.mark.parametrize("c", [1, 3, -2, 0])

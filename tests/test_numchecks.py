@@ -51,6 +51,12 @@ def test_log_integral_rejects_singular_radius():
         nc.log_integral(-2.0)
 
 
+@pytest.mark.parametrize("tol", [1e-300, 0.0, -1e-9, math.nan, math.inf])
+def test_report_rejects_a_tolerance_below_the_rounding_floor(tol):
+    with pytest.raises(ValueError, match="rounding floor 1e-14"):
+        nc.numeric_report(tol=tol)
+
+
 def test_quadrature_error_budget(monkeypatch):
     monkeypatch.setattr(nc, "QUADRATURE_MAX", 64)
     nodes = []

@@ -8,8 +8,28 @@ import pytest
 
 from affinefloer import tropical as tr
 from affinefloer import verify
-from affinefloer.affine import CP2, RationalPoint
+from affinefloer.affine import CP2, RationalPoint, Singularity
 from affinefloer.floer import index_range
+
+
+def _move_singularity(monkeypatch, xi):
+    """Substitute for the polygon the tropical kernel reads `affine.CP2` with
+    its singularity moved to height xi on the line eta = 0."""
+    monkeypatch.setattr(tr, "CP2", replace(CP2, singularities=(Singularity(0, xi),)))
+
+
+def _multiplicities_below_and_above(monkeypatch, *args):
+    """Multiplicities of the triangle for args with the singularity one unit
+    below its bend and one unit above it, or None for a straight segment."""
+    bend = tr.build_triangle(*args).bend
+    if bend is None:
+        return None
+    out = []
+    for side in (-1, 1):
+        with monkeypatch.context() as patch:
+            _move_singularity(patch, bend.xi + side)
+            out.append(tr.build_triangle(*args).multiplicity)
+    return tuple(out)
 
 
 def test_fig_case_bend_and_multiplicity():
@@ -67,9 +87,11 @@ def test_balancing_detects_perturbed_tangent():
     assert not tr.check_balancing(replace(t, legs=(bad_leg, t.legs[1])))
 
 
-def test_singularity_side_selects_disk_direction():
-    below = tr.build_triangle(-2, 0, 2, 2, 0, 2, 1, singularity_xi=Fraction(-49, 100))
-    above = tr.build_triangle(-2, 0, 2, 2, 0, 2, 1, singularity_xi=Fraction(-1, 100))
+def test_singularity_side_selects_disk_direction(monkeypatch):
+    _move_singularity(monkeypatch, Fraction(-49, 100))
+    below = tr.build_triangle(-2, 0, 2, 2, 0, 2, 1)
+    _move_singularity(monkeypatch, Fraction(-1, 100))
+    above = tr.build_triangle(-2, 0, 2, 2, 0, 2, 1)
     assert below.disks[0].direction == (0, 1) and below.disks[0].count == 1
     assert above.disks[0].direction == (0, -1) and above.disks[0].count == 1
     assert below.multiplicity == above.multiplicity == 2
@@ -79,7 +101,7 @@ def test_singularity_side_selects_disk_direction():
 def test_pure_monodromy_bend_when_all_disks_on_other_side():
     # s = k: placing the singularity above the bend leaves zero disks but the
     # leg still crosses the cut and shears.
-    t = tr.build_triangle(-1, 0, 1, 1, 0, 1, 1, singularity_xi=Fraction(-1, 4))
+    t = tr.build_triangle(-1, 0, 1, 1, 0, 1, 1)
     assert t is not None and t.disks == () and t.bend is not None
     assert t.multiplicity == 1
     assert tr.check_balancing(t)
@@ -97,23 +119,27 @@ def test_every_built_triangle_balances():
                             assert all(leg.end == t.root for leg in t.legs)
 
 
-def test_position_invariance_examples_and_sweep():
-    assert tr.singularity_position_invariance(-2, 0, 2, 2, 0, 2, 1)
-    assert tr.singularity_position_invariance(-5, 0, 5, 5, 0, 5, 2)
+def test_position_invariance_examples_and_sweep(monkeypatch):
+    assert _multiplicities_below_and_above(monkeypatch, -2, 0, 2, 2, 0, 2, 1) == (2, 2)
+    assert _multiplicities_below_and_above(monkeypatch, -5, 0, 5, 5, 0, 5, 2) == (10, 10)
     for k in range(1, 11):
         for s in range(0, k + 1):
-            assert tr.singularity_position_invariance(-k, 0, k, k, 0, k, s)
-    with pytest.raises(ValueError):
-        tr.singularity_position_invariance(1, 0, 1, 1, 0, 1, 0)
+            below, above = _multiplicities_below_and_above(monkeypatch, -k, 0, k, k, 0, k, s)
+            assert below == above == math.comb(k, s)
+    # same-sign columns give a straight segment, which has no bend to move around
+    assert _multiplicities_below_and_above(monkeypatch, 1, 0, 1, 1, 0, 1, 0) is None
 
 
 def test_position_invariance_compares_the_two_disk_counts(monkeypatch):
     # With a binomial that is not symmetric, C(k, s) below and C(k, k-s)
     # above differ unless s = k - s.
     monkeypatch.setattr(tr, "comb", lambda k, s: math.comb(k, s) + s)
-    assert not tr.singularity_position_invariance(-2, 0, 2, 2, 0, 2, 0)
-    assert not tr.singularity_position_invariance(-3, 0, 3, 3, 0, 3, 1)
-    assert tr.singularity_position_invariance(-2, 0, 2, 2, 0, 2, 1)
+    below, above = _multiplicities_below_and_above(monkeypatch, -2, 0, 2, 2, 0, 2, 0)
+    assert below != above
+    below, above = _multiplicities_below_and_above(monkeypatch, -3, 0, 3, 3, 0, 3, 1)
+    assert below != above
+    below, above = _multiplicities_below_and_above(monkeypatch, -2, 0, 2, 2, 0, 2, 1)
+    assert below == above
 
 
 def test_partition_constant_examples():
@@ -166,12 +192,13 @@ def _cp2_products(max_nm):
                         yield a, i, n, b, j, m, h
 
 
-@pytest.mark.parametrize("xi", [_LOW, tr._DEFAULT_SING_XI, _HIGH])
-def test_integer_count_equals_built_multiplicity(xi):
+@pytest.mark.parametrize("xi", [_LOW, CP2.singularities[0].xi_pos, _HIGH])
+def test_integer_count_equals_built_multiplicity(xi, monkeypatch):
+    _move_singularity(monkeypatch, xi)
     directions = set()
     for args in _cp2_products(4):
-        t = tr.build_triangle(*args, singularity_xi=xi)
-        assert tr.tropical_structure_constant(*args, singularity_xi=xi) == (
+        t = tr.build_triangle(*args)
+        assert tr.tropical_structure_constant(*args) == (
             0 if t is None else t.multiplicity
         )
         if t is not None:
@@ -194,10 +221,12 @@ def test_planted_imbalance_is_raised_and_reported(monkeypatch):
 
     monkeypatch.setattr(tr, "_disks", one_disk_too_many)
     for xi in (_LOW, _HIGH):
-        with pytest.raises(ArithmeticError, match="does not balance"):
-            tr.tropical_structure_constant(-2, 0, 2, 2, 0, 2, 1, singularity_xi=xi)
-        with pytest.raises(ArithmeticError, match="does not balance"):
-            tr.build_triangle(-2, 0, 2, 2, 0, 2, 1, singularity_xi=xi)
+        with monkeypatch.context() as patch:
+            _move_singularity(patch, xi)
+            with pytest.raises(ArithmeticError, match="does not balance"):
+                tr.tropical_structure_constant(-2, 0, 2, 2, 0, 2, 1)
+            with pytest.raises(ArithmeticError, match="does not balance"):
+                tr.build_triangle(-2, 0, 2, 2, 0, 2, 1)
     # same-sign products have no disks and still count
     assert tr.tropical_structure_constant(1, 0, 1, 1, 0, 1, 0) == 1
     sweep = verify.tropical(1)

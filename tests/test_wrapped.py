@@ -8,7 +8,23 @@ from affinefloer import wrapped as wr
 from affinefloer.affine import FractionalPoint
 from affinefloer.floer import basis_vector, index_range, mu2
 from affinefloer.polyring import QBasisIndex, expand_in_qbasis, multiply, q_monomial
-from affinefloer.wrapped import Complement, ContinuationMap
+from affinefloer.wrapped import Complement
+
+
+def _continuation(case, r, q):
+    """The image of q under the continuation map of level r, the product
+    with e_r, or None unless that product is one term with coefficient 1."""
+    product = wr.wrapped_product(case, wr.e_element(case, r), q)
+    if list(product.values()) != [1]:
+        return None
+    ((a, i),) = product
+    return FractionalPoint(a, i, q.d + r)
+
+
+def _chart(q):
+    """Chart point (a/d, -i/d) of a wrapped generator of positive degree."""
+    return (Fraction(q.a, q.d), Fraction(-q.i, q.d))
+
 
 # Generators each case rejects, with the message: a negative degree in every
 # case, and a depth outside the case-L and case-C rules.
@@ -29,9 +45,8 @@ def test_case_depth_rules():
     ):
         assert q in wr.wrapped_basis(case, q.d, a_max=abs(q.a), i_max=abs(q.i))
         assert wr.wrapped_product(case, q, FractionalPoint(0, 0, 0)) == {(q.a, q.i): 1}
-        if q.d:
-            image = ContinuationMap(case, 0, q.d, case.wrap_step).apply(q)
-            assert image == (q.a, q.i + wr.e_element(case, case.wrap_step).i, q.d + case.wrap_step)
+        image = _continuation(case, case.wrap_step, q)
+        assert image == (q.a, q.i + wr.e_element(case, case.wrap_step).i, q.d + case.wrap_step)
 
 
 @pytest.mark.parametrize("case, q, message", _REJECTED)
@@ -40,7 +55,7 @@ def test_case_depth_rules_reject_at_the_point_of_use(case, q, message):
     for run in (
         lambda: wr.wrapped_product(case, q, unit),
         lambda: wr.wrapped_product(case, unit, q),
-        lambda: ContinuationMap(case, 0, max(q.d, 1), case.wrap_step).apply(q),
+        lambda: _continuation(case, case.wrap_step, q),
     ):
         with pytest.raises(ValueError) as info:
             run()
@@ -50,12 +65,6 @@ def test_case_depth_rules_reject_at_the_point_of_use(case, q, message):
             wr.wrapped_basis(case, q.d, a_max=3, i_max=3)
     else:
         assert q not in wr.wrapped_basis(case, q.d, a_max=3, i_max=3)
-
-
-@pytest.mark.parametrize("d", [0, -1])
-def test_embed_rejects_a_nonpositive_degree(d):
-    with pytest.raises(ValueError, match="no embedding"):
-        wr.embed(FractionalPoint(0, 0, d))
 
 
 def _depth_ok_by_case(case, a, i, d):
@@ -200,14 +209,14 @@ def test_e_element_group_law():
 
 
 def test_continuation_is_composition_with_e():
+    # one term with coefficient 1, shifted in depth by [p]*r/step
     for case in Complement:
         step = case.wrap_step
         for r in range(step, 7, step):
-            cmap = ContinuationMap(case, 0, 2, r)
             e = wr.e_element(case, r)
             for q in wr.wrapped_basis(case, 2, a_max=3, i_max=2):
-                image = cmap.apply(q)
-                assert wr.wrapped_product(case, e, q) == {(image.a, image.i): 1}
+                want = {(q.a, q.i + case.inverts_p * r // step): 1}
+                assert wr.wrapped_product(case, e, q) == want
 
 
 def test_continuation_is_dilation_with_case_center():
@@ -218,14 +227,11 @@ def test_continuation_is_dilation_with_case_center():
     }
     for case in Complement:
         step = case.wrap_step
+        cx, cy = centers[case]
         for r in range(step, 7, step):
-            cmap = ContinuationMap(case, 1, 3, r)
-            assert cmap.center == centers[case]
             factor = Fraction(2, 2 + r)
-            cx, cy = cmap.center
             for q in wr.wrapped_basis(case, 2, a_max=3, i_max=2):
-                src = wr.embed(q)
-                dst = wr.embed(cmap.apply(q))
+                src, dst = _chart(q), _chart(_continuation(case, r, q))
                 assert dst[0] == cx + (src[0] - cx) * factor
                 assert dst[1] == cy + (src[1] - cy) * factor
 
@@ -236,21 +242,21 @@ def test_continuation_directed_system():
         for r1 in range(step, 7, step):
             for r2 in range(step, 7, step):
                 for q in wr.wrapped_basis(case, 1, a_max=2, i_max=2):
-                    stepwise = ContinuationMap(case, 0, 1 + r1, r2).apply(
-                        ContinuationMap(case, 0, 1, r1).apply(q)
-                    )
-                    direct = ContinuationMap(case, 0, 1, r1 + r2).apply(q)
-                    assert stepwise == direct
+                    stepwise = _continuation(case, r2, _continuation(case, r1, q))
+                    direct = _continuation(case, r1 + r2, q)
+                    assert direct is not None and stepwise == direct
 
 
 def test_continuation_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        ContinuationMap(Complement.L, 2, 2, 1)
-    with pytest.raises(ValueError):
-        ContinuationMap(Complement.C, 0, 1, 3)
-    cmap = ContinuationMap(Complement.L, 0, 1, 1)
-    with pytest.raises(ValueError):
-        cmap.apply(FractionalPoint(0, 0, 2))
+    # the level is a positive multiple of the wrap step
+    for case in Complement:
+        step = case.wrap_step
+        for r in range(-step, 4 * step + 1):
+            if r > 0 and r % step == 0:
+                assert wr.e_element(case, r).d == r
+                continue
+            with pytest.raises(ValueError, match=f"^r must be a positive multiple of {step}$"):
+                _continuation(case, r, FractionalPoint(0, 0, 1))
 
 
 def _yp_cleared_product(case, l1, l2):
