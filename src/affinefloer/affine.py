@@ -160,12 +160,19 @@ class AffinePolygon:
     _tops: dict[int, dict[int, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # Memo of `floer.mu2`: (a, i, n, b, j, m) -> the product's sorted terms.
-    # Filled only by successful products (errors are raised, never stored),
-    # it grows by one entry per distinct product asked of this polygon.  Like
-    # `_columns` and `_tops` it is per instance: equal polygons share
-    # nothing, and it takes no part in equality, hashing, repr or JSON.
+    # Memos of `floer`, filled only by successful calls (errors are raised,
+    # never stored) and growing by one entry per distinct key asked of this
+    # polygon.  `_products` memoizes `mu2`: (a, i, n, b, j, m) -> the
+    # product's sorted terms.  `_covers` memoizes `critical_cover`:
+    # (a, b, n, m) -> its `CriticalCover`, one entry per column pair, since
+    # the depths i, j do not move k.  Like `_columns` and `_tops` they are
+    # per instance: equal polygons share nothing, `dataclasses.replace`
+    # starts empty ones, and they take no part in equality, hashing, repr or
+    # JSON.
     _products: dict[tuple[int, ...], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _covers: dict[tuple[int, int, int, int], Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 

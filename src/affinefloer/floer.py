@@ -28,12 +28,18 @@ cached column table (`AffinePolygon.column_counts`), and nowhere else: the
 table holds only q_{0,0} at denominator 0 (the unit) and rejects negative
 denominators, so a basis vector is not validated when it is built.
 
-`mu2` memoizes its terms on the polygon (`AffinePolygon._products`), keyed
-by (a, i, n, b, j, m): the levels d1, d2, d3 only shift the result.  The
-first call with a key runs every check; a repeated product is one dict
-lookup.  Errors (inadmissible inputs, closure violations) are raised and
-never stored, so a bad input fails on every call.  The memo holds one entry
-per distinct product asked of the polygon and is never trimmed.
+Two memos on the polygon hold what the product path computes, each keyed
+by exactly what its value depends on.  `mu2` memoizes its terms in
+`AffinePolygon._products`, keyed by points (a, i, n, b, j, m): the levels
+d1, d2, d3 only shift the result.  `critical_cover` memoizes its count in
+`AffinePolygon._covers`, keyed by columns (a, b, n, m): the columns a/n and
+b/m fix the section triangle and the depths only move it vertically, so k
+does not depend on i and j.  A dp6 (1,1,1) associativity sweep to degree 2
+fills 13 611 products from 627 column pairs.  The first call with a key
+runs every check; a repeat is one dict lookup.  Errors (inadmissible
+inputs, non-integral cross-sections, closure violations) are raised and
+never stored, so a bad input fails on every call.  Both memos hold one
+entry per distinct key asked of the polygon and are never trimmed.
 
 A formal sum is a named tuple (d1, d2, terms).  Inside the library it is
 built through `tuple.__new__` (`_new`), which skips the Python frame of the
@@ -75,11 +81,24 @@ class FormalSum(NamedTuple):
 _new = tuple.__new__  # _new(FormalSum, (d1, d2, terms)): FormalSum without its frame
 
 
+# Basis vectors with int arguments, interned by (d1, d2, a, i).
+_basis_vectors: dict[tuple[int, int, int, int], FormalSum] = {}
+
+
 def basis_vector(d1: int, d2: int, a: int, i: int) -> FormalSum:
     """The generator q_{a,i} from level d1 to level d2 (denominator d2 - d1).
 
     Its admissibility is checked by `mu2`, against the polygon's column
-    table."""
+    table.  When all four arguments are exact ints the sum is interned: equal
+    arguments return one shared object.  Any other argument type (a bool or
+    a float equal to an int included) builds a fresh sum that is never
+    stored, so it is never handed back for an int request."""
+    if type(d1) is type(d2) is type(a) is type(i) is int:
+        key = (d1, d2, a, i)
+        q = _basis_vectors.get(key)
+        if q is None:
+            q = _basis_vectors[key] = _new(FormalSum, (d1, d2, (((a, i), 1),)))
+        return q
     return _new(FormalSum, (d1, d2, (((a, i), 1),)))
 
 
@@ -129,7 +148,16 @@ def critical_cover(
     (b/m, a - n*b/m), ((a+b)/(n+m), 0).  At each singularity line the
     cross-section endpoints must be integers; instances with non-integer
     n*c or (n+m)*c are rejected rather than counted ambiguously.
+
+    The count is memoized on the polygon (`AffinePolygon._covers`) by
+    (a, b, n, m).  Only a count from four exact ints is stored: a float
+    equal to an int counts a float k, which an int request must never read.
+    A rejected pair raises on every call and is not stored.
     """
+    key = (a, b, n, m)
+    cover = polygon._covers.get(key)
+    if cover is not None:
+        return cover
     if n <= 0 or m <= 0:
         raise ValueError("both denominators must be positive")
     for col, den in ((a, n), (b, m)):
@@ -160,7 +188,10 @@ def critical_cover(
         # [lo, hi] holds hi - lo of them strictly inside, each counted once
         # per merged focus-focus point.
         ks.append(s.multiplicity * ((hi - lo) // q))
-    return CriticalCover(tuple(ks))
+    cover = CriticalCover(tuple(ks))
+    if type(a) is type(b) is type(n) is type(m) is int:
+        polygon._covers[key] = cover
+    return cover
 
 
 def _product_terms(

@@ -8,8 +8,9 @@ points (`QBasisIndex` is `affine.FractionalPoint`): with p = xz - y^2,
 
 for |a| <= d and 0 <= i <= floor((d - |a|)/2), the ring's own index rule,
 which `qbasis_indices` enumerates and `q_monomial` checks.  Multiplying two
-such elements and re-expanding reproduces the binomial structure constants
-of the triangle product, which is what `verify.ring` sweeps.
+such elements and re-expanding (`q_product`, memoized by the ordered pair of
+indices) reproduces the binomial structure constants of the triangle
+product, which is what `verify.ring` sweeps.
 
 Expansion in the Q basis inverts the change-of-basis matrix from the Q
 elements to the monomials, one degree at a time, and caches the inverse per
@@ -234,6 +235,28 @@ def expand_in_qbasis(poly: HomogeneousPolynomial) -> Dict[QBasisIndex, int]:
         for k, v in expansion[mono].items():
             acc[k] = acc.get(k, 0) + c * v
     return {indices[k]: v for k, v in acc.items() if v != 0}
+
+
+# Products already expanded, keyed by the ordered pair of Q indices.
+_product_cache: Dict[tuple, Dict[QBasisIndex, int]] = {}
+
+
+def q_product(left: Tuple[int, int, int], right: Tuple[int, int, int]) -> Dict[QBasisIndex, int]:
+    """Q_left * Q_right expanded over the distinguished basis of the summed
+    degree: `expand_in_qbasis(multiply(q_monomial(left), q_monomial(right)))`.
+
+    Memoized by the ordered pair of indices (a QBasisIndex and a plain
+    tuple are equal keys): every call with equal indices returns the same
+    shared dict, which must not be mutated.  An invalid index raises
+    ValueError and nothing is stored.
+    """
+    key = (left, right)
+    expansion = _product_cache.get(key)
+    if expansion is None:
+        expansion = _product_cache[key] = expand_in_qbasis(
+            multiply(q_monomial(left), q_monomial(right))
+        )
+    return expansion
 
 
 def q_label(a: int, i: int, d: int) -> str:

@@ -52,13 +52,18 @@ def ring_expansion(a: int, i: int, n: int, b: int, j: int, m: int) -> dict[tuple
     """Q_{a,i} of degree n times Q_{b,j} of degree m, expanded over the
     degree n + m basis and keyed by (a, i), as mu2's coefficients are.
 
-    A degree-0 factor is the ring's unit, so the product is the other
-    factor expanded in the Q basis; the product of two units is {(0, 0): 1}.
+    Two factors of positive degree are `polyring.q_product`.  A degree-0
+    factor is the ring's unit, so the product is the other factor expanded
+    in the Q basis; the product of two units is {(0, 0): 1}.
     """
-    product = polyring.multiply(_q_element(a, i, n), _q_element(b, j, m))
-    if product.degree == 0:
-        return {(0, 0): 1}
-    return {(col, depth): c for (col, depth, _), c in polyring.expand_in_qbasis(product).items()}
+    if n > 0 and m > 0:
+        expansion = polyring.q_product((a, i, n), (b, j, m))
+    else:
+        product = polyring.multiply(_q_element(a, i, n), _q_element(b, j, m))
+        if product.degree == 0:
+            return {(0, 0): 1}
+        expansion = polyring.expand_in_qbasis(product)
+    return {(col, depth): c for (col, depth, _), c in expansion.items()}
 
 
 def ring(max_degree: int) -> Sweep:

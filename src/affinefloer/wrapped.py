@@ -26,7 +26,8 @@ the dilation by d/(d+r) centered at (0, -[p]/step).
 The oracle `laurent_product_in_qbasis` clears each factor's negative powers
 of y and p, each by its own power and only where the case inverts it,
 multiplies the numerators in the polynomial ring and divides the powers
-back out.
+back out.  The numerators' product is `polyring.q_product`, memoized by the
+pair of numerator indices, so a product the sweeps meet again is one lookup.
 
 A generator is checked against its case where it is used (`wrapped_product`),
 not when it is built.  The infinite bases are only ever materialized through
@@ -43,7 +44,7 @@ from typing import Dict, Tuple
 
 from .affine import FractionalPoint
 from .floer import k_value_cp2
-from .polyring import expand_in_qbasis, multiply, q_monomial
+from .polyring import q_product
 
 
 class Complement(Enum):
@@ -159,17 +160,16 @@ def laurent_product_in_qbasis(
 
     Denominators are cleared by `_clearing`.  The numerators are multiplied
     as honest polynomials and expanded over the distinguished polynomial
-    basis, and the clearing powers are divided back out: a power of p as a
-    depth shift, a power of y as a degree shift that leaves the (a, i)
-    labels alone.
+    basis (`q_product`), and the clearing powers are divided back out: a
+    power of p as a depth shift, a power of y as a degree shift that leaves
+    the (a, i) labels alone.
     """
-    factors, total_rp = [], 0
+    numerators, total_rp = [], 0
     for elt in (l1, l2):
         ry, rp = _clearing(case, elt)
         total_rp += rp
-        d_num = elt.degree + 2 * rp + ry
-        factors.append(q_monomial((elt.a, elt.p_exp + rp, d_num)))
-    expansion = expand_in_qbasis(multiply(factors[0], factors[1]))
+        numerators.append((elt.a, elt.p_exp + rp, elt.degree + 2 * rp + ry))
+    expansion = q_product(*numerators)
     return {(a, i - total_rp): c for (a, i, _), c in expansion.items()}
 
 

@@ -1,8 +1,11 @@
 """Triangle products: closed-form counts, the geometric covering rule, and
 the algebra laws of the product."""
 
+import json
 import math
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -186,8 +189,6 @@ def test_critical_cover_dp6_spans_both_singularities():
 
 
 def test_critical_cover_rejects_non_integral_positions():
-    from dataclasses import replace
-
     m = affine.cp2_model()
     shifted = replace(
         m, singularities=(replace(m.singularities[0], eta_pos=Fraction(1, 3)),)
@@ -245,6 +246,27 @@ def test_formal_sum_rejects_attribute_assignment():
         with pytest.raises(AttributeError):
             setattr(s, name, 0)
     assert s == floer.FormalSum(0, 2, (((-2, 0), 3), ((0, 1), -1)))
+
+
+def test_basis_vectors_with_int_arguments_are_interned():
+    q = basis_vector(0, 3, -2, 1)
+    assert basis_vector(0, 3, -2, 1) is q
+    assert q == floer.FormalSum(0, 3, (((-2, 1), 1),))
+    assert basis_vector(1, 4, -2, 1) is not q
+
+
+@pytest.mark.parametrize("other", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("other_first", [True, False], ids=["other-first", "int-first"])
+def test_an_equal_argument_of_another_type_is_never_interned(monkeypatch, other, other_first):
+    monkeypatch.setattr(floer, "_basis_vectors", {})
+    if other_first:
+        basis_vector(0, 1, other, 0)
+    q = basis_vector(0, 1, 1, 0)
+    assert basis_vector(0, 1, other, 0) is not q
+    assert json.dumps(floer.sum_to_json(q)) == (
+        '{"d1": 0, "d2": 1, "terms": [{"a": 1, "i": 0, "c": 1}]}'
+    )
+    assert list(floer._basis_vectors) == [(0, 1, 1, 0)]
 
 
 def test_basis_vector_equals_the_public_constructor():
@@ -314,6 +336,8 @@ def test_memo_returns_what_the_first_call_computed(make, max_n, monkeypatch):
         for a, i, n, b, j, m in pairs
     ]
     assert len(polygon._products) == len(pairs)
+    # k is counted once per column pair, whatever the depths
+    assert len(polygon._covers) == len({(a, b, n, m) for a, _, n, b, _, m in pairs})
 
     def no_recount(*args):
         raise AssertionError("a memoized product was recounted")
@@ -330,19 +354,74 @@ def test_memo_returns_what_the_first_call_computed(make, max_n, monkeypatch):
 def test_equal_polygons_do_not_share_a_memo():
     first, second = affine.cp2_model(), affine.cp2_model()
     mu2(basis_vector(1, 2, 1, 0), basis_vector(0, 1, -1, 0), first)
-    assert first._products and not second._products
+    assert first._products and first._covers
+    assert not second._products and not second._covers
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second)
-    assert "_products" not in repr(first)
+    assert "_products" not in repr(first) and "_covers" not in repr(first)
     data = affine.polygon_to_json(first)
     assert data == affine.polygon_to_json(second)
     loaded = affine.polygon_from_json(data)
-    assert loaded == first and not loaded._products
+    assert loaded == first and not loaded._products and not loaded._covers
+
+
+@pytest.mark.parametrize(
+    "polygon, args, message",
+    [
+        (affine.cp2_model(), (2, 0, 1, 1), "column 2 not admissible for denominator 1"),
+        (affine.cp2_model(), (0, 0, 0, 1), "both denominators must be positive"),
+        (affine.cp2_model(), (0, 0, 1, -1), "both denominators must be positive"),
+        (
+            replace(
+                affine.cp2_model(),
+                singularities=(affine.Singularity(Fraction(1, 3), Fraction(-1, 4)),),
+            ),
+            (-1, 1, 1, 1),
+            "are not integers",
+        ),
+    ],
+    ids=["inadmissible-column", "zero-denominator", "negative-denominator", "non-integral"],
+)
+def test_failed_cover_count_raises_on_every_call(polygon, args, message):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            floer.critical_cover(polygon, *args)
+    assert not polygon._covers
+
+
+def test_a_count_from_a_float_column_is_not_stored():
+    # a float column counts a float k; stored under the equal int key it
+    # would reach mu2, where math.comb rejects it
+    polygon = affine.cp2_model()
+    assert floer.critical_cover(polygon, -1.0, 1, 1, 1).k_list == (1.0,)
+    assert not polygon._covers
+    (k,) = floer.critical_cover(polygon, -1, 1, 1, 1).k_list
+    assert type(k) is int
+    assert mu2(basis_vector(1, 2, 1, 0), basis_vector(0, 1, -1, 0), polygon).coeffs() == {
+        (0, 0): 1,
+        (0, 1): 1,
+    }
+
+
+@pytest.mark.parametrize(
+    "eta, multiplicity, k",
+    [(Fraction(0), 2, 4), (Fraction(1, 2), 1, 1)],
+    ids=["doubled", "moved"],
+)
+def test_a_replaced_polygon_never_reads_a_stale_count(eta, multiplicity, k):
+    # x^2 * z^2 on cp2 covers two critical values at eta = 0; doubling the
+    # singularity or moving it to 1/2 changes k, and so must the count
+    polygon = affine.cp2_model()
+    assert floer.critical_cover(polygon, -2, 2, 2, 2).k_list == (2,)
+    singularity = affine.Singularity(eta, Fraction(-1, 4), multiplicity)
+    changed = replace(polygon, singularities=(singularity,))
+    assert not changed._covers
+    assert floer.critical_cover(changed, -2, 2, 2, 2).k_list == (k,)
+    assert _recount_cover(changed, -2, 2, 2, 2) == (k,)
+    assert polygon._covers[(-2, 2, 2, 2)].k_list == (2,)
 
 
 def test_closure_violation_fails_on_every_call():
-    from dataclasses import replace
-
     # multiplicity 2 doubles k, which pushes x * z past the column's depth
     bad = replace(
         affine.cp2_model(),
@@ -416,13 +495,19 @@ def _kink(polygon, a, n):
 
 
 @pytest.mark.parametrize(
-    "polygon",
-    [affine.CP2, *(affine.dp6_model(w) for w in ((1, 1, 1), (2, 1, 3), (1, 3, 2)))],
+    "make",
+    [
+        affine.cp2_model,
+        *(partial(affine.dp6_model, w) for w in ((1, 1, 1), (2, 1, 3), (1, 3, 2))),
+    ],
     ids=["cp2", "dp6-111", "dp6-213", "dp6-132"],
 )
-def test_kink_defect_equals_critical_cover(polygon):
+def test_kink_defect_equals_critical_cover(make):
     # the kink defect phi(a,n) + phi(b,m) - phi(a+b,n+m) is a second formula
-    # for the cover count, sharing no cross-section geometry with it
+    # for the cover count, sharing no cross-section geometry with it; each
+    # pair is counted cold, then again from the memo, and on a second polygon
+    # that has not counted it
+    polygon, fresh = make(), make()
     pairs = 0
     for n in range(1, 5):
         for m in range(1, 5):
@@ -433,6 +518,11 @@ def test_kink_defect_equals_critical_cover(polygon):
                     defect = _kink(polygon, a, n) + _kink(polygon, b, m) - _kink(
                         polygon, a + b, n + m
                     )
-                    assert defect == floer.critical_cover(polygon, a, b, n, m).total
+                    assert (a, b, n, m) not in polygon._covers
+                    cold = floer.critical_cover(polygon, a, b, n, m)
+                    warm = floer.critical_cover(polygon, a, b, n, m)
+                    assert warm is cold
+                    other = floer.critical_cover(fresh, a, b, n, m)
+                    assert defect == cold.total == other.total
                     pairs += 1
-    assert pairs
+    assert len(polygon._covers) == pairs

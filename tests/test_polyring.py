@@ -96,6 +96,30 @@ def test_q_monomial_rejects_bad_index():
     assert pr._q_cache == before
 
 
+def test_q_product_is_memoized_and_equals_multiply_and_expand(monkeypatch):
+    monkeypatch.setattr(pr, "_product_cache", {})
+    indices = [idx for d in range(1, 6) for idx in pr.qbasis_indices(d)]
+    for left in indices:
+        for right in indices:
+            product = pr.q_product(left, right)
+            assert product == pr.expand_in_qbasis(
+                pr.multiply(pr.q_monomial(left), pr.q_monomial(right))
+            )
+            assert pr.q_product(tuple(left), tuple(right)) is product
+    # one entry per ordered pair: a tuple and an index are one key
+    assert len(pr._product_cache) == len(indices) ** 2
+
+
+def test_q_product_rejects_bad_index_on_every_call(monkeypatch):
+    monkeypatch.setattr(pr, "_product_cache", {})
+    for bad in ((3, 0, 2), (0, 2, 2), (0, 0, 0), (0, -1, 2)):
+        for pair in ((bad, (0, 0, 1)), ((0, 0, 1), bad)):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    pr.q_product(*pair)
+    assert not pr._product_cache
+
+
 def test_qbasis_indices_rejects_degree_zero():
     with pytest.raises(ValueError):
         pr.qbasis_indices(0)
