@@ -67,8 +67,6 @@ def resolve_instance(args) -> tuple[str, AffinePolygon]:
     instance but dp6, raises ValueError (exit 2).
     """
     name = args.instance
-    if name is None:
-        raise ValueError("no instance given (cp2, dp6 or a JSON instance path)")
     if args.widths is not None and name != "dp6":
         raise ValueError(f"--widths applies to the dp6 builtin only, not to {name}")
     if name == "cp2":
@@ -224,7 +222,7 @@ def tolerance(text: str) -> float:
 
 def _add_instance_args(parser) -> None:
     parser.add_argument(
-        "instance", nargs="?", metavar="INSTANCE",
+        "instance", metavar="INSTANCE",
         help="builtin name (cp2, dp6) or JSON instance path",
     )
     parser.add_argument(
@@ -274,16 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="write an SVG figure")
-    p_render.add_argument(
-        "instance", metavar="INSTANCE",
-        help="builtin name (cp2, dp6) or JSON instance path",
-    )
+    _add_instance_args(p_render)
     p_render.add_argument("out", metavar="OUT.svg")
     p_render.add_argument("--points", type=int, metavar="D")
     p_render.add_argument(
         "--triangle", type=int, nargs=7, metavar=("A", "I", "N", "B", "J", "M", "H")
     )
-    p_render.add_argument("--widths", type=int, nargs=3, metavar=("W1", "W2", "W3"))
     p_render.set_defaults(func=cmd_render)
 
     p_numeric = sub.add_parser("numeric", help="floating-point checks report")

@@ -8,10 +8,9 @@ bilinear, and the product of two basis vectors is the integer formal sum
     mu2(q_{b,j}, q_{a,i}) = sum_{s=0}^{k} C(k, s) * q_{a+b, i+j+s}
 
 where k counts how many times the triangle spanned by the three section paths
-covers the critical lines.  k is computed geometrically by `critical_cover`,
-one count per singularity, on every instance; the projective plane is the
-instance `affine.CP2`, the default.  Its closed form `k_value_cp2` (min(|a|,
-|b|) for opposite-sign columns, 0 otherwise) is kept only as an oracle.
+covers the critical lines.  `wall_count` counts one singularity; `mu2` sums it
+over the polygon's (`critical_cover`), the wrapped product over cp2's.  The
+projective plane is the instance `affine.CP2`, the default.
 
 The geometric rule: lift the three section paths to the universal cover of
 the base annulus as straight graphs over eta (a path of level n drops with
@@ -38,8 +37,8 @@ does not depend on i and j.  A dp6 (1,1,1) associativity sweep to degree 2
 fills 13 611 products from 627 column pairs.  The first call with a key
 runs every check; a repeat is one dict lookup.  Errors (inadmissible
 inputs, non-integral cross-sections, closure violations) are raised and
-never stored, so a bad input fails on every call.  Both memos hold one
-entry per distinct key asked of the polygon and are never trimmed.
+never stored, so a bad input fails on every call; so is a result from a
+key that is not all exact ints.  Both memos are never trimmed.
 
 A formal sum is a named tuple (d1, d2, terms).  Inside the library it is
 built through `tuple.__new__` (`_new`), which skips the Python frame of the
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .affine import CP2, AffinePolygon
+from .affine import CP2, AffinePolygon, Singularity
 
 
 class FormalSum(NamedTuple):
@@ -119,13 +118,45 @@ def index_range(d1: int, d2: int, polygon: AffinePolygon = CP2) -> set[tuple[int
 
 
 def k_value_cp2(a: int, b: int) -> int:
-    """Closed-form critical-line covering count on the projective plane.
-
-    An oracle for `critical_cover` on `affine.CP2`, and the count used by
-    the cp2-only models in `tropical` and `wrapped`."""
+    """Closed-form covering count on cp2: min(|a|, |b|) for opposite-sign
+    columns, else 0.  No library path calls it; perfbench's cp2-fourway setup
+    and the tests do, as the oracle for `wall_count` and `critical_cover`."""
     if (a >= 0 and b >= 0) or (a <= 0 and b <= 0):
         return 0
     return min(abs(a), abs(b))
+
+
+def wall_count(singularity: Singularity, a: int, b: int, n: int, m: int) -> int:
+    """Covering count of one singularity by the triangle of columns a/n and
+    b/m, with vertices (a/n, 0), (b/m, a - n*b/m), ((a+b)/(n+m), 0) on the
+    universal cover: the half-integers strictly inside its cross-section on
+    the singular line, times the multiplicity.  A position c with non-integer
+    n*c or (n+m)*c raises ValueError rather than count ambiguously.  On the
+    line eta = 0, as on cp2, n and m drop out, so the count also holds at
+    degree 0 and beyond the polygon's columns.  It is the one k rule of
+    `critical_cover` and `wrapped.wrapped_product`."""
+    # The singular line eta = p/q against the three side lines y = 0,
+    # y = a - n*eta and y = a + b - (n+m)*eta, all heights scaled by q.
+    p, q = singularity.eta_pos.numerator, singularity.eta_pos.denominator
+    left, right = p * n - a * q, p * m - b * q
+    if left * right > 0:  # the line misses the triangle's eta-span
+        return 0
+    y_first = -left
+    y_out = (a + b) * q - (n + m) * p
+    # Between a/n and the apex (a+b)/(n+m) the cross-section ends on
+    # y = 0, beyond the apex on the outgoing side.
+    y_other = 0 if left * y_out >= 0 else y_out
+    lo, hi = min(y_first, y_other), max(y_first, y_other)
+    if lo % q or hi % q:
+        raise ValueError(
+            f"cross-section endpoints at eta={singularity.eta_pos} are not integers "
+            f"({Fraction(lo, q)}, {Fraction(hi, q)}); singularity positions "
+            "must be (1/n)- and (1/(n+m))-integral"
+        )
+    # Critical values sit at half-integer heights; the integer interval
+    # [lo, hi] holds hi - lo of them strictly inside, each counted once
+    # per merged focus-focus point.
+    return singularity.multiplicity * ((hi - lo) // q)
 
 
 @dataclass(frozen=True)
@@ -142,18 +173,11 @@ class CriticalCover:
 def critical_cover(
     polygon: AffinePolygon, a: int, b: int, n: int, m: int
 ) -> CriticalCover:
-    """Per-singularity covering counts for inputs in columns a/n and b/m.
-
-    Works on the universal-cover triangle with vertices (a/n, 0),
-    (b/m, a - n*b/m), ((a+b)/(n+m), 0).  At each singularity line the
-    cross-section endpoints must be integers; instances with non-integer
-    n*c or (n+m)*c are rejected rather than counted ambiguously.
-
-    The count is memoized on the polygon (`AffinePolygon._covers`) by
-    (a, b, n, m).  Only a count from four exact ints is stored: a float
-    equal to an int counts a float k, which an int request must never read.
-    A rejected pair raises on every call and is not stored.
-    """
+    """Per-singularity covering counts for admissible columns a/n and b/m:
+    one `wall_count` per singularity of the polygon.  Memoized on the polygon
+    (`AffinePolygon._covers`) by (a, b, n, m); only a count from four exact
+    ints is stored (a float equal to an int counts a float k), and a
+    rejected pair raises on every call."""
     key = (a, b, n, m)
     cover = polygon._covers.get(key)
     if cover is not None:
@@ -163,32 +187,7 @@ def critical_cover(
     for col, den in ((a, n), (b, m)):
         if not polygon.column_counts(den).get(col, 0):
             raise ValueError(f"column {col} not admissible for denominator {den}")
-    ks: list[int] = []
-    for s in polygon.singularities:
-        # The singular line eta = p/q against the three side lines y = 0,
-        # y = a - n*eta and y = a + b - (n+m)*eta, all heights scaled by q.
-        p, q = s.eta_pos.numerator, s.eta_pos.denominator
-        left, right = p * n - a * q, p * m - b * q
-        if left * right > 0:  # the line misses the triangle's eta-span
-            ks.append(0)
-            continue
-        y_first = -left
-        y_out = (a + b) * q - (n + m) * p
-        # Between a/n and the apex (a+b)/(n+m) the cross-section ends on
-        # y = 0, beyond the apex on the outgoing side.
-        y_other = 0 if left * y_out >= 0 else y_out
-        lo, hi = min(y_first, y_other), max(y_first, y_other)
-        if lo % q or hi % q:
-            raise ValueError(
-                f"cross-section endpoints at eta={s.eta_pos} are not integers "
-                f"({Fraction(lo, q)}, {Fraction(hi, q)}); singularity positions "
-                "must be (1/n)- and (1/(n+m))-integral"
-            )
-        # Critical values sit at half-integer heights; the integer interval
-        # [lo, hi] holds hi - lo of them strictly inside, each counted once
-        # per merged focus-focus point.
-        ks.append(s.multiplicity * ((hi - lo) // q))
-    cover = CriticalCover(tuple(ks))
+    cover = CriticalCover(tuple(wall_count(s, a, b, n, m) for s in polygon.singularities))
     if type(a) is type(b) is type(n) is type(m) is int:
         polygon._covers[key] = cover
     return cover
@@ -226,7 +225,10 @@ def _row(polygon: AffinePolygon, key: tuple[int, int, int, int, int, int]):
     """The memoized terms of one basis product, keyed (a, i, n, b, j, m)."""
     terms = polygon._products.get(key)
     if terms is None:
-        terms = polygon._products[key] = _product_terms(polygon, *key)
+        a, i, n, b, j, m = key
+        terms = _product_terms(polygon, a, i, n, b, j, m)
+        if type(a) is type(i) is type(n) is type(b) is type(j) is type(m) is int:
+            polygon._products[key] = terms
     return terms
 
 

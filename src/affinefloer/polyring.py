@@ -137,10 +137,10 @@ def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
     monomials; `idx` is (a, i, d), a QBasisIndex or a plain tuple.
 
     The factor p^i = (xz - y^2)^i contributes C(i,t) (-1)^{i-t} (xz)^t y^{2(i-t)}.
-    The polynomial is memoized per index: every call returns the same shared
-    object, which must not be mutated.  An index outside the ring's rule
-    (d >= 1, |a| <= d, 0 <= i <= (d - |a|)//2) raises ValueError and is not
-    memoized.
+    The polynomial is memoized per index of exact ints: each such call
+    returns one shared object, which must not be mutated.  An index with a
+    float entry, or outside the ring's rule (d >= 1, |a| <= d, 0 <= i <=
+    (d - |a|)//2), is not memoized; the latter raises ValueError.
     """
     cached = _q_cache.get(idx)
     if cached is not None:
@@ -158,7 +158,9 @@ def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
         else:
             mono = (t, d - a - 2 * t, a + t)
         coeffs[mono] = coeffs.get(mono, 0) + c
-    poly = _q_cache[idx] = HomogeneousPolynomial(d, coeffs)
+    poly = HomogeneousPolynomial(d, coeffs)
+    if type(a) is type(i) is type(d) is int:
+        _q_cache[idx] = poly
     return poly
 
 

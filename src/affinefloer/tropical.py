@@ -16,10 +16,11 @@ the crossing point forced to be (written with the bent leg first, a < 0)
 
     x = (0, (-a*j + b*i + b*s) / (m*a - n*b)),      s = h - (i + j),
 
-and the disks can attach at |det(tangent, (0,1))| = k spots, giving
+and the disks can attach at k = |det(tangent, (0,1))| = |a| spots, giving
 multiplicity C(k, s) with s disks below or C(k, k-s) with k-s disks above;
 the two counts are equal, which is why the exact singularity height never
 matters.  Same-sign columns admit only the straight segment with h = i + j.
+k is read off the witness, so this module imports only `affine`.
 
 The singular line and the singularity's height on it are those of the one
 singularity of `affine.CP2`, read each time a witness is worked out, so a
@@ -48,7 +49,6 @@ from math import comb
 from typing import NamedTuple, Optional, Sequence
 
 from .affine import CP2, RationalPoint
-from .floer import k_value_cp2
 
 Vec = tuple[Fraction, Fraction]
 
@@ -206,16 +206,19 @@ def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional
     """The witness from q_{a,i}@n and q_{b,j}@m to q_{a+b,h}@(n+m), or None
     when s = h - (i+j) lies outside [0, k].
 
-    The bent leg's arrival tangent is its straight tangent plus the disk
-    jump, plus the monodromy shear of the part before the bend when the
-    singularity is above it; the two arrival tangents must cancel.  Raises
-    ArithmeticError when they do not, or when the bent leg does not meet k
-    attachment spots.  The multiplicity is C(k, number of disks).
+    k is the bent leg's attachment spots on the line eta = 0: w*|leaf eta| =
+    |a| when the leaf and the root lie on opposite sides (the root may sit on
+    it), else 0.  The bent leg's arrival tangent is its straight tangent plus
+    the disk jump, plus the monodromy shear of the part before the bend when
+    the singularity is above it; the two arrival tangents must cancel, else
+    ArithmeticError.  The multiplicity is C(k, number of disks).
     """
     _check_indices(a, i, n)
     _check_indices(b, j, m)
     s = h - (i + j)
-    k = k_value_cp2(a, b)
+    bent = 0 if abs(a) <= abs(b) else 1
+    col = b if bent else a
+    k = abs(col) if col * (a + b) <= 0 else 0
     if not 0 <= s <= k:
         return None
     big = n * m * (n + m)
@@ -225,11 +228,8 @@ def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional
     # Same-sign columns (k = 0) give the straight segment with h = i + j.
     bend, count, sign = None, 0, 1
     if k:
-        bent = 0 if abs(a) <= abs(b) else 1
         x, _, w = leaves[bent]
         base_x = -w * x  # the part before the bend ends on the singular line eta = 0
-        if abs(base_x) != k * big:  # |det(tangent, (0,1))| attachment spots
-            raise ArithmeticError(f"bent leg meets {abs(base_x) // big} attachment spots, not {k}")
         bend = _bend_ratio(a, i, n, b, j, m, h)
         xi = CP2.singularities[0].xi_pos
         sing_above = xi.numerator * bend[1] > bend[0] * xi.denominator

@@ -1,7 +1,8 @@
 """Cross-check sweeps of the triangle product against its independent oracles.
 
-Each sweep compares `mu2` (or the wrapped product) with one oracle over every
-basis pair up to a bound and returns a `Sweep`: how many comparisons it made
+Each sweep compares one computation with an independent oracle up to a
+bound (`mu2` in ring and tropical, the wrapped product in wrapped, the word
+enumeration in homotopy) and returns a `Sweep`: how many comparisons it made
 and a one-line description of each that disagreed.  The CLI's `verify`
 command and the acceptance suite both run these functions, so every sweep is
 written once.  Library calls go through module attributes (`floer.mu2`), so a

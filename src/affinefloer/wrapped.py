@@ -13,7 +13,7 @@ the Laurent monomial x^{-a} p^i y^{d+a-2i} (a <= 0) or z^a p^i y^{d-a-2i}
 (a > 0).  The column index a is unbounded.  The depth i is the exponent of
 p, so i >= 0 unless p is inverted, and d - |a| - 2i is the exponent of y,
 so 2i <= d - |a| unless y is inverted.  The product follows the same
-binomial rule as the compact case.
+binomial rule as the compact case, with k from `floer.wall_count`.
 
 The wrap step is [y] + 2[p] (1, 2, 3 for L, C, D), writing [y] and [p] for
 the flags as 0 or 1.  The distinguished wrapped generator e_r, for r a
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Tuple
 
-from .affine import FractionalPoint
-from .floer import k_value_cp2
+from .affine import CP2, FractionalPoint
+from .floer import wall_count
 from .polyring import q_product
 
 
@@ -122,10 +122,11 @@ WrappedSum = Dict[Tuple[int, int], int]  # (a, i) -> coefficient, fixed degree
 def wrapped_product(
     case: Complement, q2: FractionalPoint, q1: FractionalPoint
 ) -> WrappedSum:
-    """Binomial product of wrapped generators; output degree q1.d + q2.d."""
+    """Binomial product of wrapped generators; output degree q1.d + q2.d.
+    k is `floer.wall_count` summed over cp2's singularities, as in `mu2`."""
     _check_point(case, q1)
     _check_point(case, q2)
-    k = k_value_cp2(q1.a, q2.a)
+    k = sum(wall_count(wall, q1.a, q2.a, q1.d, q2.d) for wall in CP2.singularities)
     out: WrappedSum = {}
     d_out = q1.d + q2.d
     for s in range(k + 1):

@@ -227,11 +227,44 @@ def test_missing_file_exit_code(capsys):
 )
 def test_invalid_input_exits_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(argv) == 2
+    if argv == ["points", "2"]:  # D is missing: argparse itself exits with 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    else:
+        assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert not (tmp_path / "x.svg").exists()
+
+
+_WIDTHS = ["--widths", "2", "1", "3"]
+
+
+@pytest.mark.parametrize(
+    "command, rest",
+    [("points", ["3"]), ("mu2", ["1", "1", "0", "0", "1", "0"]), ("render", ["x.svg"])],
+)
+def test_widths_may_stand_before_or_after_the_instance(
+    command, rest, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for argv in (
+        [command, *_WIDTHS, "dp6", *rest],
+        [command, "dp6", *_WIDTHS, *rest],
+        [command, "dp6", *rest, *_WIDTHS],
+    ):
+        code, data = run_json(argv, capsys)
+        assert code == 0
+        del data["elapsed_seconds"]
+        svg = (tmp_path / "x.svg").read_text() if command == "render" else None
+        outputs.append((data, svg))
+    assert outputs[0] == outputs[1] == outputs[2]
+    if command == "points":
+        widths = affine.dp6_model((2, 1, 3))
+        assert outputs[0][0]["results"]["count"] == len(affine.fractional_points(widths, 3))
 
 
 @pytest.mark.parametrize("option", ["--builtin", "--instance"])

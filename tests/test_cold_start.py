@@ -88,6 +88,17 @@ def test_wrapped_loads_affine_floer_polyring_and_no_other_submodule():
     }
 
 
+def test_tropical_loads_affine_and_no_other_submodule():
+    # the tropical oracle counts its own k, so it never loads the product it checks
+    seen = run_fresh(
+        "import json, sys\n"
+        "import affinefloer.tropical\n"
+        "print(json.dumps({'loaded': sorted(m for m in sys.modules\n"
+        "    if m.startswith('affinefloer.')), 'numpy': 'numpy' in sys.modules}))\n"
+    )
+    assert seen == {"loaded": ["affinefloer.affine", "affinefloer.tropical"], "numpy": False}
+
+
 def test_numchecks_import_does_not_load_numpy():
     seen = run_fresh(
         "import json, sys\n"

@@ -403,6 +403,28 @@ def test_a_count_from_a_float_column_is_not_stored():
     }
 
 
+@pytest.mark.parametrize("float_first", [True, False], ids=["float-first", "int-first"])
+def test_a_product_row_from_a_float_depth_is_not_stored(float_first):
+    # a float depth builds float output depths; stored under the equal int
+    # key they would reach the int request and its JSON
+    polygon = affine.cp2_model()
+    q2 = basis_vector(1, 2, 1, 0)
+
+    def product(depth):
+        return mu2(q2, basis_vector(0, 1, -1, depth), polygon)
+
+    if float_first:
+        assert product(0.0).coeffs() == {(0, 0.0): 1, (0, 1.0): 1}
+    out = product(0)
+    assert json.dumps(floer.sum_to_json(out)["terms"]) == (
+        '[{"a": 0, "i": 0, "c": 1}, {"a": 0, "i": 1, "c": 1}]'
+    )
+    assert list(polygon._products) == [(-1, 0, 1, 1, 0, 1)]
+    assert all(type(i) is int for (_, i), _ in polygon._products[(-1, 0, 1, 1, 0, 1)])
+    product(0.0)
+    assert len(polygon._products) == 1
+
+
 @pytest.mark.parametrize(
     "eta, multiplicity, k",
     [(Fraction(0), 2, 4), (Fraction(1, 2), 1, 1)],

@@ -87,6 +87,19 @@ def test_a_tuple_and_an_index_share_one_memo_entry(monkeypatch, first, second):
     assert len(pr._q_cache) == 1
 
 
+@pytest.mark.parametrize("float_first", [True, False], ids=["float-first", "int-first"])
+def test_an_index_with_a_float_entry_is_never_memoized(monkeypatch, float_first):
+    # a float column builds float exponents, which an int request must never read
+    monkeypatch.setattr(pr, "_q_cache", {})
+    if float_first:
+        pr.q_monomial((-1.0, 0, 1))
+    q = pr.q_monomial((-1, 0, 1))
+    assert all(type(e) is int for mono in q.coeffs for e in mono)
+    assert q.coeffs == {(1, 0, 0): 1}
+    assert list(pr._q_cache) == [(-1, 0, 1)]
+    assert pr.q_monomial((-1.0, 0, 1)) is q  # an equal key reads the int entry
+
+
 def test_q_monomial_rejects_bad_index():
     before = dict(pr._q_cache)
     for bad in ((3, 0, 2), (0, 2, 2), (0, 0, 0), (0, -1, 2)):

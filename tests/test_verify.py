@@ -1,8 +1,10 @@
 """The shared cross-check sweeps: bounds, work counts and reported mismatches."""
 
+import sys
+
 import pytest
 
-from affinefloer import floer, homotopy, verify, wrapped
+from affinefloer import affine, floer, homotopy, verify, wrapped
 
 
 def test_ring_small():
@@ -49,11 +51,64 @@ def _off_by_one(fn):
 )
 def test_planted_fault_is_named(monkeypatch, module, name, sweep, bound, label):
     monkeypatch.setattr(module, name, _off_by_one(getattr(module, name)))
-    result = sweep(bound)
+    _assert_named(sweep(bound), label)
+
+
+def _assert_named(result, label):
     assert not result.ok
     assert 0 < len(result.mismatches) <= result.checked
     assert all(line.count("\n") == 0 for line in result.mismatches)
     assert label in result.mismatches[0]
+
+
+@pytest.fixture
+def cold_cp2_memos():
+    """Empty cp2's product and cover memos for one test, so that a planted
+    count is called, and restore them after, so that none of its results
+    outlive the test."""
+    memos = (affine.CP2._products, affine.CP2._covers)
+    saved = [dict(memo) for memo in memos]
+    for memo in memos:
+        memo.clear()
+    yield
+    for memo, entries in zip(memos, saved):
+        memo.clear()
+        memo.update(entries)
+
+
+def _one_short(fn):
+    """fn with every covering count it returns one lower.  A count too low
+    drops a product's top term, so a sweep names the mismatch; one too high
+    would break closure and raise instead."""
+
+    def planted(*args):
+        out = fn(*args)
+        if isinstance(out, floer.CriticalCover):
+            return floer.CriticalCover(tuple(k - 1 for k in out.k_list))
+        return out - 1
+
+    return planted
+
+
+@pytest.mark.parametrize(
+    "name, sweep, bound, label",
+    [
+        # the one per-wall rule feeds mu2 and the wrapped product alike
+        ("wall_count", verify.ring, 1, "ring {"),
+        ("wall_count", verify.tropical, 1, "tropical "),
+        ("wall_count", verify.wrapped, 0, "vs Laurent"),
+        # the tropical oracle counts its own k, so a wrong cover moves only mu2
+        ("critical_cover", verify.tropical, 1, "tropical "),
+    ],
+)
+def test_planted_covering_count_is_named(monkeypatch, cold_cp2_memos, name, sweep, bound, label):
+    # planted in every module that binds the function, as a defect in it would act
+    original = getattr(floer, name)
+    planted = _one_short(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("affinefloer.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, planted)
+    _assert_named(sweep(bound), label)
 
 
 @pytest.mark.parametrize(

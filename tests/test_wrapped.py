@@ -1,12 +1,13 @@
 """Wrapped bases and products against the localized-ring oracle."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from affinefloer import wrapped as wr
 from affinefloer.affine import FractionalPoint
-from affinefloer.floer import basis_vector, index_range, mu2
+from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2
 from affinefloer.polyring import QBasisIndex, expand_in_qbasis, multiply, q_monomial
 from affinefloer.wrapped import Complement
 
@@ -175,6 +176,21 @@ def test_wrapped_product_restricted_to_compact_range_is_mu2():
                             basis_vector(n, n + m, b, j), basis_vector(0, n, a, i)
                         ).coeffs()
                         assert got == want
+
+
+def test_wrapped_k_is_the_closed_form_on_cp2():
+    # k comes from the per-wall count mu2 uses; with cp2's wall at eta = 0 it
+    # ignores the degrees, so degree 0 and columns beyond |a| <= d count too.
+    # Case D inverts y and p, so every generator and output depth is allowed.
+    for n in range(6):
+        for m in range(6):
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    k = k_value_cp2(a, b)
+                    got = wr.wrapped_product(
+                        Complement.D, FractionalPoint(b, 0, m), FractionalPoint(a, 0, n)
+                    )
+                    assert got == {(a + b, s): math.comb(k, s) for s in range(k + 1)}
 
 
 def test_e_element_examples():
