@@ -217,13 +217,15 @@ class AffinePolygon:
         one left-to-right integer walk over the boundary segments
         (`_column_walk`), which also keeps each column's top lattice height
         for `embed`, and shared by every caller, so it must not be
-        mutated; d = 0 gives the unit point's table {0: 1}.
+        mutated.  A d that is not an exact int raises ValueError on a miss.
         """
         table = self._columns.get(d)
         if table is None:
+            if type(d) is not int:
+                raise ValueError(f"denominator must be an int, got {d!r}")
             if d < 0:
                 raise ValueError("denominator must be nonnegative")
-            table, self._tops[d] = _column_walk(self, d) if d else ({0: 1}, {0: 0})
+            table, self._tops[d] = _column_walk(self, d)
             self._columns[d] = table
         return table
 
@@ -234,8 +236,8 @@ class FractionalPoint(NamedTuple):
     The column sits at eta = a/d; the depth counts (1/d)-steps downward from
     the topmost (1/d)-integral height in that column.  For the projective
     plane instance (top boundary at xi = 0) the embedded coordinates are
-    (a/d, -i/d).  The denominator d = 0 is reserved for the unit point
-    q_{0,0} by convention, so that the graded ring of formal sums has a unit.
+    (a/d, -i/d).  The denominator d = 0 is the polygon's 0-th dilate, whose
+    one point q_{0,0} is the unit of the graded ring of formal sums.
 
     The same triples index the distinguished basis of the homogeneous
     coordinate ring (`polyring.QBasisIndex` is this class).  The tuple checks
@@ -409,11 +411,12 @@ def dp6_model(widths: Sequence[int] = (1, 1, 1)) -> AffinePolygon:
 def _column_walk(
     polygon: AffinePolygon, d: int
 ) -> tuple[dict[int, int], dict[int, int]]:
-    """The column tables (a -> count, a -> b_hi) of denominator d > 0 for
+    """The column tables (a -> count, a -> b_hi) of denominator d >= 0 for
     every column eta = a/d in the eta-range, in increasing a and in
     integers: b_hi/d is the topmost (1/d)-integral height at or below the
     top and count the number of (1/d)-integral heights between the bottom
-    and the top (0 when there are none).
+    and the top (0 when there are none).  d = 0 scales the polygon to its
+    0-th dilate, the point (0, 0): the unit's table ({0: 1}, {0: 0}).
 
     Each polyline's vertices are brought to one common denominator L, as
     integers (e, x) = L * (eta, xi).  Over the column a/d, the segment
@@ -539,11 +542,10 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     predicate of `AffinePolygon.contains`.  It shares nothing with
     `embed`, `column_counts` or `fiber`, nor with `_column_walk`, the
     integer walk over the boundary segments that derives the enumeration.
+    At d = 0 the box is the 0-th dilate, the one point (0, 0).
     """
     if d < 0:
         raise ValueError("denominator must be nonnegative")
-    if d == 0:
-        return 1
     xi_values = [v.xi for v in polygon.top.vertices] + [v.xi for v in polygon.bottom.vertices]
     heights = range(math.ceil(min(xi_values) * d), math.floor(max(xi_values) * d) + 1)
     bottom, top = _segment_lines(polygon.bottom), _segment_lines(polygon.top)

@@ -7,10 +7,10 @@ points (`QBasisIndex` is `affine.FractionalPoint`): with p = xz - y^2,
     Q_{a,i} = z^{a}  p^i y^{d-a-2i}   (a > 0),
 
 for |a| <= d and 0 <= i <= floor((d - |a|)/2), the ring's own index rule,
-which `qbasis_indices` enumerates and `q_monomial` checks.  Multiplying two
-such elements and re-expanding (`q_product`, memoized by the ordered pair of
-indices) reproduces the binomial structure constants of the triangle
-product, which is what `verify.ring` sweeps.
+which `qbasis_indices` enumerates and `q_monomial` checks; d = 0 holds only
+the unit Q_{0,0} = 1.  Multiplying two such elements and re-expanding
+(`q_product`, memoized by the ordered pair of indices) reproduces the
+binomial structure constants of the triangle product, swept by `verify.ring`.
 
 Expansion in the Q basis inverts the change-of-basis matrix from the Q
 elements to the monomials, one degree at a time, and caches the inverse per
@@ -111,9 +111,9 @@ def multiply(p1: HomogeneousPolynomial, p2: HomogeneousPolynomial) -> Homogeneou
 
 
 def qbasis_indices(d: int) -> list[QBasisIndex]:
-    """All indices in degree d >= 1, ordered by (a, i)."""
-    if d < 1:
-        raise ValueError("degree must be positive")
+    """All indices in degree d >= 0, ordered by (a, i): (0, 0, 0) at d = 0."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     return [
         QBasisIndex(a, i, d)
         for a in range(-d, d + 1)
@@ -139,16 +139,14 @@ def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
     The factor p^i = (xz - y^2)^i contributes C(i,t) (-1)^{i-t} (xz)^t y^{2(i-t)}.
     The polynomial is memoized per index of exact ints: each such call
     returns one shared object, which must not be mutated.  An index with a
-    float entry, or outside the ring's rule (d >= 1, |a| <= d, 0 <= i <=
-    (d - |a|)//2), is not memoized; the latter raises ValueError.
+    float entry, or outside the ring's rule 0 <= i <= (d - |a|)//2 (which
+    rules out d < 0 and |a| > d), is not memoized; the latter raises ValueError.
     """
     cached = _q_cache.get(idx)
     if cached is not None:
         return cached
     a, i, d = idx
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if abs(a) > d or not 0 <= i <= (d - abs(a)) // 2:
+    if not 0 <= i <= (d - abs(a)) // 2:
         raise ValueError(f"index ({a},{i}) invalid in degree {d}")
     coeffs: Dict[Monomial, int] = {}
     for t in range(i + 1):

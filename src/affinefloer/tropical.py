@@ -22,10 +22,9 @@ the two counts are equal, which is why the exact singularity height never
 matters.  Same-sign columns admit only the straight segment with h = i + j.
 k is read off the witness, so this module imports only `affine`.
 
-The singular line and the singularity's height on it are those of the one
-singularity of `affine.CP2`, read each time a witness is worked out, so a
-polygon substituted for `CP2` moves the singularity everywhere at once.  Its
-height selects only whether the disks attach from below or from above.
+The singularity is that of `affine.CP2`, read once per witness, so a polygon
+substituted for `CP2` moves its height everywhere at once; the height only
+selects whether the disks attach from below or from above.
 
 One integer kernel, `_witness`, works out every witness in coordinates scaled
 by n*m*(n+m): the bend, the disks, the shear and the balance of the arrival
@@ -35,10 +34,10 @@ tangents.  `tropical_structure_constant` returns its multiplicity;
 them with the independent `check_balancing`.  Both raise ArithmeticError
 rather than return a witness that does not balance.
 
-The multi-singularity generalization is covered by the partition identity
-C(sum k_t, s) = sum over compositions (s_t) of prod C(k_t, s_t); the
-geometric construction itself is implemented for the single-singularity
-instance.
+The geometric construction is implemented for one singularity on the line
+eta = 0; a singularity on another line raises ValueError.  The
+multi-singularity generalization is covered by the partition identity
+C(sum k_t, s) = sum over compositions (s_t) of prod C(k_t, s_t).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Optional, Sequence
 
-from .affine import CP2, RationalPoint
+from .affine import CP2, RationalPoint, rat_str
 
 Vec = tuple[Fraction, Fraction]
 
@@ -96,8 +95,8 @@ class DiskAttachment:
             raise ValueError("disk count must be positive")
         if self.direction not in ((0, 1), (0, -1)):
             raise ValueError("direction must be +-(0, 1)")
-        if self.point.eta != CP2.singularities[0].eta_pos:
-            raise ValueError("attachment must lie on the singular vertical line")
+        if self.point.eta != 0:
+            raise ValueError("attachment must lie on the singular line eta = 0")
 
 
 @dataclass(frozen=True)
@@ -213,6 +212,9 @@ def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional
     the singularity is above it; the two arrival tangents must cancel, else
     ArithmeticError.  The multiplicity is C(k, number of disks).
     """
+    sing = CP2.singularities[0]
+    if sing.eta_pos:
+        raise ValueError(f"singular line eta = {sing.eta_pos}: the kernel handles eta = 0 only")
     _check_indices(a, i, n)
     _check_indices(b, j, m)
     s = h - (i + j)
@@ -231,7 +233,7 @@ def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional
         x, _, w = leaves[bent]
         base_x = -w * x  # the part before the bend ends on the singular line eta = 0
         bend = _bend_ratio(a, i, n, b, j, m, h)
-        xi = CP2.singularities[0].xi_pos
+        xi = sing.xi_pos
         sing_above = xi.numerator * bend[1] > bend[0] * xi.denominator
         count, sign = _disks(k, s, sing_above)
         if sing_above:  # shear of the part before the bend, in the direction of travel
@@ -264,9 +266,7 @@ def build_triangle(
         TropicalLeg(point(x, y), root, weight, (Fraction(tx, w.big), Fraction(ty, w.big)))
         for (x, y, weight), (tx, ty) in zip(w.leaves, w.tangents)
     )
-    bend = None
-    if w.bend is not None:
-        bend = RationalPoint(CP2.singularities[0].eta_pos, Fraction(*w.bend))
+    bend = None if w.bend is None else RationalPoint(Fraction(0), Fraction(*w.bend))
     count, sign = w.disks
     disks = (DiskAttachment(bend, count, (0, sign)),) if count else ()
     triangle = TropicalTriangle(legs, root, bend, disks, w.multiplicity)
@@ -310,8 +310,6 @@ def partition_constant(k_list: Sequence[int], s: int) -> int:
 
 
 def triangle_to_json(t: TropicalTriangle) -> dict:
-    from .affine import rat_str
-
     def pt(p: RationalPoint):
         return [rat_str(p.eta), rat_str(p.xi)]
 

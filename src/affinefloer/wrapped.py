@@ -140,18 +140,10 @@ def wrapped_product(
 
 
 def _clearing(case: Complement, elt: LaurentElement) -> tuple[int, int]:
-    """Powers (ry, rp) of y and p that make y^ry p^rp * elt a polynomial of
-    positive degree, using only the elements the case inverts."""
-    ry = max(0, -elt.y_exp) if case.inverts_y else 0
-    rp = max(0, -elt.p_exp) if case.inverts_p else 0
-    # Numerators must have positive degree; clear one more invertible
-    # factor if a unit slips through.
-    if elt.degree + 2 * rp + ry == 0:
-        if case.inverts_y:
-            ry += 1
-        else:
-            rp += 1
-    return ry, rp
+    """Powers (ry, rp) of y and p that make y^ry p^rp * elt a polynomial,
+    using only the elements the case inverts; a numerator of degree 0 is
+    the unit index (0, 0, 0)."""
+    return max(0, -elt.y_exp) * case.inverts_y, max(0, -elt.p_exp) * case.inverts_p
 
 
 def laurent_product_in_qbasis(

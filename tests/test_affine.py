@@ -383,6 +383,67 @@ def test_column_table_of_unvalidated_polygons_matches_fraction_columns():
             run()
 
 
+def _flat_strip(eta_min, eta_max, bottom_xi):
+    """A valid polygon with no singularity: the strip between xi = 0 and
+    xi = bottom_xi over [eta_min, eta_max], with vertical facets at both ends."""
+    return affine.AffinePolygon(
+        eta_min=eta_min,
+        eta_max=eta_max,
+        singularities=(),
+        top=BoundaryPolyline(((eta_min, 0), (eta_max, 0))),
+        bottom=BoundaryPolyline(((eta_min, bottom_xi), (eta_max, bottom_xi))),
+        left_corner=False,
+        right_corner=False,
+    )
+
+
+_HALF = {
+    "eta_min": "0", "eta_max": "2",
+    "singularities": [{"eta": "1/2", "xi": "-1", "mult": 1}],
+    "top": [["0", "0"], ["2", "0"]],
+    "bottom": [["0", "-1"], ["1/2", "-3/2"], ["2", "-3/2"]],
+    "corners": {"left": False, "right": False},
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        affine.cp2_model,
+        lambda: affine.dp6_model((2, 1, 3)),
+        lambda: affine.polygon_from_json(_HALF),
+        lambda: _flat_strip(Fraction(3), Fraction(5), Fraction(-1)),
+        lambda: _flat_strip(Fraction(-7, 2), Fraction(-1, 3), Fraction(-1, 2)),
+    ],
+    ids=["cp2", "dp6-213", "half", "eta-3-to-5", "eta-minus-7/2-to-minus-1/3"],
+)
+def test_walk_and_scan_give_the_unit_at_degree_zero(make):
+    # in scaled coordinates d = 0 is the 0-th dilate, the single point (0, 0),
+    # wherever the polygon's eta-range lies
+    polygon = make()
+    assert affine.validate(polygon) == []
+    assert polygon.column_counts(0) == {0: 1}
+    assert polygon._tops[0] == {0: 0}
+    assert affine.count_points(polygon, 0) == 1
+    assert affine.fractional_points(polygon, 0) == [FractionalPoint(0, 0, 0)]
+
+
+@pytest.mark.parametrize("float_first", [True, False], ids=["float-first", "int-first"])
+def test_a_float_denominator_never_enters_the_column_table(float_first):
+    polygon = affine.dp6_model()
+    if float_first:
+        with pytest.raises(ValueError, match="denominator must be an int, got 2.0"):
+            polygon.column_counts(2.0)
+        assert not polygon._columns and not polygon._tops
+    table = polygon.column_counts(2)
+    assert all(type(c) is int for c in table.values())
+    # an equal float key finds the int table once it is stored
+    assert polygon.column_counts(2.0) is table
+    assert affine.fractional_points(polygon, 2) == affine.fractional_points(
+        affine.dp6_model(), 2
+    )
+
+
 # -- JSON booleans are not numbers ---------------------------------------------
 
 

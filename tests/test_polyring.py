@@ -73,6 +73,9 @@ def test_the_q_basis_is_indexed_by_the_fractional_points():
     assert QBasisIndex is affine.FractionalPoint
     assert pr.qbasis_indices(2)[:2] == [(-2, 0, 2), (-1, 0, 2)]
     assert affine.FractionalPoint(1, 0, 2) == (1, 0, 2)
+    # one index rule: the ring basis of degree d is the (1/d)-points of cp2
+    for d in range(13):
+        assert pr.qbasis_indices(d) == affine.fractional_points(affine.CP2, d), d
 
 
 @pytest.mark.parametrize(
@@ -102,7 +105,7 @@ def test_an_index_with_a_float_entry_is_never_memoized(monkeypatch, float_first)
 
 def test_q_monomial_rejects_bad_index():
     before = dict(pr._q_cache)
-    for bad in ((3, 0, 2), (0, 2, 2), (0, 0, 0), (0, -1, 2)):
+    for bad in ((3, 0, 2), (0, 2, 2), (0, 0, -1), (0, 1, 0), (0, -1, 2)):
         for idx in (bad, QBasisIndex._make(bad)):
             with pytest.raises(ValueError):
                 pr.q_monomial(idx)
@@ -125,7 +128,7 @@ def test_q_product_is_memoized_and_equals_multiply_and_expand(monkeypatch):
 
 def test_q_product_rejects_bad_index_on_every_call(monkeypatch):
     monkeypatch.setattr(pr, "_product_cache", {})
-    for bad in ((3, 0, 2), (0, 2, 2), (0, 0, 0), (0, -1, 2)):
+    for bad in ((3, 0, 2), (0, 2, 2), (0, 0, -1), (0, 1, 0), (0, -1, 2)):
         for pair in ((bad, (0, 0, 1)), ((0, 0, 1), bad)):
             for _ in range(2):
                 with pytest.raises(ValueError):
@@ -133,9 +136,11 @@ def test_q_product_rejects_bad_index_on_every_call(monkeypatch):
     assert not pr._product_cache
 
 
-def test_qbasis_indices_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        pr.qbasis_indices(0)
+def test_qbasis_indices_degree_zero_is_the_unit():
+    assert pr.qbasis_indices(0) == [(0, 0, 0)]
+    assert pr.q_monomial((0, 0, 0)) == poly(0, {(0, 0, 0): 1})
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        pr.qbasis_indices(-1)
 
 
 def test_multiply_examples():

@@ -233,3 +233,13 @@ def test_planted_imbalance_is_raised_and_reported(monkeypatch):
     assert not sweep.ok
     assert sweep.mismatches[0].count("tropical unbalanced (") == 1
     assert all("unbalanced" in line for line in sweep.mismatches)
+
+
+def test_a_singular_line_off_eta_zero_is_rejected(monkeypatch):
+    # the kernel bends legs on eta = 0 only; a moved line must not count on it
+    moved = replace(CP2, singularities=(Singularity(Fraction(1, 2), CP2.singularities[0].xi_pos),))
+    monkeypatch.setattr(tr, "CP2", moved)
+    message = r"^singular line eta = 1/2: the kernel handles eta = 0 only$"
+    for entry in (tr.tropical_structure_constant, tr.build_triangle):
+        with pytest.raises(ValueError, match=message):
+            entry(-2, 0, 2, 2, 0, 2, 1)

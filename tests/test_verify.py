@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from affinefloer import affine, floer, homotopy, verify, wrapped
+from affinefloer import affine, cli, floer, homotopy, verify, wrapped
 
 
 def test_ring_small():
@@ -76,18 +76,29 @@ def cold_cp2_memos():
         memo.update(entries)
 
 
-def _one_short(fn):
-    """fn with every covering count it returns one lower.  A count too low
-    drops a product's top term, so a sweep names the mismatch; one too high
-    would break closure and raise instead."""
+def _covering_shifted(fn, delta):
+    """fn with every covering count it returns moved by delta.  A count one
+    too low drops a product's top term; one too high adds a term that breaks
+    closure in mu2 (or the depth rule of a complement in the wrapped
+    product), which raises.  A sweep names either as a mismatch."""
 
     def planted(*args):
         out = fn(*args)
         if isinstance(out, floer.CriticalCover):
-            return floer.CriticalCover(tuple(k - 1 for k in out.k_list))
-        return out - 1
+            return floer.CriticalCover(tuple(k + delta for k in out.k_list))
+        return out + delta
 
     return planted
+
+
+def _plant_covering_count(monkeypatch, name, delta):
+    """Plant the shifted count in every module that binds the function, as a
+    defect in it would act."""
+    original = getattr(floer, name)
+    planted = _covering_shifted(original, delta)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("affinefloer.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, planted)
 
 
 @pytest.mark.parametrize(
@@ -102,13 +113,40 @@ def _one_short(fn):
     ],
 )
 def test_planted_covering_count_is_named(monkeypatch, cold_cp2_memos, name, sweep, bound, label):
-    # planted in every module that binds the function, as a defect in it would act
-    original = getattr(floer, name)
-    planted = _one_short(original)
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("affinefloer.") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, planted)
+    _plant_covering_count(monkeypatch, name, -1)
     _assert_named(sweep(bound), label)
+
+
+@pytest.mark.parametrize(
+    "name, sweep, bound, label",
+    [
+        # mu2 raises on closure: a mismatch of the pair, not an abort
+        ("wall_count", verify.ring, 1, "vs product raised ("),
+        ("wall_count", verify.tropical, 1, "vs product raised ("),
+        ("wall_count", verify.wrapped, 0, "vs Laurent"),
+        ("critical_cover", verify.tropical, 1, "vs product raised ("),
+    ],
+)
+def test_one_over_covering_count_is_named(monkeypatch, cold_cp2_memos, name, sweep, bound, label):
+    _plant_covering_count(monkeypatch, name, 1)
+    _assert_named(sweep(bound), label)
+
+
+def test_one_over_wrapped_count_raises_and_is_named(monkeypatch):
+    # case C keeps i <= (d - |a|)/2, so one extra term leaves it and raises
+    _plant_covering_count(monkeypatch, "wall_count", 1)
+    sweep = verify.wrapped(1)
+    assert any("case C" in line and "product raised (" in line for line in sweep.mismatches)
+
+
+def test_one_over_covering_count_fails_the_check_with_exit_one(
+    monkeypatch, cold_cp2_memos, capsys
+):
+    _plant_covering_count(monkeypatch, "wall_count", 1)
+    assert cli.main(["verify", "ring", "--max-degree", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    assert captured.err.startswith("failed check ring_isomorphism: 9 checked, 9 mismatches")
 
 
 @pytest.mark.parametrize(

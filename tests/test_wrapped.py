@@ -80,14 +80,9 @@ def _depth_ok_by_case(case, a, i, d):
 
 def _clearing_by_case(case, elt):
     """The clearing powers as per-case branches: y in L, p in C, y and p
-    apart in D; a unit is cleared by one more p in C and one more y else."""
+    apart in D."""
     ry = max(0, -elt.y_exp) if case is not Complement.C else 0
     rp = max(0, -elt.p_exp) if case is not Complement.L else 0
-    if elt.degree + 2 * rp + ry == 0:
-        if case is Complement.C:
-            rp += 1
-        else:
-            ry += 1
     return ry, rp
 
 
@@ -314,6 +309,25 @@ def test_clearing_y_and_p_apart_matches_the_yp_clearing():
     # p^-2 y is cleared by p^2 alone, where the yp clearing took (yp)^2
     assert wr._clearing(Complement.D, wr.LaurentElement(0, -2, 1)) == (0, 2)
     assert wr._clearing(Complement.D, wr.LaurentElement(1, 1, -3)) == (3, 0)
+
+
+def test_a_unit_numerator_is_the_unit_index():
+    # case L clears y^-1 by y alone, to the unit numerator (0, 0, 0): y^-1 * y
+    # is the unit of degree 0, the wrapped product of two units
+    y_inverse, y = wr.LaurentElement(0, 0, -1), wr.LaurentElement(0, 0, 1)
+    assert wr._clearing(Complement.L, y_inverse) == (1, 0)
+    unit = FractionalPoint(0, 0, 0)
+    assert wr.laurent_product_in_qbasis(Complement.L, y_inverse, y) == {(0, 0): 1}
+    assert wr.wrapped_product(Complement.L, unit, unit) == {(0, 0): 1}
+    # the unit generator is its own numerator in every case and multiplies as 1
+    for case in Complement:
+        assert wr._clearing(case, wr.rational_function(unit)) == (0, 0)
+        for q in wr.wrapped_basis(case, 2, a_max=4, i_max=2):
+            want = {(q.a, q.i): 1}
+            assert wr.wrapped_product(case, q, unit) == want
+            assert wr.laurent_product_in_qbasis(
+                case, wr.rational_function(unit), wr.rational_function(q)
+            ) == want
 
 
 @pytest.mark.parametrize("case", list(Complement))
