@@ -221,13 +221,17 @@ class AffinePolygon:
         """
         table = self._columns.get(d)
         if table is None:
-            if type(d) is not int:
-                raise ValueError(f"denominator must be an int, got {d!r}")
+            _check_int(d)
             if d < 0:
                 raise ValueError("denominator must be nonnegative")
             table, self._tops[d] = _column_walk(self, d)
             self._columns[d] = table
         return table
+
+
+def _check_int(d) -> None:
+    if type(d) is not int:
+        raise ValueError(f"denominator must be an int, got {d!r}")
 
 
 class FractionalPoint(NamedTuple):
@@ -467,8 +471,11 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
 
     Enumerated column-by-column at eta = a/d, each column indexed by depth
     from its topmost lattice height; sorted by (a, i).  Points on the closed
-    boundary count as members.  d = 0 yields the single unit point.
+    boundary count as members.  d = 0 yields the single unit point.  A d
+    that is not an exact int raises ValueError, even when an equal int's
+    column table is stored.
     """
+    _check_int(d)
     return [
         FractionalPoint(a, i, d)
         for a, count in polygon.column_counts(d).items()
@@ -479,8 +486,9 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
 def embed(polygon: AffinePolygon, point: FractionalPoint) -> RationalPoint:
     """Chart coordinates of a fractional point: (a/d, top_lattice - i/d),
     with the column's count and top lattice height read from the column
-    table (`AffinePolygon.column_counts`)."""
+    table (`AffinePolygon.column_counts`); d must be an exact int."""
     a, i, d = point
+    _check_int(d)
     if d < 1:
         raise ValueError(f"{point} has no embedding: its denominator is not positive")
     if not 0 <= i < polygon.column_counts(d).get(a, 0):

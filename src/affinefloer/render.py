@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .affine import AffinePolygon, RationalPoint, embed, fractional_points
-from .tropical import TropicalTriangle
+from .tropical import TropicalTriangle, straight_tangent
 
 _SCALE = 220  # pixels per affine unit
 _MARGIN = 40
@@ -115,12 +115,8 @@ def render_svg(
 
     if triangle is not None:
         for leg in triangle.legs:
-            straight = (
-                leg.weight * (leg.end.eta - leg.start.eta),
-                leg.weight * (leg.end.xi - leg.start.xi),
-            )
             path = [leg.start]
-            if triangle.bend is not None and straight != leg.tangent_at_end:
+            if triangle.bend is not None and straight_tangent(leg) != leg.tangent_at_end:
                 path.append(triangle.bend)
             path.append(leg.end)
             canvas.polyline(path, stroke="#2aa05a", width=3.0)

@@ -8,8 +8,11 @@ w*(root - q).  Legs may bend only where they cross the singular vertical
 line; there, disks emanating from the focus-focus singularity attach with
 primitive direction (0, 1) (singularity below the crossing) or (0, -1)
 (singularity above; the leg then also crosses the branch cut and picks up
-the monodromy shear).  The triangle is balanced when the two leg tangents
-cancel at the root after all attachments.
+the monodromy shear).  The parts of a bent leg add up to root - q, so it
+arrives with its straight tangent plus the disk jump, plus the shear of the
+part before the bend when it crosses the cut; after the bend it runs along
+that arrival tangent.  The triangle is balanced when the two leg tangents
+cancel at the root.
 
 For opposite-sign columns the leg from the column of smaller |a| bends, at
 the crossing point forced to be (written with the bent leg first, a < 0)
@@ -31,8 +34,10 @@ by n*m*(n+m): the bend, the disks, the shear and the balance of the arrival
 tangents.  `tropical_structure_constant` returns its multiplicity;
 `build_triangle` divides its integers back into `Fraction` coordinates (for
 `render --triangle`, the JSON output and the acceptance checks) and re-checks
-them with the independent `check_balancing`.  Both raise ArithmeticError
-rather than return a witness that does not balance.
+them with the independent `check_balancing`, which reads only the triangle
+and also checks that every disk sits at the bend and that the bent leg runs
+along its arrival tangent after it.  Both raise ArithmeticError rather than
+return a witness that does not balance.
 
 The geometric construction is implemented for one singularity on the line
 eta = 0; a singularity on another line raises ValueError.  The
@@ -50,23 +55,6 @@ from typing import NamedTuple, Optional, Sequence
 from .affine import CP2, RationalPoint, rat_str
 
 Vec = tuple[Fraction, Fraction]
-
-
-def _vec(p: RationalPoint, q: RationalPoint) -> Vec:
-    return (p.eta - q.eta, p.xi - q.xi)
-
-
-def _add(u: Vec, v: Vec) -> Vec:
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def _scale(c, u: Vec) -> Vec:
-    return (c * u[0], c * u[1])
-
-
-def _shear(u: Vec, power: int) -> Vec:
-    """Monodromy [[1,0],[1,1]]^power on a tangent vector."""
-    return (u[0], power * u[0] + u[1])
 
 
 @dataclass(frozen=True)
@@ -108,60 +96,59 @@ class TropicalTriangle:
     multiplicity: int
 
 
-def _straight_tangent(leg: TropicalLeg) -> Vec:
-    return _scale(leg.weight, _vec(leg.end, leg.start))
+def straight_tangent(leg: TropicalLeg) -> Vec:
+    """Arrival tangent w*(end - start) of the leg run straight to its end."""
+    return (leg.weight * (leg.end.eta - leg.start.eta), leg.weight * (leg.end.xi - leg.start.xi))
 
 
 def _bent_tangents(
     leg: TropicalLeg, bend: RationalPoint, disks: Sequence[DiskAttachment]
 ) -> list[Vec]:
-    """Possible arrival tangents of a leg routed through the bend.
-
-    With the singularity below the crossing the disks push by count*(0, 1)
-    and no cut is met; with the singularity above, the leg crosses the cut
-    (shear in the direction of travel) and the disks push by count*(0, -1).
-    When no disks are attached both configurations are geometrically
-    possible, so both candidates are returned.
+    """Possible arrival tangents of a leg routed through the bend, read off
+    its straight tangent (x, y), since the parts before and after the bend
+    add up to end - start: (x, y + jump) when the disks push up (singularity
+    below, no cut met), and (x, y + travel*w*(bend.eta - start.eta) - jump)
+    when the leg crosses the cut (singularity above, disks pushing down, the
+    part before the bend sheared in the direction of travel).  The shear is
+    the only place the bend enters.  With no disks attached both candidates
+    are returned.
     """
     lo, hi = sorted((leg.start.eta, leg.end.eta))
     if not lo <= bend.eta <= hi or leg.start.eta == leg.end.eta:
         return []
-    base = _scale(leg.weight, _vec(bend, leg.start))
-    tail = _scale(leg.weight, _vec(leg.end, bend))
+    x, y = straight_tangent(leg)
     travel = 1 if leg.end.eta > leg.start.eta else -1
     directions = {d.direction for d in disks}
+    jump = sum(d.count for d in disks)
     candidates: list[Vec] = []
     if directions <= {(0, 1)}:
-        jump = sum(d.count for d in disks)
-        candidates.append(_add(_add(base, (Fraction(0), Fraction(jump))), tail))
+        candidates.append((x, y + jump))
     if directions <= {(0, -1)}:
-        jump = sum(d.count for d in disks)
-        candidates.append(
-            _add(_add(_shear(base, travel), (Fraction(0), Fraction(-jump))), tail)
-        )
+        candidates.append((x, y + travel * leg.weight * (bend.eta - leg.start.eta) - jump))
     return candidates
 
 
 def check_balancing(t: TropicalTriangle) -> bool:
-    """Exact balancing: leg tangents recomputed from the growth law, the
-    monodromy rule and the disk jumps must match the stored tangents and
-    cancel at the root."""
-    if any(leg.end != t.root for leg in t.legs):
-        return False
-    zero = (Fraction(0), Fraction(0))
+    """Exact balancing, read from the triangle alone: both legs end at the
+    root and their stored tangents cancel there; a straight leg arrives with
+    its straight tangent, and the bent one with a tangent `_bent_tangents`
+    allows.  Every disk sits at the bend, and after the bend the bent leg
+    runs along its arrival tangent: (root - bend) x tangent = 0."""
     stored = [leg.tangent_at_end for leg in t.legs]
-    if _add(stored[0], stored[1]) != zero:
+    (x0, y0), (x1, y1) = stored
+    if any(leg.end != t.root for leg in t.legs) or x0 + x1 or y0 + y1:
         return False
     if t.bend is None:
-        return not t.disks and all(
-            _straight_tangent(leg) == leg.tangent_at_end for leg in t.legs
-        )
-    for bent, straight in ((0, 1), (1, 0)):
-        if _straight_tangent(t.legs[straight]) != stored[straight]:
-            continue
-        if stored[bent] in _bent_tangents(t.legs[bent], t.bend, t.disks):
-            return True
-    return False
+        return not t.disks and all(straight_tangent(leg) == leg.tangent_at_end for leg in t.legs)
+    if any(d.point != t.bend for d in t.disks):
+        return False
+    run = (t.root.eta - t.bend.eta, t.root.xi - t.bend.xi)
+    return any(
+        straight_tangent(t.legs[straight]) == stored[straight]
+        and stored[bent] in _bent_tangents(t.legs[bent], t.bend, t.disks)
+        and run[0] * stored[bent][1] == run[1] * stored[bent][0]
+        for bent, straight in ((0, 1), (1, 0))
+    )
 
 
 def _check_indices(a: int, i: int, n: int) -> None:

@@ -442,6 +442,13 @@ def test_a_float_denominator_never_enters_the_column_table(float_first):
     assert affine.fractional_points(polygon, 2) == affine.fractional_points(
         affine.dp6_model(), 2
     )
+    # the warm table does not let a float denominator into the points or embed
+    for call in (
+        lambda: affine.fractional_points(polygon, 2.0),
+        lambda: affine.embed(polygon, FractionalPoint(0, 0, 2.0)),
+    ):
+        with pytest.raises(ValueError, match="denominator must be an int, got 2.0"):
+            call()
 
 
 # -- JSON booleans are not numbers ---------------------------------------------

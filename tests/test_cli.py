@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: outputs, JSON reports, exit codes, SVG files."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -425,3 +427,27 @@ def test_dp6_file_gets_neither_identity_nor_triangle(tmp_path, capsys):
     )
     assert code == 2
     assert "cp2 instance only" in capsys.readouterr().err
+
+
+# -- the README's examples -------------------------------------------------------
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _readme_block(heading, lang):
+    """The first ```lang block after the README line `heading`."""
+    section = _README.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_examples_parse_and_its_instance_is_cp2():
+    # parsed, not run: a changed option or positional leaves the README stale
+    parser = cli.build_parser()
+    block = _readme_block("## CLI", "sh")
+    lines = [line for line in block.splitlines() if line.startswith("affinefloer ")]
+    assert lines
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+    instance = affine.polygon_from_json(json.loads(_readme_block("## CLI", "json")))
+    assert affine.validate(instance) == []
+    assert instance == affine.CP2

@@ -9,7 +9,7 @@ import pytest
 from affinefloer import tropical as tr
 from affinefloer import verify
 from affinefloer.affine import CP2, RationalPoint, Singularity
-from affinefloer.floer import index_range
+from affinefloer.floer import index_range, k_value_cp2
 
 
 def _move_singularity(monkeypatch, xi):
@@ -85,6 +85,19 @@ def test_balancing_detects_perturbed_tangent():
     leg0 = t.legs[0]
     bad_leg = replace(leg0, tangent_at_end=(leg0.tangent_at_end[0] + 1, leg0.tangent_at_end[1]))
     assert not tr.check_balancing(replace(t, legs=(bad_leg, t.legs[1])))
+
+
+def test_balancing_detects_a_disk_off_the_bend():
+    t = tr.build_triangle(-2, 0, 2, 2, 0, 2, 1)
+    moved = replace(t.disks[0], point=RationalPoint(0, 7))
+    assert not tr.check_balancing(replace(t, disks=(moved,)))
+
+
+def test_balancing_detects_a_bend_off_the_arrival_line():
+    # a pure monodromy bend: no disks, and its shear does not read the height
+    t = tr.build_triangle(-1, 0, 1, 2, 0, 2, 1)
+    assert t.disks == () and t.bend == RationalPoint(0, Fraction(-1, 2))
+    assert not tr.check_balancing(replace(t, bend=RationalPoint(0, 7)))
 
 
 def test_singularity_side_selects_disk_direction(monkeypatch):
@@ -190,6 +203,67 @@ def _cp2_products(max_nm):
                 for (b, j) in sorted(index_range(n, n + m)):
                     for h in range(heights[a + b]):
                         yield a, i, n, b, j, m, h
+
+
+def _base_tail_tangents(leg, bend, disks):
+    """Reference for `tr._bent_tangents`: the arrival tangents rebuilt part by
+    part, w*(bend - start) before the bend (sheared in the direction of
+    travel when the leg crosses the cut), the disk jump, then w*(end - bend)."""
+    lo, hi = sorted((leg.start.eta, leg.end.eta))
+    if not lo <= bend.eta <= hi or leg.start.eta == leg.end.eta:
+        return []
+    w = leg.weight
+    base = (w * (bend.eta - leg.start.eta), w * (bend.xi - leg.start.xi))
+    tail = (w * (leg.end.eta - bend.eta), w * (leg.end.xi - bend.xi))
+    travel = 1 if leg.end.eta > leg.start.eta else -1
+    directions = {d.direction for d in disks}
+    jump = sum(d.count for d in disks)
+    candidates = []
+    if directions <= {(0, 1)}:
+        candidates.append((base[0] + tail[0], base[1] + jump + tail[1]))
+    if directions <= {(0, -1)}:
+        sheared = travel * base[0] + base[1]
+        candidates.append((base[0] + tail[0], sheared - jump + tail[1]))
+    return candidates
+
+
+@pytest.mark.parametrize("xi", [Fraction(-49, 100), Fraction(-1, 4), Fraction(-1, 100)])
+def test_bent_tangents_equal_the_base_tail_form(xi, monkeypatch):
+    # on every leg of every built triangle, and off the built set: the bend
+    # moved along its line, the disks dropped or flipped
+    _move_singularity(monkeypatch, xi)
+    compared = 0
+    for args in _cp2_products(3):
+        t = tr.build_triangle(*args)
+        if t is None or t.bend is None:
+            continue
+        flipped = tuple(replace(d, direction=(0, -d.direction[1])) for d in t.disks)
+        for height in (t.bend.xi, t.bend.xi - 1, Fraction(7, 3), Fraction(-5, 2)):
+            bend = RationalPoint(0, height)
+            for disks in (t.disks, (), flipped):
+                for leg in t.legs:
+                    got = tr._bent_tangents(leg, bend, disks)
+                    assert got == _base_tail_tangents(leg, bend, disks)
+                    compared += bool(got)
+    assert compared > 0
+
+
+def test_planted_bend_height_is_caught_and_leaves_the_count(monkeypatch):
+    ratio = tr._bend_ratio
+
+    def one_numerator_step_off(*args):
+        num, den = ratio(*args)
+        return num + 1, den
+
+    monkeypatch.setattr(tr, "_bend_ratio", one_numerator_step_off)
+    assert tr._witness(-1, 0, 1, 2, 0, 2, 1).bend == (-1, 4)  # not (-2, 4)
+    with pytest.raises(ArithmeticError, match="does not balance"):
+        tr.build_triangle(-1, 0, 1, 2, 0, 2, 1)
+    # the count does not depend on the bend's height
+    for a, i, n, b, j, m, h in _cp2_products(3):
+        k, s = k_value_cp2(a, b), h - (i + j)
+        expected = math.comb(k, s) if 0 <= s <= k else 0
+        assert tr.tropical_structure_constant(a, i, n, b, j, m, h) == expected
 
 
 @pytest.mark.parametrize("xi", [_LOW, CP2.singularities[0].xi_pos, _HIGH])
