@@ -10,7 +10,11 @@ middle section path upward.  A candidate is encoded by integers
 The triangle exists exactly when the word reduces to the identity.  Delta
 sequences that kill all the b's are *admissible*: entries in {-1, 0, 1},
 nonzero entries alternating in sign, first nonzero +1, last nonzero -1.
-They biject with binary strings (s_0, ..., s_{k-1}) via
+`enumerate_admissible` lists them by a depth-first walk of that rule, one
+entry at a time, which meets no sequence it then rejects; the walk does not
+use the binary strings below, and `brute_force_admissible`'s word search
+stays the independent check of it.  The admissible sequences biject with
+binary strings (s_0, ..., s_{k-1}) via
 delta_r = s_r - s_{r-1} (with s_{-1} = s_k = 0), so there are 2^k of them,
 and the output height satisfies h - (i+j) = k - sum(s_r).  Counting the
 admissible sequences hitting a given h therefore reproduces the binomial
@@ -24,7 +28,6 @@ Words are lists of run-length encoded (generator, exponent) runs, so that
 from __future__ import annotations
 
 import functools
-from itertools import product
 from typing import Iterable, Sequence
 
 Run = tuple[str, int]  # (generator "a" or "b", nonzero exponent)
@@ -61,25 +64,40 @@ def _power_runs(r: int, delta: int) -> list[Run]:
     return unit * abs(delta)
 
 
-def is_admissible(deltas: Sequence[int]) -> bool:
-    """Structural cancellation conditions on a delta sequence."""
-    nonzero = [d for d in deltas if d != 0]
-    if any(abs(d) > 1 for d in deltas):
-        return False
-    if not nonzero:
-        return True
-    if nonzero[0] != 1 or nonzero[-1] != -1:
-        return False
-    return all(u != v for u, v in zip(nonzero, nonzero[1:]))
+def _steps(owed: bool, left: int) -> tuple[tuple[int, bool], ...]:
+    """The (entry, owed after it) pairs the walk may place next, in
+    increasing entry order.  `owed` holds while the last nonzero entry is +1,
+    so the next nonzero one must be -1; `left` counts the open positions,
+    this one included.  A +1 is placed only where a later position can pay
+    it back, so every walk ends in an admissible sequence."""
+    if owed:
+        return ((-1, False), (0, True)) if left > 1 else ((-1, False),)
+    return ((0, False), (1, True)) if left > 1 else ((0, False),)
 
 
 def enumerate_admissible(k: int) -> list[DeltaSequence]:
-    """All admissible sequences of length k+1, in lexicographic order."""
+    """All admissible sequences of length k+1, in lexicographic order.
+
+    A depth-first walk of the structural rule: entries in {-1, 0, 1},
+    nonzero entries alternating, the first +1 and the last -1.  Each
+    position is filled in increasing order with the entries `_steps`
+    allows, so the walk visits only admissible prefixes and emits each of
+    the 2^k sequences once, already sorted.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return sorted(
-        deltas for deltas in product((-1, 0, 1), repeat=k + 1) if is_admissible(deltas)
-    )
+    found: list[DeltaSequence] = []
+
+    def walk(prefix: DeltaSequence, owed: bool) -> None:
+        left = k + 1 - len(prefix)
+        if not left:
+            found.append(prefix)
+            return
+        for delta, owes in _steps(owed, left):
+            walk(prefix + (delta,), owes)
+
+    walk((), False)
+    return found
 
 
 def binary_from_delta(deltas: Sequence[int]) -> tuple[int, ...]:

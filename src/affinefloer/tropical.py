@@ -37,12 +37,17 @@ tangents.  `tropical_structure_constant` returns its multiplicity;
 them with the independent `check_balancing`, which reads only the triangle
 and also checks that every disk sits at the bend and that the bent leg runs
 along its arrival tangent after it.  Both raise ArithmeticError rather than
-return a witness that does not balance.
+return a witness that does not balance; `build_triangle`'s message names
+the condition that failed.
 
 The geometric construction is implemented for one singularity on the line
 eta = 0; a singularity on another line raises ValueError.  The
 multi-singularity generalization is covered by the partition identity
 C(sum k_t, s) = sum over compositions (s_t) of prod C(k_t, s_t).
+`partition_constant` reads the left side off the coefficients of
+prod (1+x)^(k_t), a product of binomial rows that it memoizes per
+composition of exact ints, each entry built from its prefix's by one more
+row, so every s of a composition costs one lookup after the first.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import index
 from typing import NamedTuple, Optional, Sequence
 
 from .affine import CP2, RationalPoint, rat_str
@@ -128,27 +134,43 @@ def _bent_tangents(
     return candidates
 
 
+def _balancing_fault(t: TropicalTriangle) -> Optional[str]:
+    """The condition `check_balancing` finds broken, or None.  With a bend,
+    the reading of the legs (which one is bent) that passes the most of its
+    three checks names the fault."""
+    stored = [leg.tangent_at_end for leg in t.legs]
+    (x0, y0), (x1, y1) = stored
+    if any(leg.end != t.root for leg in t.legs):
+        return "a leg does not end at the root"
+    if x0 + x1 or y0 + y1:
+        return "the leg tangents do not cancel at the root"
+    if any(d.point != t.bend for d in t.disks):
+        return "a disk sits off the bend"
+    off_straight = "a straight leg does not arrive with its straight tangent"
+    if t.bend is None:
+        on_straight = all(straight_tangent(leg) == leg.tangent_at_end for leg in t.legs)
+        return None if on_straight else off_straight
+    run = (t.root.eta - t.bend.eta, t.root.xi - t.bend.xi)
+    faults = []
+    for bent, straight in ((0, 1), (1, 0)):
+        if straight_tangent(t.legs[straight]) != stored[straight]:
+            faults.append((0, off_straight))
+        elif stored[bent] not in _bent_tangents(t.legs[bent], t.bend, t.disks):
+            faults.append((1, "the bent leg arrives with a tangent the bend does not allow"))
+        elif run[0] * stored[bent][1] != run[1] * stored[bent][0]:
+            faults.append((2, "the bent leg does not run along its arrival tangent after the bend"))
+        else:
+            return None
+    return max(faults)[1]
+
+
 def check_balancing(t: TropicalTriangle) -> bool:
     """Exact balancing, read from the triangle alone: both legs end at the
     root and their stored tangents cancel there; a straight leg arrives with
     its straight tangent, and the bent one with a tangent `_bent_tangents`
     allows.  Every disk sits at the bend, and after the bend the bent leg
     runs along its arrival tangent: (root - bend) x tangent = 0."""
-    stored = [leg.tangent_at_end for leg in t.legs]
-    (x0, y0), (x1, y1) = stored
-    if any(leg.end != t.root for leg in t.legs) or x0 + x1 or y0 + y1:
-        return False
-    if t.bend is None:
-        return not t.disks and all(straight_tangent(leg) == leg.tangent_at_end for leg in t.legs)
-    if any(d.point != t.bend for d in t.disks):
-        return False
-    run = (t.root.eta - t.bend.eta, t.root.xi - t.bend.xi)
-    return any(
-        straight_tangent(t.legs[straight]) == stored[straight]
-        and stored[bent] in _bent_tangents(t.legs[bent], t.bend, t.disks)
-        and run[0] * stored[bent][1] == run[1] * stored[bent][0]
-        for bent, straight in ((0, 1), (1, 0))
-    )
+    return _balancing_fault(t) is None
 
 
 def _check_indices(a: int, i: int, n: int) -> None:
@@ -239,7 +261,8 @@ def build_triangle(
     """The unique tropical triangle from q_{a,i}@n and q_{b,j}@m to
     q_{a+b,h}@(n+m), or None when no triangle exists for this h.
 
-    Raises ArithmeticError unless `check_balancing` accepts the triangle.
+    Raises ArithmeticError unless `check_balancing` accepts the triangle;
+    the message names the condition that failed.
     """
     w = _witness(a, i, n, b, j, m, h)
     if w is None:
@@ -257,8 +280,9 @@ def build_triangle(
     count, sign = w.disks
     disks = (DiskAttachment(bend, count, (0, sign)),) if count else ()
     triangle = TropicalTriangle(legs, root, bend, disks, w.multiplicity)
-    if not check_balancing(triangle):
-        raise ArithmeticError(f"tropical triangle for h={h} does not balance")
+    fault = _balancing_fault(triangle)
+    if fault is not None:
+        raise ArithmeticError(f"tropical triangle for h={h} does not balance: {fault}")
     return triangle
 
 
@@ -272,28 +296,51 @@ def tropical_structure_constant(a: int, i: int, n: int, b: int, j: int, m: int, 
     return 0 if w is None else w.multiplicity
 
 
+# Coefficients of prod (1+x)^(k_t), keyed by the nonempty tuple (k_1..k_t)
+# of exact ints; every prefix of a stored key is stored too.
+_partition_polys: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
+def _times_row(poly: tuple[int, ...], k) -> tuple[int, ...]:
+    """poly times (1+x)^k, convolving in the binomial row C(k, 0..k)."""
+    row = [comb(k, part) for part in range(k + 1)]
+    out = [0] * (len(poly) + k)
+    for part, c in enumerate(row):
+        for r, p in enumerate(poly, part):
+            out[r] += c * p
+    return tuple(out)
+
+
 def partition_constant(k_list: Sequence[int], s: int) -> int:
     """Sum over ordered compositions (s_1..s_t) of s of prod C(k_t, s_t).
 
-    Computed as the coefficient of x^s in prod (1+x)^(k_t), multiplying in
-    one factor at a time and keeping degrees <= s: after t factors, entry r
-    is the same sum over compositions of r into t parts.  Each factor is
-    convolved in from its row C(k_t, 0..min(k_t, s)), computed once per
-    part.  Equals C(sum k_t, s), the coefficient of x^s in (1+x)^(sum k_t).
+    Computed as the coefficient of x^s in prod (1+x)^(k_t), 0 when s is past
+    its degree sum k_t: after t factors, entry r of the product is the same
+    sum over compositions of r into t parts.  The whole coefficient tuple is
+    memoized per composition of exact ints, each built from its prefix's by
+    convolving in one binomial row, so the calls for every s of a
+    composition, and for compositions sharing a prefix, share the work.
+    Parts that are not all exact ints are multiplied out row by row and
+    never stored or looked up, and a rejected argument raises on every
+    call.  A new part k costs its full row of k+1 entries, whatever s is.
+    Equals C(sum k_t, s), the coefficient of x^s in (1+x)^(sum k_t).
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if any(k < 0 for k in k_list):
+    parts = tuple(k_list)
+    if any(k < 0 for k in parts):
         raise ValueError("covering counts must be nonnegative")
-    coeffs = [1] + [0] * s
-    for k in k_list:
-        row = [comb(k, part) for part in range(min(k, s) + 1)]
-        convolved = [0] * (s + 1)
-        for part, c in enumerate(row):
-            for r in range(part, s + 1):
-                convolved[r] += c * coeffs[r - part]
-        coeffs = convolved
-    return coeffs[s]
+    s = index(s)
+    exact = all(type(k) is int for k in parts)
+    poly = _partition_polys.get(parts) if exact else None
+    if poly is None:
+        poly = (1,)
+        for t, k in enumerate(parts, 1):
+            known = _partition_polys.get(parts[:t]) if exact else None
+            poly = _times_row(poly, k) if known is None else known
+            if exact:
+                _partition_polys[parts[:t]] = poly
+    return poly[s] if s < len(poly) else 0
 
 
 def triangle_to_json(t: TropicalTriangle) -> dict:

@@ -81,6 +81,45 @@ def test_admissible_counts_are_powers_of_two():
         assert len(ht.enumerate_admissible(k)) == 2**k
 
 
+def is_admissible(deltas):
+    """The structural rule read off a whole sequence: entries in {-1, 0, 1},
+    nonzero entries alternating, the first +1 and the last -1."""
+    nonzero = [d for d in deltas if d != 0]
+    if any(abs(d) > 1 for d in deltas):
+        return False
+    if not nonzero:
+        return True
+    if nonzero[0] != 1 or nonzero[-1] != -1:
+        return False
+    return all(u != v for u, v in zip(nonzero, nonzero[1:]))
+
+
+def _filtered_product(k):
+    """The admissible sequences of length k+1 by filtering all 3^(k+1)."""
+    return sorted(d for d in product((-1, 0, 1), repeat=k + 1) if is_admissible(d))
+
+
+def test_walk_equals_the_filtered_product():
+    for k in range(0, 10):
+        assert ht.enumerate_admissible(k) == _filtered_product(k)
+
+
+def test_a_walk_allowing_a_leading_minus_one_is_caught(monkeypatch):
+    steps = ht._steps
+    for k in range(0, 4):
+
+        def leading_minus_one(owed, left, k=k):
+            allowed = steps(owed, left)
+            return ((-1, False),) + allowed if left == k + 1 else allowed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ht, "_steps", leading_minus_one)
+            walked = ht.enumerate_admissible(k)
+        assert walked[0][0] == -1
+        assert walked != _filtered_product(k)
+    assert ht.enumerate_admissible(3) == _filtered_product(3)
+
+
 def _delta_from_binary(s_seq):
     """delta_r = s_r - s_{r-1} with s_{-1} = s_k = 0 appended."""
     padded = [0] + list(s_seq) + [0]

@@ -181,6 +181,118 @@ def test_partition_constant_edge_cases():
         tr.partition_constant([2, 2], -1)
 
 
+def _partition_by_rows(k_list, s):
+    """Reference for `tr.partition_constant`: the coefficient of x^s in
+    prod (1+x)^(k_t), each row cut at degree s and convolved in afresh on
+    every call, with no memo."""
+    if s < 0:
+        raise ValueError("s must be nonnegative")
+    if any(k < 0 for k in k_list):
+        raise ValueError("covering counts must be nonnegative")
+    coeffs = [1] + [0] * s
+    for k in k_list:
+        row = [math.comb(k, part) for part in range(min(k, s) + 1)]
+        convolved = [0] * (s + 1)
+        for part, c in enumerate(row):
+            for r in range(part, s + 1):
+                convolved[r] += c * coeffs[r - part]
+        coeffs = convolved
+    return coeffs[s]
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def test_partition_constant_equals_the_row_loop(monkeypatch):
+    # from an empty memo, in a shuffled order, also with parts equal to 0
+    monkeypatch.setattr(tr, "_partition_polys", {})
+    calls = [
+        (k_list, s)
+        for total in range(0, 8)
+        for k_list in _compositions(total)
+        for s in range(-1, total + 2)
+    ]
+    calls += [((0,) + k_list + (0,), s) for k_list, s in calls[::7]]
+    for k_list, s in sorted(calls, key=lambda call: hash(call) % 1009):
+        assert _outcome(tr.partition_constant, k_list, s) == _outcome(
+            _partition_by_rows, k_list, s
+        )
+
+
+@pytest.mark.parametrize(
+    "call, twin",
+    [
+        (([2.0, 1], 1), ([2, 1], 1)),
+        (((1, 2.0), 2), ((1, 2), 2)),
+        (([True, 2], 2), ([1, 2], 2)),
+        (((False,), 0), ((0,), 0)),
+        (([2, -1], 1), ([2, 1], 1)),
+        (([-1], 0), ([1], 0)),
+        (([2, 1], -1), ([2, 1], 1)),
+        (([2, 1], 4), ([2, 1], 3)),
+        (([3, 2], 2), ((3, 2), 2)),
+    ],
+    ids=[
+        "float-part",
+        "float-last-part",
+        "bool-part",
+        "bool-zero-part",
+        "negative-part",
+        "negative-only-part",
+        "s-below-zero",
+        "s-past-the-sum",
+        "list-and-tuple",
+    ],
+)
+def test_partition_memo_never_changes_an_outcome(call, twin, monkeypatch):
+    # the call, and its exact-int twin, before and after each other and
+    # twice each: every outcome is the row loop's, every key exact ints
+    for order in ((call, twin, call, twin), (twin, call, twin, call)):
+        memo = {}
+        monkeypatch.setattr(tr, "_partition_polys", memo)
+        for args in order:
+            assert _outcome(tr.partition_constant, *args) == _outcome(_partition_by_rows, *args)
+        assert memo
+        assert all(type(key) is tuple for key in memo)
+        assert all(type(k) is int for key in memo for k in key)
+
+
+def test_a_planted_binomial_row_breaks_the_identity(monkeypatch):
+    memo = tr._partition_polys
+    tr.partition_constant([2, 1], 1)
+
+    def one_entry_off(k, part):
+        return math.comb(k, part) + ((k, part) == (2, 1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tr, "comb", one_entry_off)
+        patch.setattr(tr, "_partition_polys", {})
+        wrong = [
+            (k_list, s)
+            for total in range(0, 5)
+            for k_list in _compositions(total)
+            for s in range(total + 1)
+            if tr.partition_constant(k_list, s) != math.comb(total, s)
+        ]
+    assert ((2,), 1) in wrong and ((1, 2), 2) in wrong
+    assert tr.comb is math.comb and tr._partition_polys is memo
+    assert tr.partition_constant([2, 1], 1) == 3
+
+
 def test_triangle_json_shape():
     t = tr.build_triangle(-2, 0, 2, 2, 0, 2, 1)
     data = tr.triangle_to_json(t)
@@ -264,6 +376,77 @@ def test_planted_bend_height_is_caught_and_leaves_the_count(monkeypatch):
         k, s = k_value_cp2(a, b), h - (i + j)
         expected = math.comb(k, s) if 0 <= s <= k else 0
         assert tr.tropical_structure_constant(a, i, n, b, j, m, h) == expected
+
+
+def test_planted_bend_height_is_named_as_off_the_arrival_line(monkeypatch):
+    ratio = tr._bend_ratio
+    monkeypatch.setattr(tr, "_bend_ratio", lambda *args: (ratio(*args)[0] + 1, ratio(*args)[1]))
+    message = (
+        r"^tropical triangle for h=1 does not balance: "
+        r"the bent leg does not run along its arrival tangent after the bend$"
+    )
+    with pytest.raises(ArithmeticError, match=message):
+        tr.build_triangle(-1, 0, 1, 2, 0, 2, 1)
+
+
+def _shift_tangent(leg, dy):
+    x, y = leg.tangent_at_end
+    return replace(leg, tangent_at_end=(x, y + dy))
+
+
+_FIG = tr.build_triangle(-2, 0, 2, 2, 0, 2, 1)
+_STRAIGHT = tr.build_triangle(1, 0, 1, 1, 0, 1, 0)
+_OFF_LINE = RationalPoint(0, 7)  # a bend the bent leg's last part does not run from
+
+
+@pytest.mark.parametrize(
+    "triangle, fault",
+    [
+        (
+            replace(_FIG, legs=(replace(_FIG.legs[0], end=RationalPoint(0, 7)), _FIG.legs[1])),
+            "a leg does not end at the root",
+        ),
+        (
+            replace(_FIG, legs=(_shift_tangent(_FIG.legs[0], 1), _FIG.legs[1])),
+            "the leg tangents do not cancel at the root",
+        ),
+        (
+            replace(_FIG, disks=(replace(_FIG.disks[0], point=RationalPoint(0, 7)),)),
+            "a disk sits off the bend",
+        ),
+        (replace(_STRAIGHT, disks=_FIG.disks), "a disk sits off the bend"),
+        (
+            replace(_STRAIGHT, legs=tuple(map(_shift_tangent, _STRAIGHT.legs, (1, -1)))),
+            "a straight leg does not arrive with its straight tangent",
+        ),
+        (
+            replace(_FIG, disks=(replace(_FIG.disks[0], count=2),)),
+            "the bent leg arrives with a tangent the bend does not allow",
+        ),
+        (
+            replace(_FIG, legs=_FIG.legs[::-1], disks=(replace(_FIG.disks[0], count=2),)),
+            "the bent leg arrives with a tangent the bend does not allow",
+        ),
+        (
+            replace(_FIG, bend=_OFF_LINE, disks=(replace(_FIG.disks[0], point=_OFF_LINE),)),
+            "the bent leg does not run along its arrival tangent after the bend",
+        ),
+    ],
+    ids=[
+        "leg-end",
+        "no-cancel",
+        "disk-off-bend",
+        "disk-no-bend",
+        "straight-off",
+        "bent-not-allowed",
+        "bent-second-not-allowed",
+        "off-the-line",
+    ],
+)
+def test_balancing_names_the_failed_condition(triangle, fault):
+    assert tr.check_balancing(_FIG) and tr.check_balancing(_STRAIGHT)
+    assert tr._balancing_fault(triangle) == fault
+    assert not tr.check_balancing(triangle)
 
 
 @pytest.mark.parametrize("xi", [_LOW, CP2.singularities[0].xi_pos, _HIGH])
