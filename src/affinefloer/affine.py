@@ -550,8 +550,10 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     predicate of `AffinePolygon.contains`.  It shares nothing with
     `embed`, `column_counts` or `fiber`, nor with `_column_walk`, the
     integer walk over the boundary segments that derives the enumeration.
-    At d = 0 the box is the 0-th dilate, the one point (0, 0).
+    At d = 0 the box is the 0-th dilate, the one point (0, 0).  A d that is
+    not an exact int raises ValueError.
     """
+    _check_int(d)
     if d < 0:
         raise ValueError("denominator must be nonnegative")
     xi_values = [v.xi for v in polygon.top.vertices] + [v.xi for v in polygon.bottom.vertices]
@@ -570,20 +572,6 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
 # {eta_min, eta_max, singularities: [{eta, xi, mult}], top: [[eta, xi], ...],
 #  bottom: [[eta, xi], ...], corners: {left: bool, right: bool}}
 # with all rationals encoded as "p/q" strings.
-
-
-def polygon_to_json(polygon: AffinePolygon) -> dict:
-    return {
-        "eta_min": rat_str(polygon.eta_min),
-        "eta_max": rat_str(polygon.eta_max),
-        "singularities": [
-            {"eta": rat_str(s.eta_pos), "xi": rat_str(s.xi_pos), "mult": s.multiplicity}
-            for s in polygon.singularities
-        ],
-        "top": [[rat_str(v.eta), rat_str(v.xi)] for v in polygon.top.vertices],
-        "bottom": [[rat_str(v.eta), rat_str(v.xi)] for v in polygon.bottom.vertices],
-        "corners": {"left": polygon.left_corner, "right": polygon.right_corner},
-    }
 
 
 def _field(data: Mapping[str, Any], key: str, parse: Callable[[Any], Any]) -> Any:

@@ -82,7 +82,6 @@ class SyzCoordinates:
 @dataclass(frozen=True)
 class HessianReport:
     closed_form: tuple[tuple[float, float], tuple[float, float]]
-    finite_diff: tuple[tuple[float, float], tuple[float, float]]
     max_rel_error: float
     ratio: float
 
@@ -252,7 +251,7 @@ def hessian_identity(x: float, y: float) -> HessianReport:
         abs(c - f) / scale for crow, frow in zip(closed, fd) for c, f in zip(crow, frow)
     )
     ratio = -closed[0][1] / closed[1][1]
-    return HessianReport(closed, fd, max_rel, ratio)
+    return HessianReport(closed, max_rel, ratio)
 
 
 def relation_grid() -> tuple[list[float], list[float]]:

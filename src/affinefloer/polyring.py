@@ -11,6 +11,8 @@ which `qbasis_indices` enumerates and `q_monomial` checks; d = 0 holds only
 the unit Q_{0,0} = 1.  Multiplying two such elements and re-expanding
 (`q_product`, memoized by the ordered pair of indices) reproduces the
 binomial structure constants of the triangle product, swept by `verify.ring`.
+A polynomial is a plain record, built only by `q_monomial` and `multiply`
+and checked where it is used: `expand_in_qbasis` rejects a foreign monomial.
 
 Expansion in the Q basis inverts the change-of-basis matrix from the Q
 elements to the monomials, one degree at a time, and caches the inverse per
@@ -31,7 +33,8 @@ with every pivot +-1, so each block has determinant +-1.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from .affine import FractionalPoint
 
@@ -41,73 +44,22 @@ Monomial = Tuple[int, int, int]  # exponents of (x, y, z)
 QBasisIndex = FractionalPoint
 
 
+@dataclass(slots=True)
 class HomogeneousPolynomial:
-    """Exact-integer-coefficient homogeneous polynomial in x, y, z."""
+    """Monomials in x, y, z of total degree `degree` -> nonzero int coefficients."""
 
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: Mapping[Monomial, int]):
-        clean = {}
-        for mono, c in coeffs.items():
-            if c == 0:
-                continue
-            if sum(mono) != degree or min(mono) < 0:
-                raise ValueError(f"monomial {mono} is not homogeneous of degree {degree}")
-            if type(c) is not int:
-                try:
-                    integral = int(c)
-                except (ValueError, OverflowError):  # nan, inf
-                    integral = None
-                if integral != c:
-                    raise ValueError(f"coefficient {c!r} of {mono} is not an integer")
-                c = integral
-            clean[tuple(mono)] = c
-        self.degree = degree
-        self.coeffs = clean
-
-    @classmethod
-    def _trusted(cls, degree: int, coeffs: Dict[Monomial, int]) -> "HomogeneousPolynomial":
-        """Wrap integer coefficients known to be homogeneous of `degree`
-        (a product of checked polynomials), dropping only the zeros."""
-        poly = object.__new__(cls)
-        poly.degree = degree
-        poly.coeffs = {mono: c for mono, c in coeffs.items() if c}
-        return poly
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomogeneousPolynomial)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-
-        def fmt(mono, c):
-            xs = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip("xyz", mono)
-                if e > 0
-            )
-            xs = xs or "1"
-            return f"{c}*{xs}" if abs(c) != 1 else ("-" + xs if c == -1 else xs)
-
-        return " + ".join(fmt(m, c) for m, c in sorted(self.coeffs.items(), reverse=True))
+    degree: int
+    coeffs: Dict[Monomial, int]
 
 
 def multiply(p1: HomogeneousPolynomial, p2: HomogeneousPolynomial) -> HomogeneousPolynomial:
-    """Exact product; degrees add."""
+    """Exact product; degrees add, and zero coefficients are dropped."""
     acc: Dict[Monomial, int] = {}
     for m1, c1 in p1.coeffs.items():
         for m2, c2 in p2.coeffs.items():
             mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
             acc[mono] = acc.get(mono, 0) + c1 * c2
-    return HomogeneousPolynomial._trusted(p1.degree + p2.degree, acc)
+    return HomogeneousPolynomial(p1.degree + p2.degree, {m: c for m, c in acc.items() if c})
 
 
 def qbasis_indices(d: int) -> list[QBasisIndex]:
@@ -150,12 +102,11 @@ def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
         raise ValueError(f"index ({a},{i}) invalid in degree {d}")
     coeffs: Dict[Monomial, int] = {}
     for t in range(i + 1):
-        c = math.comb(i, t) * (-1) ** (i - t)
         if a <= 0:
             mono = (-a + t, d + a - 2 * t, t)
         else:
             mono = (t, d - a - 2 * t, a + t)
-        coeffs[mono] = coeffs.get(mono, 0) + c
+        coeffs[mono] = math.comb(i, t) * (-1) ** (i - t)
     poly = HomogeneousPolynomial(d, coeffs)
     if type(a) is type(i) is type(d) is int:
         _q_cache[idx] = poly
@@ -226,14 +177,19 @@ def _expansion_data(d: int) -> tuple[list[QBasisIndex], dict[Monomial, dict[int,
 
 
 def expand_in_qbasis(poly: HomogeneousPolynomial) -> Dict[QBasisIndex, int]:
-    """Unique exact coefficients of a polynomial over the distinguished basis."""
-    if poly.is_zero():
+    """Unique exact coefficients of a polynomial over the distinguished basis.
+    A monomial of another degree, or with a negative exponent, raises
+    ValueError."""
+    if not poly.coeffs:
         return {}
     indices, expansion = _expansion_data(poly.degree)
     acc: Dict[int, int] = {}
-    for mono, c in poly.coeffs.items():
-        for k, v in expansion[mono].items():
-            acc[k] = acc.get(k, 0) + c * v
+    try:
+        for mono, c in poly.coeffs.items():
+            for k, v in expansion[mono].items():
+                acc[k] = acc.get(k, 0) + c * v
+    except KeyError:
+        raise ValueError(f"{mono} is not a monomial of degree {poly.degree}") from None
     return {indices[k]: v for k, v in acc.items() if v != 0}
 
 

@@ -174,7 +174,9 @@ def check_balancing(t: TropicalTriangle) -> bool:
 
 
 def _check_indices(a: int, i: int, n: int) -> None:
-    if n < 1 or not 0 <= i < CP2.column_counts(n).get(a, 0):
+    if n < 1:
+        raise ValueError(f"tropical witnesses need positive denominators, got {n}")
+    if not 0 <= i < CP2.column_counts(n).get(a, 0):
         raise ValueError(f"q_({a},{i}) with denominator {n} is not admissible")
 
 

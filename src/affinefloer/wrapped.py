@@ -17,11 +17,11 @@ binomial rule as the compact case, with k from `floer.wall_count`.
 
 The wrap step is [y] + 2[p] (1, 2, 3 for L, C, D), writing [y] and [p] for
 the flags as 0 or 1.  The distinguished wrapped generator e_r, for r a
-positive multiple of the step, is (y^[y] p^[p])^{r/step}: its depth is
-[p]*r/step.  The continuation map from degree d to degree d + r is the
-product with it, `wrapped_product(case, e_element(case, r), q)`: one term
-with coefficient 1, whose chart point (a/d, -i/d) is the image of q's under
-the dilation by d/(d+r) centered at (0, -[p]/step).
+positive multiple of the step, is (y^[y] p^[p])^{r/step}, the point
+(0, [p]*r/step, r); the tests build it (`e_element`), no command does.  The
+continuation map from degree d to degree d + r is the product with it: one
+term with coefficient 1, whose chart point (a/d, -i/d) is the image of q's
+under the dilation by d/(d+r) centered at (0, -[p]/step).
 
 The oracle `laurent_product_in_qbasis` clears each factor's negative powers
 of y and p, each by its own power and only where the case inverts it,
@@ -57,7 +57,6 @@ class Complement(Enum):
     def __init__(self, inverts_y: bool, inverts_p: bool):
         self.inverts_y = inverts_y
         self.inverts_p = inverts_p
-        self.wrap_step = inverts_y + 2 * inverts_p
 
 
 def _depth_ok(case: Complement, a: int, i: int, d: int) -> bool:
@@ -165,10 +164,3 @@ def laurent_product_in_qbasis(
     expansion = q_product(*numerators)
     return {(a, i - total_rp): c for (a, i, _), c in expansion.items()}
 
-
-def e_element(case: Complement, r: int) -> FractionalPoint:
-    """The distinguished wrapped generator (y^[y] p^[p])^{r/step} at
-    wrapping level r, a positive multiple of the case's wrap step."""
-    if r <= 0 or r % case.wrap_step != 0:
-        raise ValueError(f"r must be a positive multiple of {case.wrap_step}")
-    return FractionalPoint(0, case.inverts_p * r // case.wrap_step, r)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from affinefloer import affine, homotopy, numchecks, tropical, verify, wrapped
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
 from affinefloer.wrapped import Complement
+from support import e_element, wrap_step
 
 
 def _report(name: str, ok: bool, detail: str = "") -> bool:
@@ -157,7 +158,7 @@ def test_criterion_6_partition_identity_and_dp6_counts():
 def _continuation(case, r, q):
     """The image of q under the continuation map of level r, the product
     with e_r, or None unless that product is one term with coefficient 1."""
-    product = wrapped.wrapped_product(case, wrapped.e_element(case, r), q)
+    product = wrapped.wrapped_product(case, e_element(case, r), q)
     if list(product.values()) != [1]:
         return None
     ((a, i),) = product
@@ -173,7 +174,7 @@ def test_criterion_7_wrapped_products_and_continuation():
         Complement.D: (Fraction(0), Fraction(-1, 3)),
     }
     for case in Complement:
-        step = case.wrap_step
+        step = wrap_step(case)
         cx, cy = centers[case]
         for r in range(step, 7, step):
             factor = Fraction(2, 2 + r)

@@ -15,6 +15,7 @@ from affinefloer.affine import (
     RationalPoint,
     Singularity,
 )
+from support import polygon_to_json
 
 
 def test_cp2_model_shape():
@@ -121,7 +122,7 @@ def test_singularity_height_does_not_change_enumeration():
 
 def test_json_round_trip(tmp_path):
     for m in (affine.cp2_model(), affine.dp6_model((2, 1, 3))):
-        data = affine.polygon_to_json(m)
+        data = polygon_to_json(m)
         assert affine.polygon_from_json(json.loads(json.dumps(data))) == m
         path = tmp_path / "instance.json"
         path.write_text(json.dumps(data))
@@ -129,7 +130,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_rationals_are_strings():
-    data = affine.polygon_to_json(affine.cp2_model())
+    data = polygon_to_json(affine.cp2_model())
     assert data["bottom"][1] == ["0", "-1/2"]
     assert data["singularities"][0] == {"eta": "0", "xi": "-1/4", "mult": 1}
 
@@ -327,7 +328,7 @@ def _fraction_table(polygon, d):
     "polygon", [case[1] for case in _SCAN_CASES], ids=[case[0] for case in _SCAN_CASES]
 )
 def test_column_table_matches_fraction_columns(polygon):
-    fresh = affine.polygon_from_json(affine.polygon_to_json(polygon))
+    fresh = affine.polygon_from_json(polygon_to_json(polygon))
     for d in range(0, 31):
         assert fresh.column_counts(d) == _fraction_table(fresh, d), d
 
@@ -449,6 +450,13 @@ def test_a_float_denominator_never_enters_the_column_table(float_first):
     ):
         with pytest.raises(ValueError, match="denominator must be an int, got 2.0"):
             call()
+
+
+def test_a_float_denominator_is_never_counted():
+    # count_points shares no geometry with the column table, only its type rule
+    assert affine.count_points(affine.CP2, 2) == 6
+    with pytest.raises(ValueError, match="denominator must be an int, got 2.0"):
+        affine.count_points(affine.CP2, 2.0)
 
 
 # -- JSON booleans are not numbers ---------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from affinefloer import affine, cli, numchecks
+from support import polygon_to_json
 
 
 def run(argv, capsys):
@@ -46,7 +47,7 @@ def test_points_human_output(capsys):
 )
 def test_widths_off_dp6_exits_two_with_one_line(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "INSTANCE.json").write_text(json.dumps(affine.polygon_to_json(affine.dp6_model())))
+    (tmp_path / "INSTANCE.json").write_text(json.dumps(polygon_to_json(affine.dp6_model())))
     assert cli.main(argv + ["--widths", "2", "1", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -205,7 +206,7 @@ def test_render_base_only(tmp_path, capsys):
 
 def test_instance_file_round_trip(tmp_path, capsys):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(affine.polygon_to_json(affine.dp6_model((1, 2, 1)))))
+    path.write_text(json.dumps(polygon_to_json(affine.dp6_model((1, 2, 1)))))
     code, data = run_json(["points", str(path), "1"], capsys)
     assert code == 0
     assert data["results"]["count"] == len(
@@ -292,7 +293,7 @@ def _write_instance(tmp_path, data):
 
 
 def _bad_monodromy_instance(tmp_path):
-    data = affine.polygon_to_json(affine.CP2)
+    data = polygon_to_json(affine.CP2)
     data["singularities"][0]["mult"] = 2  # the bottom still jumps by 1
     return _write_instance(tmp_path, data)
 
@@ -318,7 +319,7 @@ def test_points_rejects_invalid_instance(tmp_path, capsys):
     ],
 )
 def test_malformed_instance_names_the_key(tmp_path, capsys, change, key):
-    data = affine.polygon_to_json(affine.CP2)
+    data = polygon_to_json(affine.CP2)
     change(data)
     assert cli.main(["points", _write_instance(tmp_path, data), "2"]) == 2
     err = capsys.readouterr().err
@@ -337,7 +338,7 @@ def test_malformed_instance_names_the_key(tmp_path, capsys, change, key):
 def test_boolean_in_instance_exits_two_with_one_line(tmp_path, capsys, change, key):
     # dp6's eta_min, first top height and multiplicity are 0, 0 and 1, so
     # each boolean stands where an equal number was
-    data = affine.polygon_to_json(affine.dp6_model())
+    data = polygon_to_json(affine.dp6_model())
     change(data)
     assert cli.main(["--json", "points", _write_instance(tmp_path, data), "2"]) == 2
     captured = capsys.readouterr()
@@ -391,7 +392,7 @@ def test_sweep_bound_that_checks_nothing_exits_two(argv, capsys):
 
 
 def _instance_file(tmp_path, polygon):
-    return _write_instance(tmp_path, affine.polygon_to_json(polygon))
+    return _write_instance(tmp_path, polygon_to_json(polygon))
 
 
 def test_json_copy_of_cp2_gets_the_polynomial_identity(tmp_path, capsys):

@@ -11,6 +11,7 @@ import pytest
 
 from affinefloer import affine, floer
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
+from support import polygon_to_json
 
 
 def test_index_range_examples():
@@ -359,8 +360,8 @@ def test_equal_polygons_do_not_share_a_memo():
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second)
     assert "_products" not in repr(first) and "_covers" not in repr(first)
-    data = affine.polygon_to_json(first)
-    assert data == affine.polygon_to_json(second)
+    data = polygon_to_json(first)
+    assert data == polygon_to_json(second)
     loaded = affine.polygon_from_json(data)
     assert loaded == first and not loaded._products and not loaded._covers
 

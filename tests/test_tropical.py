@@ -67,11 +67,20 @@ def test_inadmissible_inputs_rejected():
     for args, message in (
         ((-3, 0, 2, 2, 0, 2, 0), r"^q_\(-3,0\) with denominator 2 is not admissible$"),
         ((-1, 1, 1, 1, 0, 1, 0), r"^q_\(-1,1\) with denominator 1 is not admissible$"),
-        ((0, 0, 1, 0, 0, 0, 0), r"^q_\(0,0\) with denominator 0 is not admissible$"),
+        ((0, 0, 1, 0, 0, 0, 0), r"^tropical witnesses need positive denominators, got 0$"),
     ):
         for build in (tr.build_triangle, tr.tropical_structure_constant):
             with pytest.raises(ValueError, match=message):
                 build(*args)
+
+
+def test_the_unit_is_admissible_but_has_no_witness():
+    # denominator 0 holds the unit q_(0,0) in the column table; a witness
+    # still needs a positive denominator, and the message says so
+    assert CP2.column_counts(0) == {0: 1}
+    with pytest.raises(ValueError) as info:
+        tr.tropical_structure_constant(0, 0, 0, 0, 0, 1, 0)
+    assert str(info.value) == "tropical witnesses need positive denominators, got 0"
 
 
 def test_balancing_detects_perturbed_disk_count():

@@ -10,12 +10,13 @@ from affinefloer.affine import FractionalPoint
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2
 from affinefloer.polyring import QBasisIndex, expand_in_qbasis, multiply, q_monomial
 from affinefloer.wrapped import Complement
+from support import e_element, wrap_step
 
 
 def _continuation(case, r, q):
     """The image of q under the continuation map of level r, the product
     with e_r, or None unless that product is one term with coefficient 1."""
-    product = wr.wrapped_product(case, wr.e_element(case, r), q)
+    product = wr.wrapped_product(case, e_element(case, r), q)
     if list(product.values()) != [1]:
         return None
     ((a, i),) = product
@@ -46,8 +47,9 @@ def test_case_depth_rules():
     ):
         assert q in wr.wrapped_basis(case, q.d, a_max=abs(q.a), i_max=abs(q.i))
         assert wr.wrapped_product(case, q, FractionalPoint(0, 0, 0)) == {(q.a, q.i): 1}
-        image = _continuation(case, case.wrap_step, q)
-        assert image == (q.a, q.i + wr.e_element(case, case.wrap_step).i, q.d + case.wrap_step)
+        step = wrap_step(case)
+        image = _continuation(case, step, q)
+        assert image == (q.a, q.i + e_element(case, step).i, q.d + step)
 
 
 @pytest.mark.parametrize("case, q, message", _REJECTED)
@@ -56,7 +58,7 @@ def test_case_depth_rules_reject_at_the_point_of_use(case, q, message):
     for run in (
         lambda: wr.wrapped_product(case, q, unit),
         lambda: wr.wrapped_product(case, unit, q),
-        lambda: _continuation(case, case.wrap_step, q),
+        lambda: _continuation(case, wrap_step(case), q),
     ):
         with pytest.raises(ValueError) as info:
             run()
@@ -102,9 +104,9 @@ def test_flag_rules_equal_the_per_case_branches():
 
 
 def test_wrap_steps():
-    assert Complement.L.wrap_step == 1
-    assert Complement.C.wrap_step == 2
-    assert Complement.D.wrap_step == 3
+    assert wrap_step(Complement.L) == 1
+    assert wrap_step(Complement.C) == 2
+    assert wrap_step(Complement.D) == 3
 
 
 def test_wrapped_basis_window_counts():
@@ -189,32 +191,32 @@ def test_wrapped_k_is_the_closed_form_on_cp2():
 
 
 def test_e_element_examples():
-    assert wr.e_element(Complement.L, 1) == FractionalPoint(0, 0, 1)
-    assert wr.rational_function(wr.e_element(Complement.L, 1)) == wr.LaurentElement(0, 0, 1)
-    assert wr.e_element(Complement.C, 2) == FractionalPoint(0, 1, 2)
-    assert wr.rational_function(wr.e_element(Complement.C, 2)) == wr.LaurentElement(0, 1, 0)
-    assert wr.e_element(Complement.D, 3) == FractionalPoint(0, 1, 3)
-    assert wr.rational_function(wr.e_element(Complement.D, 3)) == wr.LaurentElement(0, 1, 1)
+    assert e_element(Complement.L, 1) == FractionalPoint(0, 0, 1)
+    assert wr.rational_function(e_element(Complement.L, 1)) == wr.LaurentElement(0, 0, 1)
+    assert e_element(Complement.C, 2) == FractionalPoint(0, 1, 2)
+    assert wr.rational_function(e_element(Complement.C, 2)) == wr.LaurentElement(0, 1, 0)
+    assert e_element(Complement.D, 3) == FractionalPoint(0, 1, 3)
+    assert wr.rational_function(e_element(Complement.D, 3)) == wr.LaurentElement(0, 1, 1)
     with pytest.raises(ValueError):
-        wr.e_element(Complement.C, 3)
+        e_element(Complement.C, 3)
     with pytest.raises(ValueError):
-        wr.e_element(Complement.D, -3)
+        e_element(Complement.D, -3)
 
 
 def test_e_element_group_law():
     for case in Complement:
-        step = case.wrap_step
+        step = wrap_step(case)
         for r1 in range(step, 7, step):
             for r2 in range(step, 7, step):
                 prod = wr.wrapped_product(
-                    case, wr.e_element(case, r2), wr.e_element(case, r1)
+                    case, e_element(case, r2), e_element(case, r1)
                 )
-                e_sum = wr.e_element(case, r1 + r2)
+                e_sum = e_element(case, r1 + r2)
                 assert prod == {(e_sum.a, e_sum.i): 1}
                 laurent = wr.laurent_product_in_qbasis(
                     case,
-                    wr.rational_function(wr.e_element(case, r1)),
-                    wr.rational_function(wr.e_element(case, r2)),
+                    wr.rational_function(e_element(case, r1)),
+                    wr.rational_function(e_element(case, r2)),
                 )
                 assert laurent == {(e_sum.a, e_sum.i): 1}
 
@@ -222,9 +224,9 @@ def test_e_element_group_law():
 def test_continuation_is_composition_with_e():
     # one term with coefficient 1, shifted in depth by [p]*r/step
     for case in Complement:
-        step = case.wrap_step
+        step = wrap_step(case)
         for r in range(step, 7, step):
-            e = wr.e_element(case, r)
+            e = e_element(case, r)
             for q in wr.wrapped_basis(case, 2, a_max=3, i_max=2):
                 want = {(q.a, q.i + case.inverts_p * r // step): 1}
                 assert wr.wrapped_product(case, e, q) == want
@@ -237,7 +239,7 @@ def test_continuation_is_dilation_with_case_center():
         Complement.D: (Fraction(0), Fraction(-1, 3)),
     }
     for case in Complement:
-        step = case.wrap_step
+        step = wrap_step(case)
         cx, cy = centers[case]
         for r in range(step, 7, step):
             factor = Fraction(2, 2 + r)
@@ -249,7 +251,7 @@ def test_continuation_is_dilation_with_case_center():
 
 def test_continuation_directed_system():
     for case in Complement:
-        step = case.wrap_step
+        step = wrap_step(case)
         for r1 in range(step, 7, step):
             for r2 in range(step, 7, step):
                 for q in wr.wrapped_basis(case, 1, a_max=2, i_max=2):
@@ -261,10 +263,10 @@ def test_continuation_directed_system():
 def test_continuation_rejects_bad_levels():
     # the level is a positive multiple of the wrap step
     for case in Complement:
-        step = case.wrap_step
+        step = wrap_step(case)
         for r in range(-step, 4 * step + 1):
             if r > 0 and r % step == 0:
-                assert wr.e_element(case, r).d == r
+                assert e_element(case, r).d == r
                 continue
             with pytest.raises(ValueError, match=f"^r must be a positive multiple of {step}$"):
                 _continuation(case, r, FractionalPoint(0, 0, 1))
