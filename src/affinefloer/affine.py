@@ -79,9 +79,12 @@ class Singularity:
     eta_pos: Fraction
     xi_pos: Fraction
     multiplicity: int = 1
+    _eta: tuple[int, int] = field(init=False, repr=False, compare=False)  # eta_pos as (p, q)
 
     def __post_init__(self):
-        object.__setattr__(self, "eta_pos", rat(self.eta_pos))
+        eta = rat(self.eta_pos)
+        object.__setattr__(self, "eta_pos", eta)
+        object.__setattr__(self, "_eta", (eta.numerator, eta.denominator))
         object.__setattr__(self, "xi_pos", rat(self.xi_pos))
         m = self.multiplicity
         if isinstance(m, bool) or not isinstance(m, int) or m < 1:
@@ -175,6 +178,9 @@ class AffinePolygon:
     _covers: dict[tuple[int, int, int, int], Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # The segment-line memo, per instance like those above: the
+    # `_segment_lines` of bottom and top, filled by `_column_bounds`.
+    _lines: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eta_min", rat(self.eta_min))
@@ -190,22 +196,16 @@ class AffinePolygon:
         """Exact membership in the closed region (boundary points count).
 
         The point is brought to one denominator d, as (a/d, b/d), and tested
-        against the bottom and top segments over its column by integer
-        cross-multiplication (`_column_bounds`), the predicate `count_points`
-        scans with.  It shares nothing with `fiber`, `embed`,
-        `column_counts` or their integer walk (`_column_walk`), so a
+        by the predicate `count_points` scans with, against the bottom and top
+        lines over its column in the segment-line memo.  It shares nothing
+        with `fiber`, `embed`, `column_counts` or `_column_walk`, so a
         membership check is a derivation independent of the column table.
         """
         eta, xi = point.eta, point.xi
         if not (self.eta_min <= eta <= self.eta_max):
             return False
         d = math.lcm(eta.denominator, xi.denominator)
-        bounds = _column_bounds(
-            _segment_lines(self.bottom),
-            _segment_lines(self.top),
-            eta.numerator * (d // eta.denominator),
-            d,
-        )
+        bounds = _column_bounds(self, eta.numerator * (d // eta.denominator), d)
         return bounds is not None and _in_column(bounds, xi.numerator * (d // xi.denominator))
 
     def column_counts(self, d: int) -> Mapping[int, int]:
@@ -476,8 +476,9 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
     column table is stored.
     """
     _check_int(d)
+    new = tuple.__new__  # a FractionalPoint without its constructor's frame
     return [
-        FractionalPoint(a, i, d)
+        new(FractionalPoint, (a, i, d))
         for a, count in polygon.column_counts(d).items()
         for i in range(count)
     ]
@@ -513,17 +514,18 @@ def _segment_lines(line: BoundaryPolyline) -> _Lines:
     return tuple(lines)
 
 
-def _column_bounds(
-    bottom: _Lines, top: _Lines, a: int, d: int
-) -> tuple[int, int, int, int] | None:
+def _column_bounds(polygon: AffinePolygon, a: int, d: int) -> tuple[int, int, int, int] | None:
     """Integers (p_lo, k_lo, p_hi, k_hi) of the column eta = a/d, d > 0, at
-    or right of the left end, from the `_segment_lines` of both polylines:
-    (a/d, b/d) lies in the closed region exactly when p_lo*b >= k_lo and
-    p_hi*b <= k_hi (`_in_column`).  None when the column lies right of the
-    eta-range.  At a vertex either neighbouring segment will do: the graph
-    is continuous."""
+    or right of the left end, from the segment-line memo, which the first
+    call fills with the `_segment_lines` of bottom and top: (a/d, b/d) lies
+    in the closed region exactly when p_lo*b >= k_lo and p_hi*b <= k_hi
+    (`_in_column`).  None when the column lies right of the eta-range.  At a
+    vertex either neighbouring segment will do: the graph is continuous."""
+    if polygon._lines is None:
+        lines = (_segment_lines(polygon.bottom), _segment_lines(polygon.top))
+        object.__setattr__(polygon, "_lines", lines)
     bounds = []
-    for lines in (bottom, top):
+    for lines in polygon._lines:
         for n, m, p, q, r in lines:
             if a * m <= n * d:
                 bounds += (p, q * a + r * d)
@@ -543,25 +545,23 @@ def _in_column(bounds: tuple[int, int, int, int], b: int) -> bool:
 def count_points(polygon: AffinePolygon, d: int) -> int:
     """Brute-force membership count over the whole (1/d)-lattice bounding box.
 
-    Independent oracle for `fractional_points`: every candidate (a/d, b/d) in
-    the bounding box is tested against the boundary polylines by integer
-    cross-multiplication: each column's bottom and top segment are picked
-    once (`_column_bounds`) and every height is tested with `_in_column`, the
-    predicate of `AffinePolygon.contains`.  It shares nothing with
-    `embed`, `column_counts` or `fiber`, nor with `_column_walk`, the
-    integer walk over the boundary segments that derives the enumeration.
-    At d = 0 the box is the 0-th dilate, the one point (0, 0).  A d that is
-    not an exact int raises ValueError.
+    Independent oracle for `fractional_points`: each column's bottom and top
+    segment lines are picked once from the segment-line memo
+    (`_column_bounds`), and every candidate (a/d, b/d) of the box is tested
+    in integers by `_in_column`, the predicate of `AffinePolygon.contains`.
+    It shares nothing with `embed`, `column_counts`, `fiber` or
+    `_column_walk`, which derives the enumeration.  At d = 0 the box is the
+    0-th dilate, the one point (0, 0).  A d that is not an exact int raises
+    ValueError.
     """
     _check_int(d)
     if d < 0:
         raise ValueError("denominator must be nonnegative")
     xi_values = [v.xi for v in polygon.top.vertices] + [v.xi for v in polygon.bottom.vertices]
     heights = range(math.ceil(min(xi_values) * d), math.floor(max(xi_values) * d) + 1)
-    bottom, top = _segment_lines(polygon.bottom), _segment_lines(polygon.top)
     total = 0
     for a in range(math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d) + 1):
-        bounds = _column_bounds(bottom, top, a, d)
+        bounds = _column_bounds(polygon, a, d)
         if bounds is not None:
             total += sum(_in_column(bounds, b) for b in heights)
     return total

@@ -147,6 +147,14 @@ _SWEEPS = {
     ),
 }
 
+# verify flag -> (default, the suites that read it)
+_VERIFY_FLAGS = {
+    "max_degree": (6, ("ring", "wrapped")),
+    "max_k": (8, ("homotopy",)),
+    "max": (4, ("tropical",)),
+    "tol": (1e-9, ("numeric",)),
+}
+
 
 def _run_suites(report: CommandReport, args, suites) -> CommandReport:
     """Run each suite into the report; the numeric suite adds one check per
@@ -176,6 +184,15 @@ def _run_suites(report: CommandReport, args, suites) -> CommandReport:
 
 
 def cmd_verify(args) -> CommandReport:
+    """Run one suite, or all.  A single suite rejects a flag it does not read,
+    and wrapped a --max-degree above its cap of 3; `all` reads every flag."""
+    if args.suite == "wrapped" and (args.max_degree or 0) > 3:
+        raise ValueError(f"--max-degree {args.max_degree} is above the wrapped suite's cap of 3")
+    for dest, (default, readers) in _VERIFY_FLAGS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.suite not in ("all", *readers):
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by the {args.suite} suite")
     suites = (*_SWEEPS, "numeric") if args.suite == "all" else (args.suite,)
     return _run_suites(CommandReport("verify", {"suite": args.suite}), args, suites)
 
@@ -265,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-verification sweeps")
     p_verify.add_argument("suite", choices=(*_SWEEPS, "numeric", "all"))
-    p_verify.add_argument("--max-degree", type=int, default=6, dest="max_degree")
-    p_verify.add_argument("--max-k", type=int, default=8, dest="max_k")
-    p_verify.add_argument("--max", type=int, default=4)
-    p_verify.add_argument("--tol", type=tolerance, default=1e-9)
+    p_verify.add_argument("--max-degree", type=int, dest="max_degree")
+    p_verify.add_argument("--max-k", type=int, dest="max_k")
+    p_verify.add_argument("--max", type=int)
+    p_verify.add_argument("--tol", type=tolerance)
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="write an SVG figure")

@@ -22,23 +22,24 @@ triangle's vertical cross-section there.  The cross-section endpoints are
 integers whenever n*c and (n+m)*c are (hence for instances with integer
 singularity positions), which keeps the half-integer count unambiguous.
 
-Admissibility of every input and output index is a lookup in the polygon's
+Admissibility of every input and output index is read from the polygon's
 cached column table (`AffinePolygon.column_counts`), and nowhere else: the
 table holds only q_{0,0} at denominator 0 (the unit) and rejects negative
 denominators, so a basis vector is not validated when it is built.
 
 Two memos on the polygon hold what the product path computes, each keyed
 by exactly what its value depends on.  `mu2` memoizes its terms in
-`AffinePolygon._products`, keyed by points (a, i, n, b, j, m): the levels
-d1, d2, d3 only shift the result.  `critical_cover` memoizes its count in
-`AffinePolygon._covers`, keyed by columns (a, b, n, m): the columns a/n and
-b/m fix the section triangle and the depths only move it vertically, so k
-does not depend on i and j.  A dp6 (1,1,1) associativity sweep to degree 2
-fills 13 611 products from 627 column pairs.  The first call with a key
-runs every check; a repeat is one dict lookup.  Errors (inadmissible
-inputs, non-integral cross-sections, closure violations) are raised and
-never stored, so a bad input fails on every call; so is a result from a
-key that is not all exact ints.  Both memos are never trimmed.
+`AffinePolygon._products` by points (a, i, n, b, j, m): the levels only
+shift the result.  `critical_cover` memoizes a `CriticalCover` record in
+`AffinePolygon._covers` by columns (a, b, n, m): the depths only move the
+section triangle vertically.  The record is the column pair's kernel, the
+per-singularity counts, their sum k and the table's counts at a/n, b/m and
+(a+b)/(n+m), so a cold product reads the table only through it; its row
+C(k, 0..k) comes from a module table keyed by exact-int k.  The first call
+with a key runs every check; a repeat is one dict lookup.  Errors
+(inadmissible inputs, non-integral cross-sections, closure violations) are
+raised and never stored, so a bad input fails on every call; so is a result
+from a key that is not all exact ints.  Neither memo is ever trimmed.
 
 A formal sum is a named tuple (d1, d2, terms).  Inside the library it is
 built through `tuple.__new__` (`_new`), which skips the Python frame of the
@@ -51,7 +52,7 @@ All coefficients are arbitrary-precision integers; every sign is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
@@ -137,7 +138,7 @@ def wall_count(singularity: Singularity, a: int, b: int, n: int, m: int) -> int:
     `critical_cover` and `wrapped.wrapped_product`."""
     # The singular line eta = p/q against the three side lines y = 0,
     # y = a - n*eta and y = a + b - (n+m)*eta, all heights scaled by q.
-    p, q = singularity.eta_pos.numerator, singularity.eta_pos.denominator
+    p, q = singularity._eta
     left, right = p * n - a * q, p * m - b * q
     if left * right > 0:  # the line misses the triangle's eta-span
         return 0
@@ -161,21 +162,25 @@ def wall_count(singularity: Singularity, a: int, b: int, n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class CriticalCover:
-    """Per-singularity covering counts of one composable pair of morphisms."""
+    """The kernel of a column pair a/n, b/m: per-singularity covering counts,
+    their sum k, and the column counts at a/n, b/m and (a+b)/(n+m)."""
 
     k_list: tuple[int, ...]
+    count_a: int
+    count_b: int
+    count_out: int
+    total: int = field(init=False)
 
-    @property
-    def total(self) -> int:
-        return sum(self.k_list)
+    def __post_init__(self):
+        object.__setattr__(self, "total", sum(self.k_list))
 
 
 def critical_cover(
     polygon: AffinePolygon, a: int, b: int, n: int, m: int
 ) -> CriticalCover:
-    """Per-singularity covering counts for admissible columns a/n and b/m:
-    one `wall_count` per singularity of the polygon.  Memoized on the polygon
-    (`AffinePolygon._covers`) by (a, b, n, m); only a count from four exact
+    """The `CriticalCover` of admissible columns a/n and b/m: one `wall_count`
+    per singularity of the polygon.  Memoized on the polygon
+    (`AffinePolygon._covers`) by (a, b, n, m); only a record from four exact
     ints is stored (a float equal to an int counts a float k), and a
     rejected pair raises on every call."""
     key = (a, b, n, m)
@@ -187,10 +192,23 @@ def critical_cover(
     for col, den in ((a, n), (b, m)):
         if not polygon.column_counts(den).get(col, 0):
             raise ValueError(f"column {col} not admissible for denominator {den}")
-    cover = CriticalCover(tuple(wall_count(s, a, b, n, m) for s in polygon.singularities))
+    cover = CriticalCover(
+        tuple(wall_count(s, a, b, n, m) for s in polygon.singularities),
+        *(polygon.column_counts(den).get(col, 0) for col, den in ((a, n), (b, m), (a + b, n + m))),
+    )
     if type(a) is type(b) is type(n) is type(m) is int:
         polygon._covers[key] = cover
     return cover
+
+
+_binomial_rows: dict[int, tuple[int, ...]] = {}  # C(k, 0..k) by exact-int k
+
+
+def _check_depths(polygon: AffinePolygon, inputs) -> None:
+    """Check each input (col, depth, den) in the column table, unit included."""
+    for col, depth, den in inputs:
+        if not 0 <= depth < polygon.column_counts(den).get(col, 0):
+            raise ValueError(f"q_({col},{depth}) with denominator {den} is not admissible")
 
 
 def _product_terms(
@@ -198,27 +216,35 @@ def _product_terms(
 ) -> tuple[tuple[tuple[int, int], int], ...]:
     """Sorted terms of mu2(q_{b,j}@m, q_{a,i}@n) on the polygon.
 
-    Checks both inputs' depths against the column table (the unit q_{0,0}@0
-    included), counts k by `critical_cover` and checks that the deepest
-    output term closes.  The terms (a+b, i+j+s) -> C(k, s) are built in
+    One `critical_cover` record gives k and the counts that both depths and
+    the deepest output term are checked against.  A unit factor, or an input
+    the record rejects, is checked against the column table, which raises
+    the input's error.  The terms (a+b, i+j+s) -> C(k, s) are built in
     increasing s, which is their sorted order.
     """
-    for col, depth, den in ((a, i, n), (b, j, m)):
-        if not 0 <= depth < polygon.column_counts(den).get(col, 0):
-            raise ValueError(f"q_({col},{depth}) with denominator {den} is not admissible")
-    if n == 0:
-        return (((b, j), 1),)
-    if m == 0:
-        return (((a, i), 1),)
-    k = critical_cover(polygon, a, b, n, m).total
-    col, depth = a + b, i + j
-    top = polygon.column_counts(n + m).get(col, 0)
-    if depth + k >= top:
-        raise ArithmeticError(
-            f"product term q_({col},{max(depth, top)}) at denominator {n + m} "
-            "is not admissible; instance violates closure"
-        )
-    return tuple(((col, depth + s), math.comb(k, s)) for s in range(k + 1))
+    inputs = ((a, i, n), (b, j, m))
+    if n > 0 and m > 0:
+        try:
+            cover = critical_cover(polygon, a, b, n, m)
+        except ValueError:
+            _check_depths(polygon, inputs)
+            raise
+        if not (0 <= i < cover.count_a and 0 <= j < cover.count_b):
+            _check_depths(polygon, inputs)
+        k, top, col, depth = cover.total, cover.count_out, a + b, i + j
+        if depth + k >= top:
+            raise ArithmeticError(
+                f"product term q_({col},{max(depth, top)}) at denominator {n + m} "
+                "is not admissible; instance violates closure"
+            )
+        row = _binomial_rows.get(k) if type(k) is int else None
+        if row is None:  # `range` and `math.comb` reject a k that is not an int
+            row = tuple(math.comb(k, s) for s in range(k + 1))
+            if type(k) is int:
+                _binomial_rows[k] = row
+        return tuple(((col, depth + s), c) for s, c in enumerate(row))
+    _check_depths(polygon, inputs)
+    return (((b, j), 1),) if n == 0 else (((a, i), 1),)
 
 
 def _row(polygon: AffinePolygon, key: tuple[int, int, int, int, int, int]):

@@ -298,6 +298,85 @@ def test_membership_scan_shares_nothing_with_the_column_table(monkeypatch):
         assert affine.embed(fresh, FractionalPoint(3, 1, 2)) == spot
 
 
+def _box_points(polygon, d):
+    """Every point of the (1/d)-lattice bounding box of the polygon, d > 0."""
+    xi_values = [v.xi for v in polygon.top.vertices] + [v.xi for v in polygon.bottom.vertices]
+    heights = range(math.ceil(min(xi_values) * d), math.floor(max(xi_values) * d) + 1)
+    columns = range(math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d) + 1)
+    return [RationalPoint(Fraction(a, d), Fraction(b, d)) for a in columns for b in heights]
+
+
+def test_contains_matches_fiber_predicate_on_the_lattice_box_cold_and_warm():
+    d6 = affine.dp6_model((2, 1, 3))
+    points = [p for d in range(1, 5) for p in _box_points(d6, d)]
+    expected = [_fiber_contains(d6, p) for p in points]
+    assert True in expected and False in expected
+    # before the memo fills: each verdict from a copy with an empty memo
+    cold = []
+    for p in points:
+        copy = replace(d6)
+        assert copy._lines is None
+        cold.append(copy.contains(p))
+    assert cold == expected
+    # after: every verdict read through one filled memo
+    assert d6._lines is None
+    d6.contains(points[0])
+    assert d6._lines is not None
+    assert [d6.contains(p) for p in points] == expected
+
+
+def test_the_scan_reads_its_segment_lines_from_the_memo(monkeypatch):
+    d6 = affine.dp6_model((2, 1, 3))
+    counts = [affine.count_points(d6, d) for d in range(7)]
+    spots = [affine.embed(d6, FractionalPoint(3, 1, 2)), RationalPoint(Fraction(1, 3), 1)]
+    verdicts = [d6.contains(p) for p in spots]
+    assert verdicts == [True, False]
+
+    def forbidden(*args):
+        raise AssertionError("segment lines derived again")
+
+    monkeypatch.setattr(affine, "_segment_lines", forbidden)
+    assert [affine.count_points(d6, d) for d in range(7)] == counts
+    assert [d6.contains(p) for p in spots] == verdicts
+    with pytest.raises(AssertionError, match="derived again"):
+        affine.count_points(affine.dp6_model((2, 1, 3)), 1)
+
+
+def test_the_segment_line_memo_is_per_instance():
+    first, second = affine.dp6_model(), affine.dp6_model()
+    assert first.contains(RationalPoint(1, -1))
+    assert first._lines is not None and second._lines is None
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) and "_lines" not in repr(first)
+    assert polygon_to_json(first) == polygon_to_json(second)
+    assert replace(first)._lines is None
+    assert affine.polygon_from_json(polygon_to_json(first))._lines is None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [case for case in _SCAN_CASES if case[0] in ("dp6-213", "hand-built")],
+    ids=lambda case: case[0],
+)
+@pytest.mark.parametrize(
+    "side, segment, step",
+    [(0, 0, 1), (0, -1, 1), (1, 0, -1)],
+    ids=["bottom-first", "bottom-last", "top"],
+)
+def test_an_off_by_one_cached_segment_line_fails_the_scan_comparison(case, side, segment, step):
+    # R moves by one toward the inside of the region: a step outward can
+    # leave the bounding box, where the scan has no candidate to gain
+    _, polygon, max_d = case
+    polygon = replace(polygon)
+    affine.count_points(polygon, 1)
+    lines = [list(line) for line in polygon._lines]
+    n, m, p, q, r = lines[side][segment]
+    lines[side][segment] = (n, m, p, q, r + step)
+    object.__setattr__(polygon, "_lines", tuple(map(tuple, lines)))
+    with pytest.raises(AssertionError):
+        test_count_points_matches_fraction_scan(polygon, max_d)
+
+
 # -- the integer column walk against the Fraction columns it replaced ---------
 
 

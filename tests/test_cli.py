@@ -391,6 +391,47 @@ def test_sweep_bound_that_checks_nothing_exits_two(argv, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag, suite",
+    [
+        (["verify", "ring", "--max", "0", "--max-k", "0"], "--max-k", "ring"),
+        (["verify", "homotopy", "--max-degree", "0"], "--max-degree", "homotopy"),
+        (["verify", "homotopy", "--max", "0"], "--max", "homotopy"),
+        (["verify", "tropical", "--max-k", "3"], "--max-k", "tropical"),
+        (["verify", "wrapped", "--tol", "1e-3"], "--tol", "wrapped"),
+        (["verify", "numeric", "--max-degree", "2"], "--max-degree", "numeric"),
+    ],
+)
+def test_a_flag_the_suite_does_not_read_exits_two(argv, flag, suite, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and f"{flag} " in error and f" {suite} suite" in error
+
+
+@pytest.mark.parametrize("degree", ["4", "5"])
+def test_a_wrapped_degree_above_the_cap_exits_two(degree, capsys):
+    assert cli.main(["verify", "wrapped", "--max-degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and "--max-degree" in error and "cap of 3" in error
+
+
+def test_verify_all_reads_every_flag(monkeypatch):
+    seen = []
+    monkeypatch.setattr(
+        cli, "_run_suites", lambda report, args, suites: seen.append(args) or report
+    )
+    argv = ["verify", "all", "--max-degree", "5", "--max-k", "3", "--max", "2", "--tol", "1e-8"]
+    assert cli.main(argv) == 0
+    (args,) = seen
+    assert (args.max_degree, args.max_k, args.max, args.tol) == (5, 3, 2, 1e-8)
+    assert cli.main(["verify", "wrapped"]) == 0
+    assert (seen[1].max_degree, seen[1].max_k, seen[1].max, seen[1].tol) == (6, 8, 4, 1e-9)
+
+
 def _instance_file(tmp_path, polygon):
     return _write_instance(tmp_path, polygon_to_json(polygon))
 

@@ -549,3 +549,74 @@ def test_kink_defect_equals_critical_cover(make):
                     assert defect == cold.total == other.total
                     pairs += 1
     assert len(polygon._covers) == pairs
+
+
+def test_the_cover_record_carries_the_column_counts_it_was_read_with():
+    d6 = affine.dp6_model((2, 1, 3))
+    for n, m in ((1, 1), (1, 2), (2, 3)):
+        for a, count_a in d6.column_counts(n).items():
+            for b, count_b in d6.column_counts(m).items():
+                if not (count_a and count_b):
+                    continue
+                cover = floer.critical_cover(d6, a, b, n, m)
+                assert (cover.count_a, cover.count_b) == (count_a, count_b)
+                assert cover.count_out == d6.column_counts(n + m).get(a + b, 0)
+                assert cover.total == sum(cover.k_list)
+    # a record with another k derives its total again and keeps its counts
+    shifted = replace(cover, k_list=tuple(k + 1 for k in cover.k_list))
+    assert shifted.total == cover.total + len(cover.k_list)
+    assert (shifted.count_a, shifted.count_b, shifted.count_out) == (
+        cover.count_a, cover.count_b, cover.count_out,
+    )
+
+
+def test_a_cold_product_reads_no_column_table(monkeypatch):
+    polygon = affine.dp6_model()
+    pairs = list(_all_pairs(polygon, 2))
+    for a, _, n, b, _, m in pairs:
+        floer.critical_cover(polygon, a, b, n, m)
+    want = [
+        mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i), polygon).coeffs()
+        for a, i, n, b, j, m in pairs
+    ]
+    polygon._products.clear()
+
+    def forbidden(*args):
+        raise AssertionError("column table read")
+
+    monkeypatch.setattr(affine.AffinePolygon, "column_counts", forbidden)
+    got = [
+        mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i), polygon).coeffs()
+        for a, i, n, b, j, m in pairs
+    ]
+    assert got == want and len(polygon._products) == len(pairs)
+    # an input the record rejects is checked against the table, which names it
+    with pytest.raises(AssertionError, match="column table read"):
+        mu2(basis_vector(1, 2, 0, 0), basis_vector(0, 1, 0, 9), polygon)
+
+
+def test_the_binomial_table_stores_only_exact_int_k(monkeypatch):
+    monkeypatch.setattr(floer, "_binomial_rows", {})
+    # x^2 * z^2 = y^4 + 2 y^2 p + p^2 on cp2: k = 2
+    out = mu2(basis_vector(2, 4, 2, 0), basis_vector(0, 2, -2, 0), affine.cp2_model())
+    assert out.coeffs() == {(0, 0): 1, (0, 1): 2, (0, 2): 1}
+    assert floer._binomial_rows == {2: (1, 2, 1)}
+    # a float column counts k = 2.0 on a cold cover: it neither reads the
+    # stored row of 2 nor stores one, and raises as math.comb rejects it
+    with pytest.raises(TypeError):
+        mu2(basis_vector(2, 4, 2, 0), basis_vector(0, 2, -2.0, 0), affine.cp2_model())
+    assert floer._binomial_rows == {2: (1, 2, 1)}
+
+
+def test_a_replaced_singularity_derives_its_integer_position_again():
+    s = affine.Singularity(Fraction(0), Fraction(-1, 4))
+    moved = replace(s, eta_pos=Fraction(1, 2))
+    assert moved._eta == (1, 2)
+    assert moved == affine.Singularity(Fraction(1, 2), Fraction(-1, 4))
+    assert hash(moved) == hash(affine.Singularity(Fraction(1, 2), Fraction(-1, 4)))
+    assert repr(moved) == (
+        "Singularity(eta_pos=Fraction(1, 2), xi_pos=Fraction(-1, 4), multiplicity=1)"
+    )
+    assert floer.wall_count(moved, -2, 2, 2, 2) == 1
+    with pytest.raises(ValueError, match=r"at eta=1/2 are not integers \(-3/2, -1\); "):
+        floer.wall_count(moved, -1, 1, 1, 1)

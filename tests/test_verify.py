@@ -1,6 +1,7 @@
 """The shared cross-check sweeps: bounds, work counts and reported mismatches."""
 
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -80,12 +81,13 @@ def _covering_shifted(fn, delta):
     """fn with every covering count it returns moved by delta.  A count one
     too low drops a product's top term; one too high adds a term that breaks
     closure in mu2 (or the depth rule of a complement in the wrapped
-    product), which raises.  A sweep names either as a mismatch."""
+    product), which raises.  A sweep names either as a mismatch.  A shifted
+    cover keeps the record's column counts and derives its total again."""
 
     def planted(*args):
         out = fn(*args)
         if isinstance(out, floer.CriticalCover):
-            return floer.CriticalCover(tuple(k + delta for k in out.k_list))
+            return replace(out, k_list=tuple(k + delta for k in out.k_list))
         return out + delta
 
     return planted
