@@ -160,7 +160,7 @@ def wall_count(singularity: Singularity, a: int, b: int, n: int, m: int) -> int:
     return singularity.multiplicity * ((hi - lo) // q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalCover:
     """The kernel of a column pair a/n, b/m: per-singularity covering counts,
     their sum k, and the column counts at a/n, b/m and (a+b)/(n+m)."""
@@ -192,9 +192,10 @@ def critical_cover(
     for col, den in ((a, n), (b, m)):
         if not polygon.column_counts(den).get(col, 0):
             raise ValueError(f"column {col} not admissible for denominator {den}")
+    counts = polygon.column_counts
     cover = CriticalCover(
         tuple(wall_count(s, a, b, n, m) for s in polygon.singularities),
-        *(polygon.column_counts(den).get(col, 0) for col, den in ((a, n), (b, m), (a + b, n + m))),
+        counts(n)[a], counts(m)[b], counts(n + m).get(a + b, 0),
     )
     if type(a) is type(b) is type(n) is type(m) is int:
         polygon._covers[key] = cover
