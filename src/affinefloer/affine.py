@@ -550,15 +550,17 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     (`_column_bounds`), and every candidate (a/d, b/d) of the box is tested
     in integers by `_in_column`, the predicate of `AffinePolygon.contains`.
     It shares nothing with `embed`, `column_counts`, `fiber` or
-    `_column_walk`, which derives the enumeration.  At d = 0 the box is the
-    0-th dilate, the one point (0, 0).  A d that is not an exact int raises
-    ValueError.
+    `_column_walk`, which derives the enumeration.  The box reaches one
+    lattice step above and below the vertices, so that the predicate, not
+    the box, rejects those rows: a segment line moved outward is seen.  At
+    d = 0 the box is the 0-th dilate, the one point (0, 0).  A d that is not
+    an exact int raises ValueError.
     """
     _check_int(d)
     if d < 0:
         raise ValueError("denominator must be nonnegative")
     xi_values = [v.xi for v in polygon.top.vertices] + [v.xi for v in polygon.bottom.vertices]
-    heights = range(math.ceil(min(xi_values) * d), math.floor(max(xi_values) * d) + 1)
+    heights = range(math.ceil(min(xi_values) * d) - 1, math.floor(max(xi_values) * d) + 2)
     total = 0
     for a in range(math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d) + 1):
         bounds = _column_bounds(polygon, a, d)
@@ -620,4 +622,8 @@ def polygon_from_json(data: Any) -> AffinePolygon:
 
 def load_polygon(path: str) -> AffinePolygon:
     with open(path, "r", encoding="utf-8") as fh:
-        return polygon_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"instance file {path} is too deeply nested") from None
+    return polygon_from_json(data)

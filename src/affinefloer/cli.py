@@ -5,9 +5,8 @@ Subcommands:
   points INSTANCE D              enumerate the (1/D)-integral points
   mu2 INSTANCE N M A I B J       one triangle product, with the polynomial
                                  identity checked on cp2
-  verify SUITE [bounds]          cross-verification sweeps
-                                 (ring | homotopy | tropical | wrapped |
-                                  numeric | all)
+  verify SUITE [bounds]          one suite of `verify.SUITES`, or all of them,
+                                 with the bound flags that table declares
   render INSTANCE OUT.svg        figure of the polygon, points, one triangle
   numeric                        JSON report of all floating-point checks
 
@@ -104,11 +103,7 @@ def cmd_points(args) -> CommandReport:
 
 def cmd_mu2(args) -> CommandReport:
     name, polygon = resolve_instance(args)
-    report = CommandReport(
-        "mu2",
-        {"instance": name, "n": args.n, "m": args.m, "a": args.a, "i": args.i,
-         "b": args.b, "j": args.j},
-    )
+    report = CommandReport("mu2", {"instance": name, **{f: getattr(args, f) for f in "nmaibj"}})
     q1 = floer.basis_vector(0, args.n, args.a, args.i)
     q2 = floer.basis_vector(args.n, args.n + args.m, args.b, args.j)
     product = floer.mu2(q2, q1, polygon)
@@ -119,63 +114,32 @@ def cmd_mu2(args) -> CommandReport:
         expansion = verify.ring_expansion(args.a, args.i, args.n, args.b, args.j, args.m)
         report.check("matches_polynomial_identity", expansion == product.coeffs())
     if not args.json:
-        terms = " + ".join(
-            (f"{c}*" if c != 1 else "") + f"q_({a},{i})" for (a, i), c in product.terms
-        )
-        print(f"mu2(q_({args.b},{args.j})@{args.m}, q_({args.a},{args.i})@{args.n}) = {terms}")
+        def terms(label) -> str:
+            return " + ".join((f"{c}*" if c != 1 else "") + label(a, i) for (a, i), c in product.terms)
+        print(f"mu2(q_({args.b},{args.j})@{args.m}, q_({args.a},{args.i})@{args.n}) = "
+              + terms(lambda a, i: f"q_({a},{i})"))
         if is_cp2:
-            rhs = " + ".join(
-                (f"{c}*" if c != 1 else "")
-                + polyring.q_label(a, i, args.n + args.m)
-                for (a, i), c in product.terms
-            )
-            print(
-                f"i.e. {polyring.q_label(args.a, args.i, args.n)} * "
-                f"{polyring.q_label(args.b, args.j, args.m)} = {rhs}"
-            )
+            q = polyring.q_label
+            print(f"i.e. {q(args.a, args.i, args.n)} * {q(args.b, args.j, args.m)} = "
+                  + terms(lambda a, i: q(a, i, args.n + args.m)))
     return report
 
 
-# verify suite -> (check name, sweep run with the suite's bound)
-_SWEEPS = {
-    "ring": ("ring_isomorphism", lambda args: verify.ring(args.max_degree)),
-    "homotopy": ("homotopy_word_counts", lambda args: verify.homotopy(args.max_k)),
-    "tropical": ("tropical_counts_match_products", lambda args: verify.tropical(args.max)),
-    "wrapped": (
-        "wrapped_products_match_localized_ring",
-        lambda args: verify.wrapped(min(args.max_degree, 3)),
-    ),
-}
-
-# verify flag -> (default, the suites that read it)
-_VERIFY_FLAGS = {
-    "max_degree": (6, ("ring", "wrapped")),
-    "max_k": (8, ("homotopy",)),
-    "max": (4, ("tropical",)),
-    "tol": (1e-9, ("numeric",)),
-}
+# verify flag -> the default of a suite it bounds: an int, or a tolerance
+_FLAGS = {suite.flag: suite.default for suite in verify.SUITES.values()}
 
 
-def _run_suites(report: CommandReport, args, suites) -> CommandReport:
-    """Run each suite into the report; the numeric suite adds one check per
-    floating-point check, every other suite one check for its sweep."""
-    for suite in suites:
-        if suite == "numeric":
-            numeric = numchecks.numeric_report(tol=args.tol)
-            report.results["numeric"] = numeric
-            for item in numeric["checks"]:
-                detail = item.get("error") or f"max_error={item['max_error']:.3e}"
-                report.check(item["name"], item["pass"], detail)
-        else:
-            name, run = _SWEEPS[suite]
-            sweep = run(args)
-            report.results[suite] = {
-                "checked": sweep.checked, "mismatches": list(sweep.mismatches)
-            }
-            detail = f"{sweep.checked} checked"
-            if sweep.mismatches:
-                detail += f", {len(sweep.mismatches)} mismatches, first: {sweep.mismatches[0]}"
-            report.check(name, sweep.ok, detail)
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _run_suites(report: CommandReport, args, names) -> CommandReport:
+    """Run the named suites of `verify.SUITES` in order into the report."""
+    for name in names:
+        suite = verify.SUITES[name]
+        report.results[name], checks = suite.run(getattr(args, suite.flag))
+        for check in checks:
+            report.check(*check)
     if not args.json:
         for check in report.checks:
             state = "pass" if check["pass"] else "FAIL"
@@ -184,25 +148,25 @@ def _run_suites(report: CommandReport, args, suites) -> CommandReport:
 
 
 def cmd_verify(args) -> CommandReport:
-    """Run one suite, or all.  A single suite rejects a flag it does not read,
-    and wrapped a --max-degree above its cap of 3; `all` reads every flag."""
-    if args.suite == "wrapped" and (args.max_degree or 0) > 3:
-        raise ValueError(f"--max-degree {args.max_degree} is above the wrapped suite's cap of 3")
-    for dest, (default, readers) in _VERIFY_FLAGS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif args.suite not in ("all", *readers):
-            raise ValueError(f"--{dest.replace('_', '-')} is not read by the {args.suite} suite")
-    suites = (*_SWEEPS, "numeric") if args.suite == "all" else (args.suite,)
-    return _run_suites(CommandReport("verify", {"suite": args.suite}), args, suites)
+    """Run one suite, or all.  A single suite rejects a flag it does not read
+    and a bound above its cap; `all` reads every flag."""
+    if args.suite != "all":
+        suite = verify.SUITES[args.suite]
+        for flag in _FLAGS:
+            value = getattr(args, flag)
+            if value is not None and flag != suite.flag:
+                raise ValueError(f"{_option(flag)} is not read by the {args.suite} suite")
+            if value is not None and value > suite.cap:
+                raise ValueError(f"{_option(flag)} {value} is above the {args.suite} suite's "
+                                 f"cap of {suite.cap}")
+    names = verify.SUITES if args.suite == "all" else (args.suite,)
+    return _run_suites(CommandReport("verify", {"suite": args.suite}), args, names)
 
 
 def cmd_render(args) -> CommandReport:
     name, polygon = resolve_instance(args)
-    report = CommandReport(
-        "render", {"instance": name, "out": args.out, "points": args.points,
-                   "triangle": args.triangle},
-    )
+    inputs = {f: getattr(args, f) for f in ("out", "points", "triangle")}
+    report = CommandReport("render", {"instance": name, **inputs})
     triangle = None
     if args.triangle is not None:
         if polygon != affine.CP2:
@@ -223,13 +187,13 @@ def cmd_render(args) -> CommandReport:
 
 
 def cmd_numeric(args) -> CommandReport:
-    return _run_suites(CommandReport("numeric", {"tol": args.tol}), args, ("numeric",))
+    flag = verify.SUITES["numeric"].flag
+    return _run_suites(CommandReport("numeric", {flag: getattr(args, flag)}), args, ("numeric",))
 
 
 def tolerance(text: str) -> float:
-    """argparse type of --tol: a float that `numchecks.check_tolerance`
-    accepts.  argparse reports text that is not a float as invalid input and
-    a rejected tolerance with the reason `check_tolerance` gives."""
+    """argparse type of a real bound: a float that `numchecks.check_tolerance`
+    accepts; a float it refuses is an argparse error giving its reason."""
     value = float(text)
     try:
         return numchecks.check_tolerance(value)
@@ -281,11 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu2.set_defaults(func=cmd_mu2)
 
     p_verify = sub.add_parser("verify", help="cross-verification sweeps")
-    p_verify.add_argument("suite", choices=(*_SWEEPS, "numeric", "all"))
-    p_verify.add_argument("--max-degree", type=int, dest="max_degree")
-    p_verify.add_argument("--max-k", type=int, dest="max_k")
-    p_verify.add_argument("--max", type=int)
-    p_verify.add_argument("--tol", type=tolerance)
+    p_verify.add_argument("suite", choices=(*verify.SUITES, "all"))
+    for flag, default in _FLAGS.items():
+        kind = int if isinstance(default, int) else tolerance
+        p_verify.add_argument(_option(flag), dest=flag, type=kind)
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="write an SVG figure")
@@ -298,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.set_defaults(func=cmd_render)
 
     p_numeric = sub.add_parser("numeric", help="floating-point checks report")
-    p_numeric.add_argument("--tol", type=tolerance, default=1e-9)
+    numeric = verify.SUITES["numeric"]
+    p_numeric.add_argument(_option(numeric.flag), type=tolerance, default=numeric.default)
     p_numeric.set_defaults(func=cmd_numeric)
 
     return parser
@@ -307,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.report_out:  # an unwritable path is refused before the command prints
+            open(args.report_out, "a", encoding="utf-8").close()
         report = args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -320,8 +286,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"failed check {check['name']}{detail}", file=sys.stderr)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report.to_json(), indent=2) + "\n")
     return 0 if report.ok else 1
 
 

@@ -283,7 +283,7 @@ def check_tolerance(tol: float) -> float:
     return tol
 
 
-def numeric_report(tol: float = 1e-9) -> dict:
+def numeric_report(tol: float) -> dict:
     """All numeric checks with measured errors, as one JSON-ready report.
     Raises ValueError for a tolerance `check_tolerance` rejects."""
     check_tolerance(tol)

@@ -1,31 +1,22 @@
 """Cross-check sweeps of the triangle product against its independent oracles.
 
 Each sweep compares one computation with an independent oracle up to a
-bound (`mu2` in ring and tropical, the wrapped product in wrapped, the word
-enumeration in homotopy) and returns a `Sweep`: how many comparisons it made
-and a one-line description of each that disagreed.  The CLI's `verify`
-command and the acceptance suite both run these functions, so every sweep is
-written once.  Library calls go through module attributes (`floer.mu2`), so a
-replacement installed on a module is the one the sweep runs.  A call that
-raises ArithmeticError on a pair is a mismatch naming the error text.
-
-* `ring`: Q-basis expansion of Q_{a,i} Q_{b,j} in the polynomial ring
-  (`ring_expansion`, which the CLI's `mu2` also checks on cp2);
-* `homotopy`: the admissible delta-sequences against the brute-force word
-  search, and their height counts against the binomials;
-* `tropical`: total multiplicity of the tropical witnesses per output height,
-  counted in integers;
-* `wrapped`: wrapped products against the localized Laurent rings.
-
-The floating-point checks are `numchecks.numeric_report`.
+bound and returns a `Sweep`: how many comparisons it made and a one-line
+description of each that disagreed.  A call that raises ArithmeticError on a
+pair is a mismatch naming the error text.  Library calls go through module
+attributes (`floer.mu2`), so a replacement installed on a module is the one
+the sweep runs.  `SUITES` is the one table of `verify` suites: these sweeps
+and the floating-point checks of `numchecks.numeric_report`.  The CLI builds
+its `verify` command from it; the acceptance tests call the same sweeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
-from . import affine, floer, polyring
+from . import affine, floer, numchecks, polyring
 from . import homotopy as _homotopy
 from . import tropical as _tropical
 from . import wrapped as _wrapped
@@ -169,3 +160,41 @@ def wrapped(max_degree: int) -> Sweep:
                                 f"q_({q2.a},{q2.i})@{d2}: product {got} vs Laurent {want}"
                             )
     return Sweep(checked, tuple(mismatches))
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One `verify` suite.  The CLI option `flag` ("max_degree" is
+    `--max-degree`) sets its bound, `default` when absent; a bound above
+    `cap` is refused on the suite alone and lowered to it under `all`."""
+
+    check: Optional[str]  # None: the numeric report, one check per entry
+    flag: str
+    default: Any
+    sweep: Callable[[Any], Any]
+    cap: float = math.inf
+
+    def run(self, bound=None) -> tuple[Any, list[tuple[str, bool, str]]]:
+        """The JSON result of the sweep at bound (None: the default), lowered
+        to the cap, and its checks, each as (name, pass, detail)."""
+        found = self.sweep(min(self.default if bound is None else bound, self.cap))
+        if self.check is None:
+            return found, [
+                (c["name"], c["pass"], c.get("error") or f"max_error={c['max_error']:.3e}")
+                for c in found["checks"]
+            ]
+        detail = f"{found.checked} checked"
+        if found.mismatches:
+            detail += f", {len(found.mismatches)} mismatches, first: {found.mismatches[0]}"
+        result = {"checked": found.checked, "mismatches": list(found.mismatches)}
+        return result, [(self.check, found.ok, detail)]
+
+
+# the `verify` suites, in the order `verify all` runs them
+SUITES = {
+    "ring": Suite("ring_isomorphism", "max_degree", 6, ring),
+    "homotopy": Suite("homotopy_word_counts", "max_k", 8, homotopy),
+    "tropical": Suite("tropical_counts_match_products", "max", 4, tropical),
+    "wrapped": Suite("wrapped_products_match_localized_ring", "max_degree", 6, wrapped, cap=3),
+    "numeric": Suite(None, "tol", 1e-9, numchecks.numeric_report),
+}

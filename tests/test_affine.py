@@ -364,17 +364,31 @@ def test_the_segment_line_memo_is_per_instance():
     ids=["bottom-first", "bottom-last", "top"],
 )
 def test_an_off_by_one_cached_segment_line_fails_the_scan_comparison(case, side, segment, step):
-    # R moves by one toward the inside of the region: a step outward can
-    # leave the bounding box, where the scan has no candidate to gain
+    # R moves by one toward the inside of the region
     _, polygon, max_d = case
+    polygon = _shift_segment_line(polygon, side, segment, step)
+    with pytest.raises(AssertionError):
+        test_count_points_matches_fraction_scan(polygon, max_d)
+
+
+def _shift_segment_line(polygon, side, segment, step):
+    """A copy of polygon whose cached segment line lines[side][segment]
+    (side 0 bottom, 1 top) has R moved by step."""
     polygon = replace(polygon)
     affine.count_points(polygon, 1)
     lines = [list(line) for line in polygon._lines]
     n, m, p, q, r = lines[side][segment]
     lines[side][segment] = (n, m, p, q, r + step)
     object.__setattr__(polygon, "_lines", tuple(map(tuple, lines)))
-    with pytest.raises(AssertionError):
-        test_count_points_matches_fraction_scan(polygon, max_d)
+    return polygon
+
+
+def test_a_segment_line_moved_outward_is_seen_by_the_scan():
+    # the top's first line one step out: its extra points lie above the
+    # highest vertex, in the row the box reaches past the vertices
+    polygon = _shift_segment_line(affine.dp6_model((2, 1, 3)), 1, 0, 1)
+    for d in range(6, 13):
+        assert affine.count_points(polygon, d) != len(affine.fractional_points(polygon, d)), d
 
 
 # -- the integer column walk against the Fraction columns it replaced ---------

@@ -2,11 +2,12 @@
 
 import json
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from affinefloer import affine, cli, numchecks
+from affinefloer import affine, cli, numchecks, verify
 from support import polygon_to_json
 
 
@@ -391,6 +392,13 @@ def test_sweep_bound_that_checks_nothing_exits_two(argv, capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def _option(flag):
+    return "--" + flag.replace("_", "-")
+
+
+_TABLE_FLAGS = list(dict.fromkeys(suite.flag for suite in verify.SUITES.values()))
+
+
 @pytest.mark.parametrize(
     "argv, flag, suite",
     [
@@ -400,6 +408,12 @@ def test_sweep_bound_that_checks_nothing_exits_two(argv, capsys):
         (["verify", "tropical", "--max-k", "3"], "--max-k", "tropical"),
         (["verify", "wrapped", "--tol", "1e-3"], "--tol", "wrapped"),
         (["verify", "numeric", "--max-degree", "2"], "--max-degree", "numeric"),
+    ]
+    + [
+        (["verify", name, _option(flag), "1"], _option(flag), name)
+        for name, suite in verify.SUITES.items()
+        for flag in _TABLE_FLAGS
+        if flag != suite.flag
     ],
 )
 def test_a_flag_the_suite_does_not_read_exits_two(argv, flag, suite, capsys):
@@ -419,17 +433,90 @@ def test_a_wrapped_degree_above_the_cap_exits_two(degree, capsys):
     assert error.startswith("error: ") and "--max-degree" in error and "cap of 3" in error
 
 
-def test_verify_all_reads_every_flag(monkeypatch):
-    seen = []
-    monkeypatch.setattr(
-        cli, "_run_suites", lambda report, args, suites: seen.append(args) or report
-    )
+def _record_bounds(monkeypatch):
+    """Swap each table suite's sweep for one that records its bound and
+    compares nothing; returns the suite -> bound record."""
+    seen = {}
+    for name, suite in verify.SUITES.items():
+        empty = verify.Sweep(0, ()) if suite.check else {"checks": []}
+
+        def sweep(bound, name=name, empty=empty):
+            seen[name] = bound
+            return empty
+        monkeypatch.setitem(verify.SUITES, name, replace(suite, sweep=sweep))
+    return seen
+
+
+def test_verify_all_reads_every_flag(monkeypatch, capsys):
+    seen = _record_bounds(monkeypatch)
     argv = ["verify", "all", "--max-degree", "5", "--max-k", "3", "--max", "2", "--tol", "1e-8"]
     assert cli.main(argv) == 0
-    (args,) = seen
-    assert (args.max_degree, args.max_k, args.max, args.tol) == (5, 3, 2, 1e-8)
-    assert cli.main(["verify", "wrapped"]) == 0
-    assert (seen[1].max_degree, seen[1].max_k, seen[1].max, seen[1].tol) == (6, 8, 4, 1e-9)
+    assert seen == {"ring": 5, "homotopy": 3, "tropical": 2, "wrapped": 3, "numeric": 1e-8}
+    seen.clear()
+    assert cli.main(["verify", "all"]) == 0
+    assert seen == {"ring": 6, "homotopy": 8, "tropical": 4, "wrapped": 3, "numeric": 1e-9}
+    for name, bound in list(seen.items()):
+        seen.clear()
+        assert cli.main(["verify", name]) == 0
+        assert seen == {name: bound}
+    capsys.readouterr()
+
+
+# suite -> (its smallest valid bound, a bound just below it)
+_LEAST_BOUND = {
+    "ring": (1, 0),
+    "homotopy": (0, -1),
+    "tropical": (1, 0),
+    "wrapped": (0, -1),
+    "numeric": (numchecks.TOL_FLOOR, numchecks.TOL_FLOOR / 2),
+}
+
+
+@pytest.mark.parametrize("name", verify.SUITES)
+def test_each_suite_reports_its_checks_at_its_least_bound(name, capsys):
+    suite = verify.SUITES[name]
+    least, below = _LEAST_BOUND[name]
+    with pytest.raises(ValueError):
+        suite.run(below)
+    code, data = run_json(["verify", name, _option(suite.flag), str(least)], capsys)
+    assert code in (0, 1)
+    assert list(data["results"]) == [name]
+    names = [c["name"] for c in data["checks"]]
+    if suite.check is None:
+        assert names == [c["name"] for c in data["results"][name]["checks"]] and names
+    else:
+        assert names == [suite.check]
+
+
+def test_an_unwritable_report_path_exits_two_before_any_output(tmp_path, capsys):
+    for argv in (["points", "cp2", "1"], ["--json", "points", "cp2", "1"]):
+        assert cli.main(["--out", str(tmp_path / "missing" / "x.json")] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (error,) = captured.err.splitlines()
+        assert error.startswith("error: ") and "x.json" in error
+    assert cli.main(["--out", str(tmp_path), "points", "cp2", "1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_a_report_path_is_left_as_it_was_when_the_command_exits_two(tmp_path, capsys):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    assert cli.main(["--out", str(kept), "points", "cp2", "-1"]) == 2
+    assert kept.read_text() == "earlier report\n"
+    assert cli.main(["--out", str(kept), "points", "cp2", "1"]) == 0
+    assert json.loads(kept.read_text())["results"]["count"] == 3
+    capsys.readouterr()
+
+
+def test_a_deeply_nested_instance_file_exits_two_with_one_line(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["points", str(path), "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (error,) = captured.err.splitlines()
+    assert error.startswith("error: ") and "too deeply nested" in error
 
 
 def _instance_file(tmp_path, polygon):

@@ -133,7 +133,7 @@ def test_hessian_rejects_nonpositive_x():
 
 
 def test_numeric_report_passes():
-    report = nc.numeric_report()
+    report = nc.numeric_report(1e-9)
     assert report["pass"]
     names = {c["name"] for c in report["checks"]}
     assert "coordinate_relation_grid" in names
