@@ -277,8 +277,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = json.dumps(report.to_json(), indent=2)
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(text)
     else:
         for check in report.checks:
             if not check["pass"]:
@@ -286,7 +287,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"failed check {check['name']}{detail}", file=sys.stderr)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.to_json(), indent=2) + "\n")
+            fh.write(text + "\n")
     return 0 if report.ok else 1
 
 

@@ -14,20 +14,21 @@ binomial structure constants of the triangle product, swept by `verify.ring`.
 A polynomial is a plain record, built only by `q_monomial` and `multiply`
 and checked where it is used: `expand_in_qbasis` rejects a foreign monomial.
 
-Expansion in the Q basis inverts the change-of-basis matrix from the Q
-elements to the monomials, one degree at a time, and caches the inverse per
-degree.  Every Q_{a,i} and every monomial x^al y^be z^ga lies in a column
-(a for Q_{a,i}, ga - al for the monomial), and p = xz - y^2 is homogeneous of
-column 0, so the matrix is block-diagonal by column: each block pairs the
-floor((d - |a|)/2) + 1 elements Q_{a,i} with the equally many monomials of
-column a.  Ordered by x-exponent, those monomials sit at block positions 0,
-1, ...; Q_{a,i} puts coefficient 1 on position i and touches no later one,
-so each block is upper unitriangular and is inverted by back-substitution
-in integers.  The fill still proves that the Q elements form a basis over
-the integers in each degree: it checks that every term of every Q element
-stays in its column and that each block is square, so the whole matrix is
-the direct sum of the blocks; and it raises if a block is not triangular
-with every pivot +-1, so each block has determinant +-1.
+Expansion in the Q basis peels one monomial at a time.  Every Q_{a,i} and
+every monomial x^al y^be z^ga lies in a column (a for Q_{a,i}, ga - al for
+the monomial), and p = xz - y^2 is homogeneous of column 0, so a monomial
+expands within its own column.  There it sits at block position
+min(al, ga), and Q_{a,i} puts coefficient 1 on position i and touches no
+later one: the column block is upper unitriangular.  So the monomial's
+expansion is read off from the top: while terms remain, the highest
+position s with coefficient c contributes c times the pivot of Q_{a,s}, and
+that multiple of Q_{a,s} is subtracted from the lower positions.  The row
+of each monomial is memoized.  Every Q element the peel reads is checked
+to keep all its terms in its column, at positions no later than its own,
+with a pivot of +-1, which is what makes the blocks invertible over the
+integers; a Q element that breaks this raises ArithmeticError.  That each
+block is also square, so the Q elements form a basis over the integers in
+every degree, is proven by the tests up to degree 12.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ def qbasis_indices(d: int) -> list[QBasisIndex]:
     ]
 
 
-def monomial_basis(d: int) -> list[Monomial]:
-    """Degree-d monomials ordered by column (z-exp minus x-exp), then x-exp."""
-    monos = [(al, d - al - ga, ga) for al in range(d + 1) for ga in range(d - al + 1)]
-    return sorted(monos, key=lambda m: (m[2] - m[0], m[0]))
+def _column_monomial(a, s, d) -> Monomial:
+    """The degree-d monomial at block position s of column a."""
+    if a <= 0:
+        return (s - a, d + a - 2 * s, s)
+    return (s, d - a - 2 * s, a + s)
 
 
 # Q elements already expanded, keyed by the index (a, i, d); a plain tuple
@@ -102,95 +104,74 @@ def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
         raise ValueError(f"index ({a},{i}) invalid in degree {d}")
     coeffs: Dict[Monomial, int] = {}
     for t in range(i + 1):
-        if a <= 0:
-            mono = (-a + t, d + a - 2 * t, t)
-        else:
-            mono = (t, d - a - 2 * t, a + t)
-        coeffs[mono] = math.comb(i, t) * (-1) ** (i - t)
+        coeffs[_column_monomial(a, t, d)] = math.comb(i, t) * (-1) ** (i - t)
     poly = HomogeneousPolynomial(d, coeffs)
     if type(a) is type(i) is type(d) is int:
         _q_cache[idx] = poly
     return poly
 
 
-# Per-degree cache: the Q indices in (a, i) order, and for each monomial its
-# expansion over them as {position in that list: integer coefficient}.
-_expansion_cache: Dict[int, tuple[list[QBasisIndex], dict[Monomial, dict[int, int]]]] = {}
+# Monomials already expanded, keyed by the monomial alone: its Q coefficients.
+_rows: Dict[Monomial, Dict[QBasisIndex, int]] = {}
 
 
-def _expansion_data(d: int) -> tuple[list[QBasisIndex], dict[Monomial, dict[int, int]]]:
-    entry = _expansion_cache.get(d)
-    if entry is not None:
-        return entry
-    indices = qbasis_indices(d)
-    monos = monomial_basis(d)
-    if len(indices) != len(monos):
-        raise ArithmeticError(f"basis size mismatch in degree {d}")
-    block_monos: Dict[int, list[Monomial]] = {}
-    for mono in monos:
-        block_monos.setdefault(mono[2] - mono[0], []).append(mono)
-    block_indices: Dict[int, list[int]] = {}
-    for k, idx in enumerate(indices):
-        block_indices.setdefault(idx.a, []).append(k)
-    expansion: dict[Monomial, dict[int, int]] = {mono: {} for mono in monos}
-    for a, rows in block_monos.items():
-        ks = block_indices.get(a, [])
-        if len(ks) != len(rows):
+def _peel(mono: Monomial, d: int) -> Dict[QBasisIndex, int]:
+    """The expansion of one monomial of degree d over the Q basis, memoized
+    when its exponents are exact ints; raises ValueError if `mono` is not a
+    monomial of degree d, and ArithmeticError on a Q element that leaves its
+    column block not unitriangular over the integers."""
+    if min(mono) < 0 or sum(mono) != d:
+        raise ValueError(f"{mono} is not a monomial of degree {d}")
+    a = mono[2] - mono[0]
+    rest = {min(mono[0], mono[2]): 1}  # coefficients by block position in column a
+    row: Dict[QBasisIndex, int] = {}
+    while rest:
+        s = max(rest)
+        c = rest.pop(s)
+        if not c:
+            continue
+        column = {}
+        for term, u in q_monomial((a, s, d)).coeffs.items():
+            r = min(term[0], term[2])
+            if r < 0 or term != _column_monomial(a, r, d):
+                raise ArithmeticError(
+                    f"Q_({a},{s}) in degree {d} has the term {term} outside its column"
+                )
+            column[r] = u
+        pivot = column.pop(s, 0)
+        if not pivot or any(r > s for r in column):
             raise ArithmeticError(
-                f"column {a} of degree {d} has {len(ks)} basis elements "
-                f"for {len(rows)} monomials"
+                f"Q_({a},{s}) in degree {d} leaves its column block "
+                f"singular or not upper triangular"
             )
-        row_of = {mono: r for r, mono in enumerate(rows)}
-        # Back-substitution in increasing block position s: with U[r][s] the
-        # coefficient of monomial r in Q_s, monomial s is
-        # pivot * (Q_s - sum_{r<s} U[r][s] * monomial r), every monomial r < s
-        # being expanded already; 1/pivot = pivot for pivot = +-1.
-        for s, k in enumerate(ks):
-            i = indices[k].i
-            column = {}
-            for mono, c in q_monomial(indices[k]).coeffs.items():
-                if mono not in row_of:
-                    raise ArithmeticError(
-                        f"Q_({a},{i}) in degree {d} has the term {mono} "
-                        f"outside its column"
-                    )
-                column[row_of[mono]] = c
-            pivot = column.pop(s, 0)
-            if not pivot or any(r > s for r in column):
-                raise ArithmeticError(
-                    f"Q_({a},{i}) in degree {d} leaves its column block "
-                    f"singular or not upper triangular"
-                )
-            if pivot not in (1, -1):
-                raise ArithmeticError(
-                    f"pivot {pivot} of Q_({a},{i}) in degree {d} gives "
-                    f"non-integer entries in the inverse change of basis"
-                )
-            row: dict[int, int] = {}
-            for r, u in column.items():
-                for q, v in expansion[rows[r]].items():
-                    row[q] = row.get(q, 0) - u * v
-            row[k] = 1
-            expansion[rows[s]] = {q: pivot * v for q, v in row.items() if v}
-    _expansion_cache[d] = (indices, expansion)
-    return indices, expansion
+        if pivot not in (1, -1):
+            raise ArithmeticError(
+                f"pivot {pivot} of Q_({a},{s}) in degree {d} gives "
+                f"non-integer entries in the inverse change of basis"
+            )
+        # c m_s = c * pivot * (Q_s - sum_{r<s} u_r m_r), as 1/pivot = pivot
+        c *= pivot
+        row[QBasisIndex(a, s, d)] = c
+        for r, u in column.items():
+            rest[r] = rest.get(r, 0) - c * u
+    if type(mono[0]) is type(mono[1]) is type(mono[2]) is int:
+        _rows[mono] = row
+    return row
 
 
 def expand_in_qbasis(poly: HomogeneousPolynomial) -> Dict[QBasisIndex, int]:
     """Unique exact coefficients of a polynomial over the distinguished basis.
     A monomial of another degree, or with a negative exponent, raises
     ValueError."""
-    if not poly.coeffs:
-        return {}
-    indices, expansion = _expansion_data(poly.degree)
-    acc: Dict[int, int] = {}
-    try:
-        for mono, c in poly.coeffs.items():
-            for k, v in expansion[mono].items():
-                acc[k] = acc.get(k, 0) + c * v
-    except KeyError:
-        raise ValueError(f"{mono} is not a monomial of degree {poly.degree}") from None
-    return {indices[k]: v for k, v in acc.items() if v != 0}
+    d = poly.degree
+    acc: Dict[QBasisIndex, int] = {}
+    for mono, c in poly.coeffs.items():
+        row = _rows.get(mono)
+        if row is None or sum(mono) != d:  # the memo holds rows of every degree
+            row = _peel(mono, d)
+        for idx, v in row.items():
+            acc[idx] = acc.get(idx, 0) + c * v
+    return {idx: v for idx, v in acc.items() if v}
 
 
 # Products already expanded, keyed by the ordered pair of Q indices.

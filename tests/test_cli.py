@@ -108,6 +108,12 @@ def test_mu2_with_a_unit_factor_checks_the_identity_on_cp2(args, term, capsys):
     assert dp6["results"]["product"] == data["results"]["product"]
 
 
+def test_mu2_checks_the_polynomial_identity_at_large_degree(capsys):
+    code, data = run_json(["mu2", "cp2", "200", "200", "0", "50", "0", "50"], capsys)
+    assert code == 0
+    assert ("matches_polynomial_identity", True) in [(c["name"], c["pass"]) for c in data["checks"]]
+
+
 def test_mu2_inadmissible_exits_nonzero(capsys):
     assert cli.main(["mu2", "cp2", "1", "1", "5", "0", "1", "0"]) == 2
     capsys.readouterr()
@@ -130,8 +136,9 @@ def test_verify_suites_pass(capsys):
 def test_verify_numeric_and_report_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code = cli.main(["--json", "--out", str(out_path), "verify", "numeric"])
-    capsys.readouterr()
+    stdout = capsys.readouterr().out
     assert code == 0
+    assert out_path.read_text() == stdout  # one report, elapsed_seconds included
     data = json.loads(out_path.read_text())
     assert data["command"] == "verify"
     assert all(c["pass"] for c in data["checks"])

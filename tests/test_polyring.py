@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,12 @@ def scale(f, c):
 
 
 P = poly(2, {(1, 0, 1): 1, (0, 2, 0): -1})  # xz - y^2
+
+
+def monomials(d):
+    """Degree-d monomials ordered by column (z-exp minus x-exp), then x-exp."""
+    monos = [(al, d - al - ga, ga) for al in range(d + 1) for ga in range(d - al + 1)]
+    return sorted(monos, key=lambda m: (m[2] - m[0], m[0]))
 
 
 def _unmemoized_q(idx):
@@ -204,7 +211,7 @@ def test_expansion_round_trip():
 def test_dimension_agreement():
     for d in range(1, 21):
         n_indices = len(pr.qbasis_indices(d))
-        n_monomials = len(pr.monomial_basis(d))
+        n_monomials = len(monomials(d))
         assert n_indices == n_monomials == (d + 2) * (d + 1) // 2
 
 
@@ -244,18 +251,35 @@ def test_q_monomial_and_multiply_build_only_well_formed_polynomials():
             assert _well_formed(product, left.d + right.d), (left, right)
 
 
-@pytest.mark.parametrize("mono", [(1, 1, 1), (-1, 3, 0)], ids=["off-degree", "negative-exponent"])
-def test_expand_rejects_a_foreign_monomial(mono):
+@pytest.mark.parametrize(
+    "mono, memoized",
+    [((1, 1, 1), False), ((-1, 3, 0), False), ((1, 1, 1), True)],
+    ids=["off-degree", "negative-exponent", "off-degree-memoized"],
+)
+def test_expand_rejects_a_foreign_monomial(mono, memoized):
+    if memoized:  # the memo is keyed by the monomial alone, not by its degree
+        pr.expand_in_qbasis(poly(3, {mono: 1}))
+        assert mono in pr._rows
     f = poly(2, {(1, 0, 1): 1, mono: 1})
     with pytest.raises(ValueError, match=re.escape(f"{mono} is not a monomial of degree 2")):
         pr.expand_in_qbasis(f)
+
+
+def test_a_monomial_with_a_float_exponent_is_never_memoized(monkeypatch):
+    # float exponents build float indices, which an int request must never read
+    monkeypatch.setattr(pr, "_rows", {})
+    pr.expand_in_qbasis(poly(2, {(1.0, 0, 1): 1}))
+    assert not pr._rows
+    expansion = pr.expand_in_qbasis(poly(2, {(1, 0, 1): 1}))
+    assert all(type(e) is int for idx in expansion for e in idx)
+    assert list(pr._rows) == [(1, 0, 1)]
 
 
 def test_monomials_expand_by_the_binomial_closed_form():
     # x^al y^be z^ga = z^a (xz)^t y^be (a >= 0) or x^-a (xz)^t y^be (a < 0), with
     # t = min(al, ga), a = ga - al, and xz = p + y^2.
     for d in range(1, 16):
-        for al, be, ga in pr.monomial_basis(d):
+        for al, be, ga in monomials(d):
             t, a = min(al, ga), ga - al
             want = {QBasisIndex(a, i, d): math.comb(t, i) for i in range(t + 1)}
             assert pr.expand_in_qbasis(poly(d, {(al, be, ga): 1})) == want
@@ -264,7 +288,7 @@ def test_monomials_expand_by_the_binomial_closed_form():
 def _full_matrix_expansion(d):
     """Per monomial, its Q coefficients from one Fraction Gauss-Jordan on the
     whole change-of-basis matrix, as the column blocks were first computed."""
-    monos = pr.monomial_basis(d)
+    monos = monomials(d)
     row_of = {m: r for r, m in enumerate(monos)}
     indices = pr.qbasis_indices(d)
     dim = len(monos)
@@ -296,47 +320,69 @@ def _full_matrix_expansion(d):
 
 def test_column_blocks_agree_with_the_full_matrix_inverse():
     for d in range(1, 13):
-        indices, expansion = pr._expansion_data(d)
-        blocks = {
-            mono: {(indices[k].a, indices[k].i): v for k, v in column.items()}
-            for mono, column in expansion.items()
+        peeled = {
+            mono: {(k.a, k.i): v for k, v in pr.expand_in_qbasis(poly(d, {mono: 1})).items()}
+            for mono in monomials(d)
         }
-        assert blocks == _full_matrix_expansion(d)
+        assert peeled == _full_matrix_expansion(d)
+
+
+def test_the_q_elements_are_a_z_basis_in_every_degree_up_to_12():
+    # Square column blocks make the change of basis their direct sum; each
+    # block upper triangular with pivots +-1 has determinant +-1.
+    for d in range(13):
+        indices = pr.qbasis_indices(d)
+        columns = Counter(m[2] - m[0] for m in monomials(d))
+        assert Counter(idx.a for idx in indices) == columns, d
+        for idx in indices:
+            terms = pr.q_monomial(idx).coeffs
+            assert all(m[2] - m[0] == idx.a and min(m[0], m[2]) <= idx.i for m in terms), idx
+            pivot = [c for m, c in terms.items() if min(m[0], m[2]) == idx.i]
+            assert pivot in ([1], [-1]), idx
 
 
 @pytest.mark.parametrize(
-    "bad_index, replacement, message",
+    "bad_index, replacement, pivot_monomial, message",
     [
         # 2 Q_(0,1): the block of column 0 has pivot 2 and inverse entries 1/2
-        (QBasisIndex(0, 1, 4), lambda q: scale(q(QBasisIndex(0, 1, 4)), 2), "non-integer"),
+        (
+            QBasisIndex(0, 1, 4),
+            lambda q: scale(q(QBasisIndex(0, 1, 4)), 2),
+            (1, 2, 1),
+            "non-integer",
+        ),
         # Q_(0,1) := Q_(0,0): two equal columns in one block
-        (QBasisIndex(0, 1, 4), lambda q: q(QBasisIndex(0, 0, 4)), "singular"),
+        (QBasisIndex(0, 1, 4), lambda q: q(QBasisIndex(0, 0, 4)), (1, 2, 1), "singular"),
         # Q_(1,0) + x^4: a term in column -4
         (
             QBasisIndex(1, 0, 4),
             lambda q: add(q(QBasisIndex(1, 0, 4)), poly(4, {(4, 0, 0): 1})),
+            (0, 3, 1),
             "outside its column",
         ),
         # Q_(0,0) + xz y^2: a term below the diagonal of the column-0 block
         (
             QBasisIndex(0, 0, 4),
             lambda q: add(q(QBasisIndex(0, 0, 4)), poly(4, {(1, 2, 1): 1})),
+            (0, 4, 0),
             "not upper triangular",
         ),
     ],
     ids=["pivot-2", "singular", "outside-column", "below-diagonal"],
 )
-def test_planted_bad_basis_is_rejected(monkeypatch, bad_index, replacement, message):
+def test_planted_bad_basis_is_rejected(
+    monkeypatch, bad_index, replacement, pivot_monomial, message
+):
     original = pr.q_monomial
     monkeypatch.setattr(
         pr, "q_monomial", lambda idx: replacement(original) if idx == bad_index else original(idx)
     )
-    monkeypatch.setattr(pr, "_expansion_cache", {})
+    monkeypatch.setattr(pr, "_rows", {})
     with pytest.raises(ArithmeticError, match=message):
-        pr.expand_in_qbasis(poly(4, {(0, 4, 0): 1}))
-    assert 4 not in pr._expansion_cache
+        pr.expand_in_qbasis(poly(4, {pivot_monomial: 1}))
+    assert not pr._rows
     pr.expand_in_qbasis(poly(3, {(0, 3, 0): 1}))  # other degrees are untouched
-    assert 3 in pr._expansion_cache
+    assert (0, 3, 0) in pr._rows
     monkeypatch.undo()
     # the planted element never reached the memo of the true q_monomial
     assert pr.q_monomial(bad_index) == _unmemoized_q(bad_index)
