@@ -196,8 +196,8 @@ class AffinePolygon:
         """Exact membership in the closed region (boundary points count).
 
         The point is brought to one denominator d, as (a/d, b/d), and tested
-        by the predicate `count_points` scans with, against the bottom and top
-        lines over its column in the segment-line memo.  It shares nothing
+        against the bottom and top lines over its column in the segment-line
+        memo: the lines `count_points` sums floors over.  It shares nothing
         with `fiber`, `embed`, `column_counts` or `_column_walk`, so a
         membership check is a derivation independent of the column table.
         """
@@ -430,8 +430,9 @@ def _column_walk(
     while a*L > e1*d; at a vertex either neighbouring segment will do, since
     the graph is continuous.  The top's lattice height is the floor of that
     quotient and the bottom's its ceiling, taken as minus the floor of the
-    negated quotient.  Shares nothing with the membership scan
-    (`_segment_lines`), which stays a second derivation of the region.
+    negated quotient.  Shares nothing with the segment-line memo
+    (`_segment_lines`) that `contains` and `count_points` read, which stays
+    a second derivation of the region.
     """
     a_lo, a_hi = math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d)
     columns = range(a_lo, a_hi + 1)
@@ -514,18 +515,24 @@ def _segment_lines(line: BoundaryPolyline) -> _Lines:
     return tuple(lines)
 
 
-def _column_bounds(polygon: AffinePolygon, a: int, d: int) -> tuple[int, int, int, int] | None:
-    """Integers (p_lo, k_lo, p_hi, k_hi) of the column eta = a/d, d > 0, at
-    or right of the left end, from the segment-line memo, which the first
-    call fills with the `_segment_lines` of bottom and top: (a/d, b/d) lies
-    in the closed region exactly when p_lo*b >= k_lo and p_hi*b <= k_hi
-    (`_in_column`).  None when the column lies right of the eta-range.  At a
-    vertex either neighbouring segment will do: the graph is continuous."""
+def _segment_line_memo(polygon: AffinePolygon) -> tuple[_Lines, _Lines]:
+    """The `_segment_lines` of bottom and top, filled into the polygon's
+    segment-line memo by the first call and read from it after."""
     if polygon._lines is None:
         lines = (_segment_lines(polygon.bottom), _segment_lines(polygon.top))
         object.__setattr__(polygon, "_lines", lines)
+    return polygon._lines
+
+
+def _column_bounds(polygon: AffinePolygon, a: int, d: int) -> tuple[int, int, int, int] | None:
+    """Integers (p_lo, k_lo, p_hi, k_hi) of the column eta = a/d, d > 0, at
+    or right of the left end, from the segment-line memo: (a/d, b/d) lies in
+    the closed region exactly when p_lo*b >= k_lo and p_hi*b <= k_hi
+    (`_in_column`).  None when the column lies right of the eta-range.  The
+    column reads the first segment whose right end n/m has a*m <= n*d; at a
+    vertex either neighbouring segment will do: the graph is continuous."""
     bounds = []
-    for lines in polygon._lines:
+    for lines in _segment_line_memo(polygon):
         for n, m, p, q, r in lines:
             if a * m <= n * d:
                 bounds += (p, q * a + r * d)
@@ -542,31 +549,66 @@ def _in_column(bounds: tuple[int, int, int, int], b: int) -> bool:
     return p_lo * b >= k_lo and p_hi * b <= k_hi
 
 
-def count_points(polygon: AffinePolygon, d: int) -> int:
-    """Brute-force membership count over the whole (1/d)-lattice bounding box.
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*x + b) / m) for x in range(n)) for n >= 0 and m > 0, a
+    and b of any sign, in O(log) steps: the Euclid-like recursion that swaps
+    the roles of m and a once both a and b are reduced below m."""
+    total = 0
+    while True:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
-    Independent oracle for `fractional_points`: each column's bottom and top
-    segment lines are picked once from the segment-line memo
-    (`_column_bounds`), and every candidate (a/d, b/d) of the box is tested
-    in integers by `_in_column`, the predicate of `AffinePolygon.contains`.
-    It shares nothing with `embed`, `column_counts`, `fiber` or
-    `_column_walk`, which derives the enumeration.  The box reaches one
-    lattice step above and below the vertices, so that the predicate, not
-    the box, rejects those rows: a segment line moved outward is seen.  At
-    d = 0 the box is the 0-th dilate, the one point (0, 0).  A d that is not
-    an exact int raises ValueError.
+
+def _lattice_height_sum(lines: _Lines, a_lo: int, a_hi: int, d: int, sign: int) -> int:
+    """The sum over the columns a_lo..a_hi of floor(k/p) for sign 1, or of
+    -ceil(k/p) = floor(-k/p) for sign -1, with (p, k) the line of `lines`
+    that `_column_bounds` reads for the column a/d, d >= 0.  The columns of
+    one segment form a run, summed by one `_floor_sum`."""
+    total, start = 0, a_lo
+    for n, m, p, q, r in lines:
+        end = min(a_hi, n * d // m)
+        if end >= start:
+            total += _floor_sum(end - start + 1, p, sign * q, sign * (q * start + r * d))
+            start = end + 1
+    if start <= a_hi:
+        raise ValueError(f"columns {start}/{d}..{a_hi}/{d} outside polyline range")
+    return total
+
+
+def count_points(polygon: AffinePolygon, d: int) -> int:
+    """The number of (1/d)-integral points of the closed region, by floor
+    sums over the segment-line memo in O(segments * log d) integer steps.
+
+    Independent oracle for `fractional_points`: over the column a/d, the
+    bottom and top lines that `AffinePolygon.contains` tests against
+    (`_column_bounds`' rule) bound the column's points to the heights b/d
+    with ceil(k_lo/p_lo) <= b <= floor(k_hi/p_hi), so the count is the sum
+    of floor(k_hi/p_hi) - ceil(k_lo/p_lo) + 1 over the columns in the
+    eta-range, and each segment's run of columns is one `_floor_sum`.  It
+    shares nothing with `embed`, `column_counts`, `fiber` or `_column_walk`,
+    which derives the enumeration.  The formula is exact where the bottom
+    lies on or below the top and both polylines span the eta-range, as
+    `validate` checks: a polyline that stops short raises ValueError, and
+    where the bottom rises above the top the sum is not a point count.  At
+    d = 0 the one column of the 0-th dilate holds the one point (0, 0).  A
+    d that is not an exact int raises ValueError.
     """
     _check_int(d)
     if d < 0:
         raise ValueError("denominator must be nonnegative")
-    xi_values = [v.xi for v in polygon.top.vertices] + [v.xi for v in polygon.bottom.vertices]
-    heights = range(math.ceil(min(xi_values) * d) - 1, math.floor(max(xi_values) * d) + 2)
-    total = 0
-    for a in range(math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d) + 1):
-        bounds = _column_bounds(polygon, a, d)
-        if bounds is not None:
-            total += sum(_in_column(bounds, b) for b in heights)
-    return total
+    a_lo, a_hi = math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d)
+    bottom, top = _segment_line_memo(polygon)
+    return (
+        _lattice_height_sum(top, a_lo, a_hi, d, 1)
+        + _lattice_height_sum(bottom, a_lo, a_hi, d, -1)
+        + a_hi - a_lo + 1
+    )
 
 
 # -- JSON instance schema -----------------------------------------------------

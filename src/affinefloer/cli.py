@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import Optional
@@ -80,16 +81,31 @@ def resolve_instance(args) -> tuple[str, AffinePolygon]:
     return name, polygon
 
 
+POINTS_CAP = 10**6
+"""The most (1/D)-integral points, and the most columns, that `points`
+enumerates and `render --points` draws."""
+
+
+def _count_within_cap(polygon: AffinePolygon, d: int) -> int:
+    """`affine.count_points(polygon, d)`, known in O(log d) before anything
+    is enumerated; ValueError (exit 2) when the points or the columns
+    eta = a/d of the listing would exceed `POINTS_CAP`."""
+    count = affine.count_points(polygon, d)
+    columns = math.floor(polygon.eta_max * d) - math.ceil(polygon.eta_min * d) + 1
+    if max(count, columns) > POINTS_CAP:
+        raise ValueError(f"d = {d} gives {count} points in {columns} columns; "
+                         f"the cap on each is {POINTS_CAP}")
+    return count
+
+
 def cmd_points(args) -> CommandReport:
     name, polygon = resolve_instance(args)
     report = CommandReport("points", {"instance": name, "d": args.d})
+    count = _count_within_cap(polygon, args.d)
     points = affine.fractional_points(polygon, args.d)
     report.results["count"] = len(points)
     report.results["points"] = [{"a": p.a, "i": p.i, "d": p.d} for p in points]
-    report.check(
-        "count_matches_membership_scan",
-        len(points) == affine.count_points(polygon, args.d),
-    )
+    report.check("count_matches_membership_scan", len(points) == count)
     if not args.json:
         for p in points:
             if p.d == 0:
@@ -176,6 +192,8 @@ def cmd_render(args) -> CommandReport:
         report.check("triangle_exists", triangle is not None)
         if triangle is not None:
             report.results["triangle"] = tropical.triangle_to_json(triangle)
+    if args.points is not None and args.points >= 1:  # render_svg refuses a smaller D
+        _count_within_cap(polygon, args.points)
     svg = render.render_svg(polygon, d=args.points, triangle=triangle)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

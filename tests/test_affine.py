@@ -1,4 +1,5 @@
-"""Polygon validation, point enumeration, and the membership-scan oracle."""
+"""Polygon validation, point enumeration, the membership predicate and the
+floor-sum point count."""
 
 import json
 import math
@@ -160,7 +161,7 @@ def test_degenerate_polylines_rejected():
         BoundaryPolyline((RationalPoint(0, 0), RationalPoint(0, 1)))
 
 
-# -- the integer membership scan against the Fraction scan it replaced --------
+# -- the floor-sum count and the integer predicate against the Fraction scan --
 
 
 def _fiber_contains(polygon, point):
@@ -173,9 +174,8 @@ def _fiber_contains(polygon, point):
 
 
 def _fraction_count(polygon, d):
-    """The Fraction scan `count_points` made before it counted in integers:
-    one `RationalPoint` per candidate of the bounding box, tested by
-    `_fiber_contains`."""
+    """The brute-force reference count: one `RationalPoint` per candidate of
+    the (1/d)-lattice bounding box, tested by `_fiber_contains`."""
     if d < 0:
         raise ValueError("denominator must be nonnegative")
     if d == 0:
@@ -371,24 +371,126 @@ def test_an_off_by_one_cached_segment_line_fails_the_scan_comparison(case, side,
         test_count_points_matches_fraction_scan(polygon, max_d)
 
 
-def _shift_segment_line(polygon, side, segment, step):
+def _shift_segment_line(polygon, side, segment, step, field=4):
     """A copy of polygon whose cached segment line lines[side][segment]
-    (side 0 bottom, 1 top) has R moved by step."""
+    (side 0 bottom, 1 top) has its integer `field` of (n, m, P, Q, R), R by
+    default, moved by step."""
     polygon = replace(polygon)
     affine.count_points(polygon, 1)
     lines = [list(line) for line in polygon._lines]
-    n, m, p, q, r = lines[side][segment]
-    lines[side][segment] = (n, m, p, q, r + step)
+    line = list(lines[side][segment])
+    line[field] += step
+    lines[side][segment] = tuple(line)
     object.__setattr__(polygon, "_lines", tuple(map(tuple, lines)))
     return polygon
 
 
 def test_a_segment_line_moved_outward_is_seen_by_the_scan():
     # the top's first line one step out: its extra points lie above the
-    # highest vertex, in the row the box reaches past the vertices
+    # highest vertex, where the count reads the line, not a bounding box
     polygon = _shift_segment_line(affine.dp6_model((2, 1, 3)), 1, 0, 1)
     for d in range(6, 13):
         assert affine.count_points(polygon, d) != len(affine.fractional_points(polygon, d)), d
+
+
+def test_a_slope_one_off_fails_the_scan_and_the_walk_comparisons():
+    # Q of dp6 (2,1,3)'s first bottom line one up: that segment now rises
+    # from its left end to one unit above its right vertex
+    _, polygon, max_d = next(case for case in _SCAN_CASES if case[0] == "dp6-213")
+    polygon = _shift_segment_line(polygon, 0, 0, 1, field=3)
+    with pytest.raises(AssertionError):
+        test_count_points_matches_fraction_scan(polygon, max_d)
+    with pytest.raises(AssertionError):
+        _assert_count_matches_walk(polygon, max_d)
+
+
+def test_floor_sum_matches_the_direct_sum():
+    for m in range(1, 10):
+        for a in range(-20, 21):
+            for b in range(-20, 21):
+                partial = 0  # the direct sum over x < n, grown one term per n
+                for n in range(13):
+                    assert affine._floor_sum(n, m, a, b) == partial, (n, m, a, b)
+                    partial += (a * n + b) // m
+
+
+@pytest.mark.parametrize(
+    "n, m, a, b",
+    [
+        (12, 10**20 + 7, 10**20 - 3, -(10**20) + 1),
+        (11, 3, 10**20 + 1, 10**20 - 1),
+        (7, 10**20, -(10**20) - 1, 10**20),
+        (0, 10**20, 10**20, 10**20),
+    ],
+)
+def test_floor_sum_near_10_to_the_20(n, m, a, b):
+    assert affine._floor_sum(n, m, a, b) == sum((a * x + b) // m for x in range(n))
+
+
+def test_floor_sum_of_a_full_period_near_10_to_the_20():
+    # for coprime a and m, sum(floor(a*x/m) for x < m) = (a - 1)(m - 1)/2
+    m, a = 10**20 + 1, 10**20 - 1
+    assert math.gcd(a, m) == 1
+    assert affine._floor_sum(m, m, a, 0) == (a - 1) * (m - 1) // 2
+    assert affine._floor_sum(m, m, -a, 0) == -(a - 1) * (m - 1) // 2 - (m - 1)
+
+
+_MULT2 = {
+    "eta_min": "0", "eta_max": "2",
+    "singularities": [{"eta": "1", "xi": "-1", "mult": 2}],
+    "top": [["0", "0"], ["2", "0"]],
+    "bottom": [["0", "-1"], ["1", "-2"], ["2", "-1"]],
+    "corners": {"left": False, "right": False},
+}
+
+# (instance, A, B, the period of the degrees it holds on): count_points(d) =
+# A*d^2 + (B/2)*d + 1, with A the affine area and B the boundary's lattice
+# length; half.json's holds on even d only.
+_RIEMANN_ROCH = [
+    ("cp2", affine.cp2_model, Fraction(1, 2), 3, 1),
+    ("dp6-111", lambda: affine.dp6_model((1, 1, 1)), 5, 8, 1),
+    ("dp6-213", lambda: affine.dp6_model((2, 1, 3)), Fraction(35, 2), 15, 1),
+    ("dp6-132", lambda: affine.dp6_model((1, 3, 2)), Fraction(31, 2), 15, 1),
+    ("dp6-515", lambda: affine.dp6_model((5, 1, 5)), 41, 24, 1),
+    ("mult2", lambda: affine.polygon_from_json(_MULT2), 3, 6, 1),
+    ("half", lambda: affine.polygon_from_json(_HALF), Fraction(23, 8), Fraction(13, 2), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "make, area, length, period",
+    [case[1:] for case in _RIEMANN_ROCH],
+    ids=[case[0] for case in _RIEMANN_ROCH],
+)
+def test_count_points_is_the_riemann_roch_polynomial_at_10_to_the_20(make, area, length, period):
+    polygon = make()
+    assert affine.validate(polygon) == []
+    for d in (10**20, 10**20 + 1):
+        if d % period == 0:
+            assert affine.count_points(polygon, d) == area * d * d + Fraction(length, 2) * d + 1, d
+
+
+def _assert_count_matches_walk(polygon, max_d):
+    for d in range(0, max_d + 1):
+        assert affine.count_points(polygon, d) == sum(polygon.column_counts(d).values()), d
+
+
+@pytest.mark.parametrize(
+    "make", [case[1] for case in _RIEMANN_ROCH], ids=[case[0] for case in _RIEMANN_ROCH]
+)
+def test_count_points_matches_the_column_walk(make):
+    _assert_count_matches_walk(make(), 60)
+
+
+def test_count_points_at_10_to_the_20_does_no_per_column_work(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("per-column work")
+
+    for name in ("_column_bounds", "_in_column", "_column_walk"):
+        monkeypatch.setattr(affine, name, forbidden)
+    monkeypatch.setattr(affine.AffinePolygon, "column_counts", forbidden)
+    d = 10**20
+    assert affine.count_points(affine.CP2, d) == (d + 2) * (d + 1) // 2
 
 
 # -- the integer column walk against the Fraction columns it replaced ---------
@@ -470,9 +572,14 @@ def test_column_table_of_unvalidated_polygons_matches_fraction_columns():
         table = crossing.column_counts(d)
         assert table == _fraction_table(crossing, d), d
         assert table[d] == 0
-    # Polylines that stop short of the eta-range: the walk raises as `fiber` does.
+    # Polylines that stop short of the eta-range: the walk and the count raise
+    # as `fiber` does.
     short = replace(affine.cp2_model(), eta_max=F(2))
-    for run in (lambda: short.fiber(F(2)), lambda: short.column_counts(1)):
+    for run in (
+        lambda: short.fiber(F(2)),
+        lambda: short.column_counts(1),
+        lambda: affine.count_points(short, 1),
+    ):
         with pytest.raises(ValueError, match="outside polyline range"):
             run()
 

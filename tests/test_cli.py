@@ -250,6 +250,43 @@ def test_invalid_input_exits_two_with_one_line(argv, tmp_path, monkeypatch, caps
     assert not (tmp_path / "x.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["points", "cp2", "100000000000000000000"], 5000000000000000000150000000000000000001),
+        (["--json", "points", "cp2", "100000000000000000000"],
+         5000000000000000000150000000000000000001),
+        (["points", "dp6", "1", "--widths", "1", "1", "1000000"], 500004500005),
+        (["render", "cp2", "x.svg", "--points", "100000"], 5000150001),
+    ],
+    ids=["points-cp2-1e20", "json-points-cp2-1e20", "points-dp6-wide", "render-cp2-1e5"],
+)
+def test_a_listing_above_the_points_cap_exits_two_with_one_line(
+    argv, count, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    assert f" {count} points " in line and f"cap on each is {cli.POINTS_CAP}" in line
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_the_points_cap_admits_a_listing_of_exactly_the_cap(tmp_path, monkeypatch, capsys):
+    # cp2 has 6 points in 5 columns at d = 2, and 10 points in 7 columns at d = 3
+    monkeypatch.setattr(cli, "POINTS_CAP", 6)
+    monkeypatch.chdir(tmp_path)
+    code, data = run_json(["points", "cp2", "2"], capsys)
+    assert code == 0 and data["results"]["count"] == 6
+    assert cli.main(["render", "cp2", "x.svg", "--points", "2"]) == 0
+    assert cli.main(["points", "cp2", "3"]) == 2
+    assert cli.main(["render", "cp2", "y.svg", "--points", "3"]) == 2
+    assert not (tmp_path / "y.svg").exists()
+    capsys.readouterr()
+
+
 _WIDTHS = ["--widths", "2", "1", "3"]
 
 
