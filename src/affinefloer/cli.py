@@ -83,7 +83,13 @@ def resolve_instance(args) -> tuple[str, AffinePolygon]:
 
 POINTS_CAP = 10**6
 """The most (1/D)-integral points, and the most columns, that `points`
-enumerates and `render --points` draws."""
+enumerates and `render --points` draws, and the most columns of the
+denominator n + m that `mu2` reads."""
+
+
+def _columns(polygon: AffinePolygon, d: int) -> int:
+    """The number of columns eta = a/d in the polygon's eta-range."""
+    return math.floor(polygon.eta_max * d) - math.ceil(polygon.eta_min * d) + 1
 
 
 def _count_within_cap(polygon: AffinePolygon, d: int) -> int:
@@ -91,7 +97,7 @@ def _count_within_cap(polygon: AffinePolygon, d: int) -> int:
     is enumerated; ValueError (exit 2) when the points or the columns
     eta = a/d of the listing would exceed `POINTS_CAP`."""
     count = affine.count_points(polygon, d)
-    columns = math.floor(polygon.eta_max * d) - math.ceil(polygon.eta_min * d) + 1
+    columns = _columns(polygon, d)
     if max(count, columns) > POINTS_CAP:
         raise ValueError(f"d = {d} gives {count} points in {columns} columns; "
                          f"the cap on each is {POINTS_CAP}")
@@ -104,7 +110,8 @@ def cmd_points(args) -> CommandReport:
     count = _count_within_cap(polygon, args.d)
     points = affine.fractional_points(polygon, args.d)
     report.results["count"] = len(points)
-    report.results["points"] = [{"a": p.a, "i": p.i, "d": p.d} for p in points]
+    if args.json or args.report_out:
+        report.results["points"] = [{"a": p.a, "i": p.i, "d": p.d} for p in points]
     report.check("count_matches_membership_scan", len(points) == count)
     if not args.json:
         for p in points:
@@ -119,6 +126,11 @@ def cmd_points(args) -> CommandReport:
 
 def cmd_mu2(args) -> CommandReport:
     name, polygon = resolve_instance(args)
+    if args.n >= 0 and args.m >= 0:  # mu2 itself rejects a negative denominator
+        columns = _columns(polygon, args.n + args.m)
+        if columns > POINTS_CAP:
+            raise ValueError(f"denominator n + m = {args.n + args.m} has {columns} columns; "
+                             f"the cap is {POINTS_CAP}")
     report = CommandReport("mu2", {"instance": name, **{f: getattr(args, f) for f in "nmaibj"}})
     q1 = floer.basis_vector(0, args.n, args.a, args.i)
     q2 = floer.basis_vector(args.n, args.n + args.m, args.b, args.j)
@@ -295,17 +307,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report.to_json(), indent=2)
-    if args.json:
-        print(text)
-    else:
+    if not args.json:
         for check in report.checks:
             if not check["pass"]:
                 detail = f": {check['detail']}" if check["detail"] else ""
                 print(f"failed check {check['name']}{detail}", file=sys.stderr)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    if args.json or args.report_out:  # the report's text is built only to be read
+        text = json.dumps(report.to_json(), indent=2)
+        if args.json:
+            print(text)
+        if args.report_out:
+            with open(args.report_out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     return 0 if report.ok else 1
 
 

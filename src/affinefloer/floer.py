@@ -179,23 +179,26 @@ def critical_cover(
     polygon: AffinePolygon, a: int, b: int, n: int, m: int
 ) -> CriticalCover:
     """The `CriticalCover` of admissible columns a/n and b/m: one `wall_count`
-    per singularity of the polygon.  Memoized on the polygon
-    (`AffinePolygon._covers`) by (a, b, n, m); only a record from four exact
-    ints is stored (a float equal to an int counts a float k), and a
-    rejected pair raises on every call."""
+    per singularity of the polygon.  A cold call reads each input column's
+    count once, for both the admissibility test and the record.  Memoized on
+    the polygon (`AffinePolygon._covers`) by (a, b, n, m); only a record
+    from four exact ints is stored (a float equal to an int counts a float
+    k), and a rejected pair raises on every call."""
     key = (a, b, n, m)
     cover = polygon._covers.get(key)
     if cover is not None:
         return cover
     if n <= 0 or m <= 0:
         raise ValueError("both denominators must be positive")
-    for col, den in ((a, n), (b, m)):
-        if not polygon.column_counts(den).get(col, 0):
-            raise ValueError(f"column {col} not admissible for denominator {den}")
-    counts = polygon.column_counts
+    count_a = polygon.column_counts(n).get(a, 0)
+    if not count_a:
+        raise ValueError(f"column {a} not admissible for denominator {n}")
+    count_b = polygon.column_counts(m).get(b, 0)
+    if not count_b:
+        raise ValueError(f"column {b} not admissible for denominator {m}")
     cover = CriticalCover(
         tuple(wall_count(s, a, b, n, m) for s in polygon.singularities),
-        counts(n)[a], counts(m)[b], counts(n + m).get(a + b, 0),
+        count_a, count_b, polygon.column_counts(n + m).get(a + b, 0),
     )
     if type(a) is type(b) is type(n) is type(m) is int:
         polygon._covers[key] = cover

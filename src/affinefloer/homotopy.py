@@ -21,8 +21,13 @@ admissible sequences hitting a given h therefore reproduces the binomial
 C(k, h-(i+j)) independently of both the section-count argument and the
 ring oracle.
 
-Words are lists of run-length encoded (generator, exponent) runs, so that
-`brute_force_admissible` reduces each one in time linear in its runs.
+Words are tuples of run-length encoded (generator, exponent) runs, so that
+`brute_force_admissible` reduces each one in time linear in its runs.  Its
+search memoizes the completions of each state (position r, reduced prefix),
+which free reduction's confluence makes exact, so a state that many delta
+prefixes reach is expanded once; a step is skipped before it is reduced
+when the b-letters it can cancel cannot bring the prefix within reach of
+the positions left.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ Run = tuple[str, int]  # (generator "a" or "b", nonzero exponent)
 DeltaSequence = tuple[int, ...]
 
 
-def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[list[Run], int]:
+def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[tuple[Run, ...], int]:
     """Append runs to an already reduced word, cancelling as they meet.
 
     Returns the reduced word and the number of b-letters that cancelled."""
@@ -52,7 +57,7 @@ def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[list[Run], 
                 out.pop()
         else:
             out.append((gen, exp))
-    return out, lost
+    return tuple(out), lost
 
 
 def _power_runs(r: int, delta: int) -> list[Run]:
@@ -138,37 +143,59 @@ def brute_force_admissible(k: int, bound: int) -> list[DeltaSequence]:
     With h the candidate's forced output height, the word is a^(-E) * P for
     P = prod (a^r b)^(delta_r) and E = sum r*delta_r, the a-exponent sum of
     P.  It reduces to the identity exactly when P reduces to a pure a-power
-    (that power is then a^E).  The search is depth-first over delta_0 ..
-    delta_k, in increasing delta at each position, and carries the
-    free-reduced prefix of P with its number of b-letters.  A prefix is
-    pruned once it holds more b-letters than the remaining positions can
-    supply, at most `bound` each.  The prune is exact: in the reduced
+    (that power is then a^E).  The search runs over states (r, w): w is the
+    free-reduced product of the factors before position r.  The completions
+    of a state are the suffixes (delta_r .. delta_k) after which the reduced
+    P has no b-letter left, listed by trying delta_r in increasing order and
+    prepending it to each completion of the state it leads to; so every list
+    is in lexicographic order, and each state is expanded once and memoized.
+    The memo is exact because free reduction is confluent: every way of
+    cancelling a word ends in the same reduced word, so a prefix followed by
+    a suffix reduces to what its reduced word followed by that suffix
+    reduces to.  Two prefixes with one reduced word therefore have the same
+    completions, whatever their deltas.
+
+    A state is pruned when w holds more b-letters than the positions after
+    r can supply, at most `bound` each.  The prune is exact: in the reduced
     product of prefix and suffix every b of the prefix must cancel against
-    a b of the suffix, and reduction only removes letters.  So the search
-    still decides every candidate in [-bound, bound]^(k+1); a full sequence
-    is kept when its reduced P has no b-letter left.
+    a b of the suffix, and reduction only removes letters.  The step to
+    delta is skipped before it is reduced when w's b-letters less |delta|
+    already exceed what the positions after r supply, since each b that
+    (a^r b)^delta appends cancels at most one b of w; a delta of 0 appends
+    nothing and keeps w as it is.  So the search still decides every
+    candidate in [-bound, bound]^(k+1).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     steps = [
-        [(delta, _power_runs(r, delta)) for delta in range(-bound, bound + 1)]
+        [(delta, abs(delta), _power_runs(r, delta)) for delta in range(-bound, bound + 1)]
         for r in range(k + 1)
     ]
-    hits: list[DeltaSequence] = []
+    memo: dict[tuple[int, tuple[Run, ...]], list[DeltaSequence]] = {}
 
-    def extend(r: int, prefix: list[Run], b_letters: int, deltas: DeltaSequence) -> None:
+    def completions(r: int, prefix: tuple[Run, ...], b_letters: int) -> list[DeltaSequence]:
+        found = memo.get((r, prefix))
+        if found is not None:
+            return found
+        found = []
         room = bound * (k - r)  # b-letters the positions after r can supply
-        for delta, runs in steps[r]:
-            reduced, lost = _reduce_onto(prefix, runs)
-            left = b_letters + abs(delta) - lost
+        for delta, size, runs in steps[r]:
+            if not size:
+                reduced, left = prefix, b_letters
+            elif b_letters - size > room:
+                continue
+            else:
+                reduced, lost = _reduce_onto(prefix, runs)
+                left = b_letters + size - lost
             if left > room:
                 continue
             if r == k:
-                hits.append(deltas + (delta,))
+                found.append((delta,))
             else:
-                extend(r + 1, reduced, left, deltas + (delta,))
+                found.extend([(delta,) + tail for tail in completions(r + 1, reduced, left)])
+        memo[(r, prefix)] = found
+        return found
 
-    extend(0, [], 0, ())
-    return hits
+    return completions(0, (), 0)

@@ -322,18 +322,24 @@ def partition_constant(k_list: Sequence[int], s: int) -> int:
     memoized per composition of exact ints, each built from its prefix's by
     convolving in one binomial row, so the calls for every s of a
     composition, and for compositions sharing a prefix, share the work.
-    Parts that are not all exact ints are multiplied out row by row and
-    never stored or looked up, and a rejected argument raises on every
-    call.  A new part k costs its full row of k+1 entries, whatever s is.
-    Equals C(sum k_t, s), the coefficient of x^s in (1+x)^(sum k_t).
+    One loop over the parts checks their signs, in order, and whether all
+    are exact ints; a memo hit then costs one dict read.  Parts that are
+    not all exact ints (a float or a bool equal to an int included) are
+    multiplied out row by row and never stored or looked up, and a rejected
+    argument raises on every call.  A new part k costs its full row of k+1
+    entries, whatever s is.  Equals C(sum k_t, s), the coefficient of x^s
+    in (1+x)^(sum k_t).
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     parts = tuple(k_list)
-    if any(k < 0 for k in parts):
-        raise ValueError("covering counts must be nonnegative")
+    exact = True
+    for k in parts:
+        if k < 0:
+            raise ValueError("covering counts must be nonnegative")
+        if type(k) is not int:
+            exact = False
     s = index(s)
-    exact = all(type(k) is int for k in parts)
     poly = _partition_polys.get(parts) if exact else None
     if poly is None:
         poly = (1,)

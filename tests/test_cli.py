@@ -287,6 +287,88 @@ def test_the_points_cap_admits_a_listing_of_exactly_the_cap(tmp_path, monkeypatc
     capsys.readouterr()
 
 
+def _refuse_column_walks(monkeypatch):
+    def walk(polygon, d):
+        raise AssertionError(f"column walk at d = {d}")
+
+    monkeypatch.setattr(affine, "_column_walk", walk)
+
+
+@pytest.mark.parametrize(
+    "argv, d, columns",
+    [
+        (["mu2", "cp2", "1", "2", "0", "0", "0", "0"], 3, 7),
+        (["--json", "mu2", "cp2", "2", "1", "0", "0", "0", "0"], 3, 7),
+        (["mu2", "dp6", "1", "1", "0", "0", "0", "0", "--widths", "1", "1", "2"], 2, 9),
+    ],
+    ids=["cp2", "json-cp2", "dp6-112"],
+)
+def test_mu2_above_the_column_cap_exits_two_before_any_column_walk(
+    argv, d, columns, monkeypatch, capsys
+):
+    # cp2 has 2d + 1 columns at denominator d, dp6 (1,1,2) has 4d + 1
+    monkeypatch.setattr(cli, "POINTS_CAP", 6)
+    _refuse_column_walks(monkeypatch)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: denominator n + m = {d} has {columns} columns; the cap is 6\n"
+
+
+def test_mu2_admits_a_denominator_of_exactly_the_column_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "POINTS_CAP", 5)  # cp2 has 5 columns at d = 2
+    code, data = run_json(["mu2", "cp2", "1", "1", "-1", "0", "1", "0"], capsys)
+    assert code == 0 and all(c["pass"] for c in data["checks"])
+    assert cli.main(["mu2", "cp2", "2", "1", "0", "0", "0", "0"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["mu2", "cp2", "-1", "10000000", "0", "0", "0", "0"], "denominator must be nonnegative"),
+        (["mu2", "cp2", "4", "-1", "9", "0", "0", "0"], "q_(9,0) with denominator 4 is not admissible"),
+    ],
+    ids=["negative-n", "negative-m"],
+)
+def test_a_negative_denominator_is_left_to_the_product(argv, error, monkeypatch, capsys):
+    # cp2 has 9 columns at n = 4; n + m = 9999999 would be far above the cap
+    monkeypatch.setattr(cli, "POINTS_CAP", 9)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+def test_mu2_at_a_million_plus_a_million_exits_two_with_one_line(monkeypatch, capsys):
+    _refuse_column_walks(monkeypatch)
+    assert cli.main(["mu2", "cp2", "1000000", "1000000", "0", "0", "0", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == (f"error: denominator n + m = 2000000 has 4000001 columns; "
+                    f"the cap is {cli.POINTS_CAP}")
+
+
+def test_human_points_builds_no_json_report(tmp_path, monkeypatch, capsys):
+    code, human = run(["points", "cp2", "2"], capsys)
+    assert code == 0
+    reports = []
+    to_json = cli.CommandReport.to_json
+
+    def record(report):
+        reports.append(report)
+        return to_json(report)
+
+    monkeypatch.setattr(cli.CommandReport, "to_json", record)
+    assert run(["points", "cp2", "2"], capsys) == (0, human)
+    assert reports == []
+    out = tmp_path / "report.json"
+    assert run(["--out", str(out), "points", "cp2", "2"], capsys) == (0, human)
+    (report,) = reports
+    points = json.loads(out.read_text())["results"]["points"]
+    assert len(points) == 6 and points == report.results["points"]
+
+
 _WIDTHS = ["--widths", "2", "1", "3"]
 
 

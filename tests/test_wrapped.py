@@ -175,6 +175,60 @@ def test_wrapped_product_restricted_to_compact_range_is_mu2():
                         assert got == want
 
 
+def _one_too_many(monkeypatch):
+    """Plant a `wall_count` that counts one more than the true count."""
+    count = wr.wall_count
+    monkeypatch.setattr(wr, "wall_count", lambda *args: count(*args) + 1)
+
+
+@pytest.mark.parametrize(
+    "q1, q2, message",
+    [
+        (FractionalPoint(1, 0, 1), FractionalPoint(-1, 0, 1), "output (0,2) at degree 2"),
+        (FractionalPoint(1, 0, 1), FractionalPoint(1, 0, 1), "output (2,1) at degree 2"),
+        (FractionalPoint(0, 0, 0), FractionalPoint(0, 0, 0), "output (0,1) at degree 0"),
+        (FractionalPoint(-2, -1, 1), FractionalPoint(1, 0, 1), "output (-1,1) at degree 2"),
+    ],
+    ids=["opposite-columns", "same-columns", "units", "negative-depth"],
+)
+def test_a_wall_count_one_too_many_names_the_term_past_the_case_c_rule(
+    q1, q2, message, monkeypatch
+):
+    _one_too_many(monkeypatch)
+    with pytest.raises(ArithmeticError) as exc:
+        wr.wrapped_product(Complement.C, q2, q1)
+    assert str(exc.value) == f"{message} violates the case rule"
+
+
+@pytest.mark.parametrize("case", list(Complement))
+def test_the_closure_guard_fires_exactly_where_the_extra_term_leaves_the_case(
+    case, monkeypatch
+):
+    # With k one too many the terms s <= k stay in the case, so the guard
+    # names the extra term s = k + 1.  Only case C bounds depths from above,
+    # so only there can it fire; L and D return the extra term.
+    true = {}
+    for d1 in range(4):
+        for d2 in range(4 - d1):
+            for q1 in wr.wrapped_basis(case, d1, a_max=d1 + 2, i_max=2):
+                for q2 in wr.wrapped_basis(case, d2, a_max=d2 + 2, i_max=2):
+                    true[q1, q2] = wr.wrapped_product(case, q2, q1)
+    _one_too_many(monkeypatch)
+    fired = 0
+    for (q1, q2), product in true.items():
+        a, i, d = q1.a + q2.a, q1.i + q2.i + len(product), q1.d + q2.d
+        if wr._depth_ok(case, a, i, d):
+            assert wr.wrapped_product(case, q2, q1) == {
+                key: math.comb(len(product), s) for s, key in enumerate([*product, (a, i)])
+            }
+            continue
+        fired += 1
+        with pytest.raises(ArithmeticError) as exc:
+            wr.wrapped_product(case, q2, q1)
+        assert str(exc.value) == f"output ({a},{i}) at degree {d} violates the case rule"
+    assert (fired > 0) == (case is Complement.C)
+
+
 def test_wrapped_k_is_the_closed_form_on_cp2():
     # k comes from the per-wall count mu2 uses; with cp2's wall at eta = 0 it
     # ignores the degrees, so degree 0 and columns beyond |a| <= d count too.
