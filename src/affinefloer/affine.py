@@ -248,7 +248,7 @@ class AffinePolygon:
         """
         table = self._columns.get(d)
         if table is None:
-            _check_int(d)
+            check_ints("denominator", d)
             if d < 0:
                 raise ValueError("denominator must be nonnegative")
             table, self._tops[d] = _column_walk(self, d)
@@ -256,9 +256,16 @@ class AffinePolygon:
         return table
 
 
-def _check_int(d) -> None:
-    if type(d) is not int:
-        raise ValueError(f"denominator must be an int, got {d!r}")
+def check_ints(what: str, key) -> None:
+    """The index rule of every memo: a key (an int or a tuple of them) with
+    an entry that is not an exact int raises ValueError naming it.  Memos
+    apply it on a miss, so a hit on an equal key reads the int entry."""
+    if type(key) is int:
+        return
+    if not isinstance(key, tuple):
+        raise ValueError(f"{what} must be an int, got {key!r}")
+    if not all(type(x) is int for x in key):
+        raise ValueError(f"{what} must be ints, got {key!r}")
 
 
 class FractionalPoint(NamedTuple):
@@ -503,7 +510,7 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
     that is not an exact int raises ValueError, even when an equal int's
     column table is stored.
     """
-    _check_int(d)
+    check_ints("denominator", d)
     new = tuple.__new__  # a FractionalPoint without its constructor's frame
     return [
         new(FractionalPoint, (a, i, d))
@@ -517,7 +524,7 @@ def embed(polygon: AffinePolygon, point: FractionalPoint) -> RationalPoint:
     with the column's count and top lattice height read from the column
     table (`AffinePolygon.column_counts`); d must be an exact int."""
     a, i, d = point
-    _check_int(d)
+    check_ints("denominator", d)
     if d < 1:
         raise ValueError(f"{point} has no embedding: its denominator is not positive")
     if not 0 <= i < polygon.column_counts(d).get(a, 0):
@@ -626,7 +633,7 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     d = 0 the one column of the 0-th dilate holds the one point (0, 0).  A
     d that is not an exact int raises ValueError.
     """
-    _check_int(d)
+    check_ints("denominator", d)
     if d < 0:
         raise ValueError("denominator must be nonnegative")
     a_lo, a_hi = math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d)

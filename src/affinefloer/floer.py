@@ -35,11 +35,10 @@ shift the result.  `critical_cover` memoizes a `CriticalCover` record in
 section triangle vertically.  The record is the column pair's kernel, the
 per-singularity counts, their sum k and the table's counts at a/n, b/m and
 (a+b)/(n+m), so a cold product reads the table only through it; its row
-C(k, 0..k) comes from a module table keyed by exact-int k.  The first call
-with a key runs every check; a repeat is one dict lookup.  Errors
-(inadmissible inputs, non-integral cross-sections, closure violations) are
-raised and never stored, so a bad input fails on every call; so is a result
-from a key that is not all exact ints.  Neither memo is ever trimmed.
+C(k, 0..k) comes from a module table keyed by k.  The first call with a key
+runs every check; a repeat is one dict lookup.  Errors (inadmissible inputs,
+non-integral cross-sections, closure violations) are raised and never
+stored, so a bad input fails on every call.  Neither memo is ever trimmed.
 
 A formal sum is a named tuple (d1, d2, terms).  Inside the library it is
 built through `tuple.__new__` (`_new`), which skips the Python frame of the
@@ -55,7 +54,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .affine import CP2, AffinePolygon, Singularity
+from .affine import CP2, AffinePolygon, Singularity, check_ints
 
 
 class FormalSum(NamedTuple):
@@ -80,7 +79,7 @@ class FormalSum(NamedTuple):
 _new = tuple.__new__  # _new(FormalSum, (d1, d2, terms)): FormalSum without its frame
 
 
-# Basis vectors with int arguments, interned by (d1, d2, a, i).
+# Basis vectors, interned by (d1, d2, a, i).
 _basis_vectors: dict[tuple[int, int, int, int], FormalSum] = {}
 
 
@@ -88,17 +87,14 @@ def basis_vector(d1: int, d2: int, a: int, i: int) -> FormalSum:
     """The generator q_{a,i} from level d1 to level d2 (denominator d2 - d1).
 
     Its admissibility is checked by `mu2`, against the polygon's column
-    table.  When all four arguments are exact ints the sum is interned: equal
-    arguments return one shared object.  Any other argument type (a bool or
-    a float equal to an int included) builds a fresh sum that is never
-    stored, so it is never handed back for an int request."""
-    if type(d1) is type(d2) is type(a) is type(i) is int:
-        key = (d1, d2, a, i)
-        q = _basis_vectors.get(key)
-        if q is None:
-            q = _basis_vectors[key] = _new(FormalSum, (d1, d2, (((a, i), 1),)))
-        return q
-    return _new(FormalSum, (d1, d2, (((a, i), 1),)))
+    table.  The sum is interned: equal arguments return one shared object."""
+    key = (d1, d2, a, i)
+    q = _basis_vectors.get(key)
+    if q is None:
+        if not type(d1) is type(d2) is type(a) is type(i) is int:
+            check_ints("basis vector arguments", key)
+        q = _basis_vectors[key] = _new(FormalSum, (d1, d2, (((a, i), 1),)))
+    return q
 
 
 def sum_to_json(s: FormalSum) -> dict:
@@ -184,13 +180,14 @@ def critical_cover(
     """The `CriticalCover` of admissible columns a/n and b/m: one `wall_count`
     per singularity of the polygon.  A cold call reads each input column's
     count once, for both the admissibility test and the record.  Memoized on
-    the polygon (`AffinePolygon._covers`) by (a, b, n, m); only a record
-    from four exact ints is stored (a float equal to an int counts a float
-    k), and a rejected pair raises on every call."""
+    the polygon (`AffinePolygon._covers`) by (a, b, n, m); a rejected pair
+    raises on every call."""
     key = (a, b, n, m)
     cover = polygon._covers.get(key)
     if cover is not None:
         return cover
+    if not type(a) is type(b) is type(n) is type(m) is int:
+        check_ints("columns and denominators", key)
     if n <= 0 or m <= 0:
         raise ValueError("both denominators must be positive")
     count_a = polygon.column_counts(n).get(a, 0)
@@ -202,12 +199,11 @@ def critical_cover(
     k_list = tuple(wall_count(s, a, b, n, m) for s in polygon.singularities)
     count_out = polygon.column_counts(n + m).get(a + b, 0)
     cover = _new(CriticalCover, (k_list, count_a, count_b, count_out, sum(k_list)))
-    if type(a) is type(b) is type(n) is type(m) is int:
-        polygon._covers[key] = cover
+    polygon._covers[key] = cover
     return cover
 
 
-_binomial_rows: dict[int, tuple[int, ...]] = {}  # C(k, 0..k) by exact-int k
+_binomial_rows: dict[int, tuple[int, ...]] = {}  # C(k, 0..k) by k
 
 
 def _check_depths(polygon: AffinePolygon, inputs) -> None:
@@ -248,11 +244,9 @@ def _product_terms(
                 f"product term q_({col},{max(depth, top)}) at denominator {n + m} "
                 "is not admissible; instance violates closure"
             )
-        row = _binomial_rows.get(k) if type(k) is int else None
-        if row is None:  # `range` and `math.comb` reject a k that is not an int
-            row = tuple(math.comb(k, s) for s in range(k + 1))
-            if type(k) is int:
-                _binomial_rows[k] = row
+        row = _binomial_rows.get(k)
+        if row is None:
+            row = _binomial_rows[k] = tuple(math.comb(k, s) for s in range(k + 1))
         return tuple(((col, depth + s), c) for s, c in enumerate(row))
     _check_depths(polygon, inputs)
     return (((b, j), 1),) if n == 0 else (((a, i), 1),)
@@ -263,9 +257,9 @@ def _row(polygon: AffinePolygon, key: tuple[int, int, int, int, int, int]):
     terms = polygon._products.get(key)
     if terms is None:
         a, i, n, b, j, m = key
-        terms = _product_terms(polygon, a, i, n, b, j, m)
-        if type(a) is type(i) is type(n) is type(b) is type(j) is type(m) is int:
-            polygon._products[key] = terms
+        if not type(a) is type(i) is type(n) is type(b) is type(j) is type(m) is int:
+            check_ints("product index", key)
+        terms = polygon._products[key] = _product_terms(polygon, a, i, n, b, j, m)
     return terms
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import Dict, NamedTuple, Tuple
 
-from .affine import FractionalPoint
+from .affine import FractionalPoint, check_ints
 
 Monomial = Tuple[int, int, int]  # exponents of (x, y, z)
 
@@ -92,23 +92,23 @@ def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
     monomials; `idx` is (a, i, d), a QBasisIndex or a plain tuple.
 
     The factor p^i = (xz - y^2)^i contributes C(i,t) (-1)^{i-t} (xz)^t y^{2(i-t)}.
-    The polynomial is memoized per index of exact ints: each such call
-    returns one shared object, which must not be mutated.  An index with a
-    float entry, or outside the ring's rule 0 <= i <= (d - |a|)//2 (which
-    rules out d < 0 and |a| > d), is not memoized; the latter raises ValueError.
+    The polynomial is memoized per index: each call with an equal index
+    returns one shared object, which must not be mutated.  An index outside
+    the ring's rule 0 <= i <= (d - |a|)//2 (which rules out d < 0 and
+    |a| > d) raises ValueError and is not memoized.
     """
     cached = _q_cache.get(idx)
     if cached is not None:
         return cached
     a, i, d = idx
+    if not type(a) is type(i) is type(d) is int:
+        check_ints("index", idx)
     if not 0 <= i <= (d - abs(a)) // 2:
         raise ValueError(f"index ({a},{i}) invalid in degree {d}")
     coeffs: Dict[Monomial, int] = {}
     for t in range(i + 1):
         coeffs[_column_monomial(a, t, d)] = math.comb(i, t) * (-1) ** (i - t)
-    poly = _new(HomogeneousPolynomial, (d, coeffs))
-    if type(a) is type(i) is type(d) is int:
-        _q_cache[idx] = poly
+    poly = _q_cache[idx] = _new(HomogeneousPolynomial, (d, coeffs))
     return poly
 
 
@@ -117,14 +117,17 @@ _rows: Dict[Monomial, Dict[QBasisIndex, int]] = {}
 
 
 def _peel(mono: Monomial, d: int) -> Dict[QBasisIndex, int]:
-    """The expansion of one monomial of degree d over the Q basis, memoized
-    when its exponents are exact ints; raises ValueError if `mono` is not a
-    monomial of degree d, and ArithmeticError on a Q element that leaves its
-    column block not unitriangular over the integers."""
+    """The expansion of one monomial of degree d over the Q basis, memoized;
+    raises ValueError if `mono` is not a monomial of degree d, and
+    ArithmeticError on a Q element that leaves its column block not
+    unitriangular over the integers."""
+    al, be, ga = mono
+    if not type(al) is type(be) is type(ga) is type(d) is int:
+        check_ints("exponents and degree", (al, be, ga, d))
     if min(mono) < 0 or sum(mono) != d:
         raise ValueError(f"{mono} is not a monomial of degree {d}")
-    a = mono[2] - mono[0]
-    rest = {min(mono[0], mono[2]): 1}  # coefficients by block position in column a
+    a = ga - al
+    rest = {min(al, ga): 1}  # coefficients by block position in column a
     row: Dict[QBasisIndex, int] = {}
     while rest:
         s = max(rest)
@@ -155,8 +158,7 @@ def _peel(mono: Monomial, d: int) -> Dict[QBasisIndex, int]:
         row[QBasisIndex(a, s, d)] = c
         for r, u in column.items():
             rest[r] = rest.get(r, 0) - c * u
-    if type(mono[0]) is type(mono[1]) is type(mono[2]) is int:
-        _rows[mono] = row
+    _rows[mono] = row
     return row
 
 
@@ -191,6 +193,10 @@ def q_product(left: Tuple[int, int, int], right: Tuple[int, int, int]) -> Dict[Q
     key = (left, right)
     expansion = _product_cache.get(key)
     if expansion is None:
+        (a, i, d), (b, j, e) = key
+        if not type(a) is type(i) is type(d) is type(b) is type(j) is type(e) is int:
+            check_ints("index", left)
+            check_ints("index", right)
         expansion = _product_cache[key] = expand_in_qbasis(
             multiply(q_monomial(left), q_monomial(right))
         )

@@ -46,8 +46,8 @@ multi-singularity generalization is covered by the partition identity
 C(sum k_t, s) = sum over compositions (s_t) of prod C(k_t, s_t).
 `partition_constant` reads the left side off the coefficients of
 prod (1+x)^(k_t), a product of binomial rows that it memoizes per
-composition of exact ints, each entry built from its prefix's by one more
-row, so every s of a composition costs one lookup after the first.
+composition, each entry built from its prefix's by one more row, so every
+s of a composition costs one lookup after the first.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from math import comb
 from operator import index
 from typing import NamedTuple, Optional, Sequence
 
-from .affine import CP2, RationalPoint, rat_str
+from .affine import CP2, RationalPoint, check_ints, rat_str
 
 Vec = tuple[Fraction, Fraction]
 
@@ -299,8 +299,8 @@ def tropical_structure_constant(a: int, i: int, n: int, b: int, j: int, m: int, 
     return 0 if w is None else w.multiplicity
 
 
-# Coefficients of prod (1+x)^(k_t), keyed by the nonempty tuple (k_1..k_t)
-# of exact ints; every prefix of a stored key is stored too.
+# Coefficients of prod (1+x)^(k_t), keyed by the nonempty tuple (k_1..k_t);
+# every prefix of a stored key is stored too.
 _partition_polys: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -320,35 +320,29 @@ def partition_constant(k_list: Sequence[int], s: int) -> int:
     Computed as the coefficient of x^s in prod (1+x)^(k_t), 0 when s is past
     its degree sum k_t: after t factors, entry r of the product is the same
     sum over compositions of r into t parts.  The whole coefficient tuple is
-    memoized per composition of exact ints, each built from its prefix's by
-    convolving in one binomial row, so the calls for every s of a
-    composition, and for compositions sharing a prefix, share the work.
-    One loop over the parts checks their signs, in order, and whether all
-    are exact ints; a memo hit then costs one dict read.  Parts that are
-    not all exact ints (a float or a bool equal to an int included) are
-    multiplied out row by row and never stored or looked up, and a rejected
-    argument raises on every call.  A new part k costs its full row of k+1
-    entries, whatever s is.  Equals C(sum k_t, s), the coefficient of x^s
-    in (1+x)^(sum k_t).
+    memoized per composition, each built from its prefix's by convolving in
+    one binomial row, so the calls for every s of a composition, and for
+    compositions sharing a prefix, share the work; a memo hit costs one dict
+    read.  On a miss one loop over the parts checks their signs, in order,
+    and a rejected argument raises on every call.  A new part k costs its
+    full row of k+1 entries, whatever s is.  Equals C(sum k_t, s), the
+    coefficient of x^s in (1+x)^(sum k_t).
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
     parts = tuple(k_list)
-    exact = True
-    for k in parts:
-        if k < 0:
-            raise ValueError("covering counts must be nonnegative")
-        if type(k) is not int:
-            exact = False
-    s = index(s)
-    poly = _partition_polys.get(parts) if exact else None
+    poly = _partition_polys.get(parts)
     if poly is None:
+        for k in parts:
+            if k < 0:
+                raise ValueError("covering counts must be nonnegative")
+            if type(k) is not int:
+                check_ints("covering counts", parts)
         poly = (1,)
         for t, k in enumerate(parts, 1):
-            known = _partition_polys.get(parts[:t]) if exact else None
-            poly = _times_row(poly, k) if known is None else known
-            if exact:
-                _partition_polys[parts[:t]] = poly
+            known = _partition_polys.get(parts[:t])
+            poly = _partition_polys[parts[:t]] = _times_row(poly, k) if known is None else known
+    s = index(s)
     return poly[s] if s < len(poly) else 0
 
 

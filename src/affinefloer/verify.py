@@ -13,8 +13,7 @@ its `verify` command from it; the acceptance tests call the same sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import affine, floer, numchecks, polyring
 from . import homotopy as _homotopy
@@ -22,8 +21,7 @@ from . import tropical as _tropical
 from . import wrapped as _wrapped
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     """Outcome of one sweep: comparisons made and the ones that disagreed."""
 
     checked: int
@@ -162,8 +160,7 @@ def wrapped(max_degree: int) -> Sweep:
     return Sweep(checked, tuple(mismatches))
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """One `verify` suite.  The CLI option `flag` ("max_degree" is
     `--max-degree`) sets its bound, `default` when absent; a bound above
     `cap` is refused on the suite alone and lowered to it under `all`."""

@@ -1,8 +1,11 @@
 """Helpers the tests share that no command needs: `replace` for the
-library's records, the JSON writer for instances, and the distinguished
-wrapped generator e_r of the continuation maps."""
+library's records, `assert_refused` for the memos' index rule, the JSON
+writer for instances, and the distinguished wrapped generator e_r of the
+continuation maps."""
 
 import inspect
+
+import pytest
 
 from affinefloer.affine import AffinePolygon, FractionalPoint, rat_str
 from affinefloer.wrapped import Complement
@@ -18,6 +21,16 @@ def replace(obj, **changes):
     if unknown:
         raise TypeError(f"{type(obj).__name__} has no parameters {sorted(unknown)}")
     return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in params})
+
+
+def assert_refused(memo: dict, message: str, call, *args) -> None:
+    """`call(*args)` raises ValueError with exactly `message` and leaves
+    `memo` as it was: a key that is not all ints, refused on a miss."""
+    before = dict(memo)
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    assert str(raised.value) == message
+    assert memo == before
 
 
 def polygon_to_json(polygon: AffinePolygon) -> dict:

@@ -2,13 +2,12 @@
 
 import json
 import shlex
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from affinefloer import affine, cli, numchecks, verify
-from support import polygon_to_json
+from support import polygon_to_json, replace
 
 
 def run(argv, capsys):

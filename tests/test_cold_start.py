@@ -110,14 +110,18 @@ def test_numchecks_import_does_not_load_numpy():
 
 def test_library_modules_build_no_dataclass():
     # each dataclass runs about a millisecond of generated code at import;
-    # the records are named tuples and one `__slots__` class, so
-    # `dataclasses` is never loaded
+    # the records are named tuples and one `__slots__` class, so importing
+    # every submodule, the CLI included, never loads `dataclasses`
     seen = run_fresh(
-        "import json, sys\n"
-        "from affinefloer import affine, floer, homotopy, numchecks, polyring, tropical, wrapped\n"
-        "print(json.dumps({'dataclasses': 'dataclasses' in sys.modules}))\n"
+        "import importlib, json, sys\n"
+        "import affinefloer\n"
+        "names = sorted(affinefloer._SUBMODULES)\n"
+        "for name in names:\n"
+        "    importlib.import_module(f'affinefloer.{name}')\n"
+        "print(json.dumps({'imported': names,\n"
+        "    'dataclasses': 'dataclasses' in sys.modules}))\n"
     )
-    assert seen == {"dataclasses": False}
+    assert seen == {"imported": sorted(affinefloer._SUBMODULES), "dataclasses": False}
 
 
 @pytest.mark.parametrize(

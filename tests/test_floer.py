@@ -10,7 +10,7 @@ import pytest
 
 from affinefloer import affine, floer
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
-from support import polygon_to_json, replace
+from support import assert_refused, polygon_to_json, replace
 
 
 def test_index_range_examples():
@@ -258,15 +258,20 @@ def test_basis_vectors_with_int_arguments_are_interned():
 @pytest.mark.parametrize("other", [True, 1.0], ids=["bool", "float"])
 @pytest.mark.parametrize("other_first", [True, False], ids=["other-first", "int-first"])
 def test_an_equal_argument_of_another_type_is_never_interned(monkeypatch, other, other_first):
+    # a miss refuses it, so only int arguments are ever interned; a hit on
+    # an equal key reads the int entry
     monkeypatch.setattr(floer, "_basis_vectors", {})
+    memo, refused = floer._basis_vectors, "basis vector arguments must be ints, got "
     if other_first:
-        basis_vector(0, 1, other, 0)
+        assert_refused(memo, f"{refused}(0, 1, {other!r}, 0)", basis_vector, 0, 1, other, 0)
     q = basis_vector(0, 1, 1, 0)
-    assert basis_vector(0, 1, other, 0) is not q
+    assert basis_vector(0, 1, other, 0) is q
+    assert_refused(memo, f"{refused}(0, 2, {other!r}, 0)", basis_vector, 0, 2, other, 0)
     assert json.dumps(floer.sum_to_json(q)) == (
         '{"d1": 0, "d2": 1, "terms": [{"a": 1, "i": 0, "c": 1}]}'
     )
-    assert list(floer._basis_vectors) == [(0, 1, 1, 0)]
+    assert list(memo) == [(0, 1, 1, 0)]
+    assert all(type(x) is int for x in next(iter(memo)))
 
 
 def test_basis_vector_equals_the_public_constructor():
@@ -390,13 +395,16 @@ def test_failed_cover_count_raises_on_every_call(polygon, args, message):
 
 
 def test_a_count_from_a_float_column_is_not_stored():
-    # a float column counts a float k; stored under the equal int key it
-    # would reach mu2, where math.comb rejects it
+    # a float column would count a float k; stored under the equal int key
+    # it would reach mu2, where math.comb rejects it, so a miss refuses it
     polygon = affine.cp2_model()
-    assert floer.critical_cover(polygon, -1.0, 1, 1, 1).k_list == (1.0,)
+    refused = "columns and denominators must be ints, got (-1.0, 1, 1, 1)"
+    assert_refused(polygon._covers, refused, floer.critical_cover, polygon, -1.0, 1, 1, 1)
     assert not polygon._covers
-    (k,) = floer.critical_cover(polygon, -1, 1, 1, 1).k_list
-    assert type(k) is int
+    cover = floer.critical_cover(polygon, -1, 1, 1, 1)
+    (k,) = cover.k_list
+    assert type(k) is int and all(type(c) is int for c in cover[1:])
+    assert floer.critical_cover(polygon, -1.0, 1, 1, 1) is cover
     assert mu2(basis_vector(1, 2, 1, 0), basis_vector(0, 1, -1, 0), polygon).coeffs() == {
         (0, 0): 1,
         (0, 1): 1,
@@ -405,23 +413,26 @@ def test_a_count_from_a_float_column_is_not_stored():
 
 @pytest.mark.parametrize("float_first", [True, False], ids=["float-first", "int-first"])
 def test_a_product_row_from_a_float_depth_is_not_stored(float_first):
-    # a float depth builds float output depths; stored under the equal int
-    # key they would reach the int request and its JSON
+    # a float depth would build float output depths; stored under the equal
+    # int key they would reach the int request and its JSON, so a miss
+    # refuses it (the one-term sums are built directly, as `basis_vector`
+    # refuses a float too)
     polygon = affine.cp2_model()
-    q2 = basis_vector(1, 2, 1, 0)
+    refused = "product index must be ints, got "
 
-    def product(depth):
-        return mu2(q2, basis_vector(0, 1, -1, depth), polygon)
+    def product(b, depth):
+        return mu2(basis_vector(1, 2, b, 0), floer.FormalSum(0, 1, (((-1, depth), 1),)), polygon)
 
     if float_first:
-        assert product(0.0).coeffs() == {(0, 0.0): 1, (0, 1.0): 1}
-    out = product(0)
+        assert_refused(polygon._products, f"{refused}(-1, 0.0, 1, 1, 0, 1)", product, 1, 0.0)
+    out = product(1, 0)
     assert json.dumps(floer.sum_to_json(out)["terms"]) == (
         '[{"a": 0, "i": 0, "c": 1}, {"a": 0, "i": 1, "c": 1}]'
     )
     assert list(polygon._products) == [(-1, 0, 1, 1, 0, 1)]
     assert all(type(i) is int for (_, i), _ in polygon._products[(-1, 0, 1, 1, 0, 1)])
-    product(0.0)
+    assert product(1, 0.0) == out
+    assert_refused(polygon._products, f"{refused}(-1, 0.0, 1, 0, 0, 1)", product, 0, 0.0)
     assert len(polygon._products) == 1
 
 
@@ -596,15 +607,18 @@ def test_a_cold_product_reads_no_column_table(monkeypatch):
 
 def test_the_binomial_table_stores_only_exact_int_k(monkeypatch):
     monkeypatch.setattr(floer, "_binomial_rows", {})
+    # a float column would count k = 2.0 on a cold cover; the product memo
+    # refuses it before a cover or a row is computed
+    polygon = affine.cp2_model()
+    x2 = floer.FormalSum(0, 2, (((-2.0, 0), 1),))
+    refused = "product index must be ints, got (-2.0, 0, 2, 2, 0, 2)"
+    assert_refused(floer._binomial_rows, refused, mu2, basis_vector(2, 4, 2, 0), x2, polygon)
+    assert not floer._binomial_rows and not polygon._products and not polygon._covers
     # x^2 * z^2 = y^4 + 2 y^2 p + p^2 on cp2: k = 2
-    out = mu2(basis_vector(2, 4, 2, 0), basis_vector(0, 2, -2, 0), affine.cp2_model())
+    out = mu2(basis_vector(2, 4, 2, 0), basis_vector(0, 2, -2, 0), polygon)
     assert out.coeffs() == {(0, 0): 1, (0, 1): 2, (0, 2): 1}
     assert floer._binomial_rows == {2: (1, 2, 1)}
-    # a float column counts k = 2.0 on a cold cover: it neither reads the
-    # stored row of 2 nor stores one, and raises as math.comb rejects it
-    with pytest.raises(TypeError):
-        mu2(basis_vector(2, 4, 2, 0), basis_vector(0, 2, -2.0, 0), affine.cp2_model())
-    assert floer._binomial_rows == {2: (1, 2, 1)}
+    assert all(type(k) is int for k in floer._binomial_rows)
 
 
 def test_a_replaced_singularity_derives_its_integer_position_again():

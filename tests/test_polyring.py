@@ -11,6 +11,7 @@ import pytest
 from affinefloer import affine
 from affinefloer import polyring as pr
 from affinefloer.polyring import HomogeneousPolynomial, QBasisIndex
+from support import assert_refused
 
 
 def poly(degree, coeffs):
@@ -101,15 +102,18 @@ def test_a_tuple_and_an_index_share_one_memo_entry(monkeypatch, first, second):
 
 @pytest.mark.parametrize("float_first", [True, False], ids=["float-first", "int-first"])
 def test_an_index_with_a_float_entry_is_never_memoized(monkeypatch, float_first):
-    # a float column builds float exponents, which an int request must never read
+    # a float column would build float exponents, which an int request must
+    # never read, so a miss refuses it
     monkeypatch.setattr(pr, "_q_cache", {})
     if float_first:
-        pr.q_monomial((-1.0, 0, 1))
+        refused = "index must be ints, got (-1.0, 0, 1)"
+        assert_refused(pr._q_cache, refused, pr.q_monomial, (-1.0, 0, 1))
     q = pr.q_monomial((-1, 0, 1))
     assert all(type(e) is int for mono in q.coeffs for e in mono)
     assert q.coeffs == {(1, 0, 0): 1}
     assert list(pr._q_cache) == [(-1, 0, 1)]
     assert pr.q_monomial((-1.0, 0, 1)) is q  # an equal key reads the int entry
+    assert_refused(pr._q_cache, "index must be ints, got (1, 0, 1.0)", pr.q_monomial, (1, 0, 1.0))
 
 
 def test_q_monomial_rejects_bad_index():
@@ -133,6 +137,17 @@ def test_q_product_is_memoized_and_equals_multiply_and_expand(monkeypatch):
             assert pr.q_product(tuple(left), tuple(right)) is product
     # one entry per ordered pair: a tuple and an index are one key
     assert len(pr._product_cache) == len(indices) ** 2
+
+
+def test_a_float_index_never_reaches_the_product_memo(monkeypatch):
+    # stored under the equal int key, an expansion from a float degree
+    # would hand its float indices to the int request
+    monkeypatch.setattr(pr, "_product_cache", {})
+    refused = "index must be ints, got (-1, 0, 1.0)"
+    assert_refused(pr._product_cache, refused, pr.q_product, (-1, 0, 1.0), (1, 0, 1))
+    expansion = pr.q_product((-1, 0, 1), (1, 0, 1))
+    assert expansion == {QBasisIndex(0, 0, 2): 1, QBasisIndex(0, 1, 2): 1}  # x * z = y^2 + p
+    assert all(type(e) is int for idx in expansion for e in idx)
 
 
 def test_q_product_rejects_bad_index_on_every_call(monkeypatch):
@@ -266,9 +281,13 @@ def test_expand_rejects_a_foreign_monomial(mono, memoized):
 
 
 def test_a_monomial_with_a_float_exponent_is_never_memoized(monkeypatch):
-    # float exponents build float indices, which an int request must never read
+    # float exponents, or a float degree, would build float indices, which an
+    # int request must never read, so a miss refuses them
     monkeypatch.setattr(pr, "_rows", {})
-    pr.expand_in_qbasis(poly(2, {(1.0, 0, 1): 1}))
+    refused = "exponents and degree must be ints, got "
+    for degree, mono in ((2, (1.0, 0, 1)), (2.0, (1, 0, 1))):
+        message = f"{refused}{(*mono, degree)}"
+        assert_refused(pr._rows, message, pr.expand_in_qbasis, poly(degree, {mono: 1}))
     assert not pr._rows
     expansion = pr.expand_in_qbasis(poly(2, {(1, 0, 1): 1}))
     assert all(type(e) is int for idx in expansion for e in idx)

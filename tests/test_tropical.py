@@ -9,7 +9,7 @@ from affinefloer import tropical as tr
 from affinefloer import verify
 from affinefloer.affine import CP2, RationalPoint, Singularity
 from affinefloer.floer import index_range, k_value_cp2
-from support import replace
+from support import assert_refused, replace
 
 
 def _move_singularity(monkeypatch, xi):
@@ -245,10 +245,6 @@ def test_partition_constant_equals_the_row_loop(monkeypatch):
 @pytest.mark.parametrize(
     "call, twin",
     [
-        (([2.0, 1], 1), ([2, 1], 1)),
-        (((1, 2.0), 2), ((1, 2), 2)),
-        (([True, 2], 2), ([1, 2], 2)),
-        (((False,), 0), ((0,), 0)),
         (([2, -1], 1), ([2, 1], 1)),
         (([-1], 0), ([1], 0)),
         (([2, 1], -1), ([2, 1], 1)),
@@ -256,10 +252,6 @@ def test_partition_constant_equals_the_row_loop(monkeypatch):
         (([3, 2], 2), ((3, 2), 2)),
     ],
     ids=[
-        "float-part",
-        "float-last-part",
-        "bool-part",
-        "bool-zero-part",
         "negative-part",
         "negative-only-part",
         "s-below-zero",
@@ -278,6 +270,28 @@ def test_partition_memo_never_changes_an_outcome(call, twin, monkeypatch):
         assert memo
         assert all(type(key) is tuple for key in memo)
         assert all(type(k) is int for key in memo for k in key)
+
+
+@pytest.mark.parametrize(
+    "call, twin",
+    [
+        (([2.0, 1], 1), ([2, 1], 1)),
+        (((1, 2.0), 2), ((1, 2), 2)),
+        (([True, 2], 2), ([1, 2], 2)),
+        (((False,), 0), ((0,), 0)),
+    ],
+    ids=["float-part", "float-last-part", "bool-part", "bool-zero-part"],
+)
+def test_partition_memo_refuses_parts_that_are_not_ints(call, twin, monkeypatch):
+    # on a miss the call raises and stores nothing; its exact-int twin is
+    # the row loop's and stores only exact ints, which a hit on the equal
+    # call then reads
+    monkeypatch.setattr(tr, "_partition_polys", {})
+    refused = f"covering counts must be ints, got {tuple(call[0])!r}"
+    assert_refused(tr._partition_polys, refused, tr.partition_constant, *call)
+    assert tr.partition_constant(*twin) == _partition_by_rows(*twin)
+    assert all(type(k) is int for key in tr._partition_polys for k in key)
+    assert tr.partition_constant(*call) == tr.partition_constant(*twin)
 
 
 def test_a_planted_binomial_row_breaks_the_identity(monkeypatch):
