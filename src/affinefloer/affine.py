@@ -176,7 +176,7 @@ class AffinePolygon:
     # terms, and `_covers` memoizes `critical_cover`, (a, b, n, m) -> its
     # `CriticalCover`, one entry per column pair, since the depths i, j do
     # not move k.  `_lines` is the segment-line memo: the `_segment_lines`
-    # of bottom and top, filled by `_column_bounds`.  Every construction
+    # of bottom and top, filled by `_segment_line_memo`.  Every construction
     # starts them empty, so equal polygons share nothing, and they take no
     # part in equality, hashing, repr or JSON.
     __slots__ = (*_POLYGON_FIELDS, "_columns", "_tops", "_products", "_covers", "_lines")
@@ -222,18 +222,22 @@ class AffinePolygon:
     def contains(self, point: RationalPoint) -> bool:
         """Exact membership in the closed region (boundary points count).
 
-        The point is brought to one denominator d, as (a/d, b/d), and tested
-        against the bottom and top lines over its column in the segment-line
-        memo: the lines `count_points` sums floors over.  It shares nothing
-        with `fiber`, `embed`, `column_counts` or `_column_walk`, so a
-        membership check is a derivation independent of the column table.
+        The point is brought to one denominator d, as (a/d, b/d), and b is
+        tested against its column's `_lattice_height_sum` bounds, the ceil
+        and floor that `count_points` sums.  It shares nothing with `fiber`,
+        `embed`, `column_counts` or `_column_walk`, so a membership check is
+        a derivation independent of the column table.  A polyline that stops
+        short of `eta_max`, which `validate` rejects, raises ValueError, as
+        in `count_points`.
         """
         eta, xi = point.eta, point.xi
         if not (self.eta_min <= eta <= self.eta_max):
             return False
         d = math.lcm(eta.denominator, xi.denominator)
-        bounds = _column_bounds(self, eta.numerator * (d // eta.denominator), d)
-        return bounds is not None and _in_column(bounds, xi.numerator * (d // xi.denominator))
+        a, b = eta.numerator * (d // eta.denominator), xi.numerator * (d // xi.denominator)
+        bottom, top = _segment_line_memo(self)
+        low = -_lattice_height_sum(bottom, a, a, d, -1)
+        return low <= b <= _lattice_height_sum(top, a, a, d, 1)
 
     def column_counts(self, d: int) -> Mapping[int, int]:
         """Table column a -> number of (1/d)-integral points at eta = a/d,
@@ -558,31 +562,6 @@ def _segment_line_memo(polygon: AffinePolygon) -> tuple[_Lines, _Lines]:
     return polygon._lines
 
 
-def _column_bounds(polygon: AffinePolygon, a: int, d: int) -> tuple[int, int, int, int] | None:
-    """Integers (p_lo, k_lo, p_hi, k_hi) of the column eta = a/d, d > 0, at
-    or right of the left end, from the segment-line memo: (a/d, b/d) lies in
-    the closed region exactly when p_lo*b >= k_lo and p_hi*b <= k_hi
-    (`_in_column`).  None when the column lies right of the eta-range.  The
-    column reads the first segment whose right end n/m has a*m <= n*d; at a
-    vertex either neighbouring segment will do: the graph is continuous."""
-    bounds = []
-    for lines in _segment_line_memo(polygon):
-        for n, m, p, q, r in lines:
-            if a * m <= n * d:
-                bounds += (p, q * a + r * d)
-                break
-        else:
-            return None
-    return tuple(bounds)
-
-
-def _in_column(bounds: tuple[int, int, int, int], b: int) -> bool:
-    """The membership predicate: is (a/d, b/d) on or above the bottom and on
-    or below the top of the column with these `_column_bounds`?"""
-    p_lo, k_lo, p_hi, k_hi = bounds
-    return p_lo * b >= k_lo and p_hi * b <= k_hi
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """sum(floor((a*x + b) / m) for x in range(n)) for n >= 0 and m > 0, a
     and b of any sign, in O(log) steps: the Euclid-like recursion that swaps
@@ -601,9 +580,11 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 def _lattice_height_sum(lines: _Lines, a_lo: int, a_hi: int, d: int, sign: int) -> int:
     """The sum over the columns a_lo..a_hi of floor(k/p) for sign 1, or of
-    -ceil(k/p) = floor(-k/p) for sign -1, with (p, k) the line of `lines`
-    that `_column_bounds` reads for the column a/d, d >= 0.  The columns of
-    one segment form a run, summed by one `_floor_sum`."""
+    -ceil(k/p) = floor(-k/p) for sign -1: the lattice bound of the column
+    a/d, d >= 0, on the line (p, k = q*a + r*d) of the first segment whose
+    right end n/m has a*m <= n*d (at a vertex either neighbour will do: the
+    graph is continuous).  One segment's columns form a run, summed by one
+    `_floor_sum`; a column right of the polyline raises ValueError."""
     total, start = 0, a_lo
     for n, m, p, q, r in lines:
         end = min(a_hi, n * d // m)
@@ -620,9 +601,9 @@ def count_points(polygon: AffinePolygon, d: int) -> int:
     sums over the segment-line memo in O(segments * log d) integer steps.
 
     Independent oracle for `fractional_points`: over the column a/d, the
-    bottom and top lines that `AffinePolygon.contains` tests against
-    (`_column_bounds`' rule) bound the column's points to the heights b/d
-    with ceil(k_lo/p_lo) <= b <= floor(k_hi/p_hi), so the count is the sum
+    bottom and top lines bound the column's points to the heights b/d with
+    ceil(k_lo/p_lo) <= b <= floor(k_hi/p_hi), the `_lattice_height_sum`
+    bounds that `AffinePolygon.contains` tests, so the count is the sum
     of floor(k_hi/p_hi) - ceil(k_lo/p_lo) + 1 over the columns in the
     eta-range, and each segment's run of columns is one `_floor_sum`.  It
     shares nothing with `embed`, `column_counts`, `fiber` or `_column_walk`,

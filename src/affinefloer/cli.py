@@ -84,7 +84,7 @@ def resolve_instance(args) -> tuple[str, AffinePolygon]:
 POINTS_CAP = 10**6
 """The most (1/D)-integral points, and the most columns, that `points`
 enumerates and `render --points` draws, and the most columns of the
-denominator n + m that `mu2` reads."""
+denominator n + m that `mu2` reads and of each that `render --triangle` reads."""
 
 
 def _columns(polygon: AffinePolygon, d: int) -> int:
@@ -200,6 +200,8 @@ def cmd_render(args) -> CommandReport:
         if polygon != affine.CP2:
             raise ValueError("triangle rendering is available for the cp2 instance only")
         a, i, n, b, j, m, h = args.triangle
+        if max(_columns(polygon, n), _columns(polygon, m)) > POINTS_CAP:
+            raise ValueError(f"--triangle denominators {n}, {m}: the column cap is {POINTS_CAP}")
         triangle = tropical.build_triangle(a, i, n, b, j, m, h)
         report.check("triangle_exists", triangle is not None)
         if triangle is not None:

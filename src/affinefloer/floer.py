@@ -155,23 +155,15 @@ def wall_count(singularity: Singularity, a: int, b: int, n: int, m: int) -> int:
     return singularity.multiplicity * ((hi - lo) // q)
 
 
-class _CoverFields(NamedTuple):
+class CriticalCover(NamedTuple):
+    """The kernel of a column pair a/n, b/m: per-singularity covering counts,
+    the column counts at a/n, b/m and (a+b)/(n+m), and k, the counts' sum."""
+
     k_list: tuple[int, ...]
     count_a: int
     count_b: int
     count_out: int
     total: int
-
-
-class CriticalCover(_CoverFields):
-    """The kernel of a column pair a/n, b/m: per-singularity covering counts,
-    their sum k, and the column counts at a/n, b/m and (a+b)/(n+m).  The
-    constructor takes the first four and sums `total` from `k_list`."""
-
-    __slots__ = ()
-
-    def __new__(cls, k_list: tuple[int, ...], count_a: int, count_b: int, count_out: int):
-        return _new(cls, (k_list, count_a, count_b, count_out, sum(k_list)))
 
 
 def critical_cover(

@@ -208,6 +208,22 @@ def _hand_built():
     )
 
 
+_HALF = {
+    "eta_min": "0", "eta_max": "2",
+    "singularities": [{"eta": "1/2", "xi": "-1", "mult": 1}],
+    "top": [["0", "0"], ["2", "0"]],
+    "bottom": [["0", "-1"], ["1/2", "-3/2"], ["2", "-3/2"]],
+    "corners": {"left": False, "right": False},
+}
+
+_MULT2 = {
+    "eta_min": "0", "eta_max": "2",
+    "singularities": [{"eta": "1", "xi": "-1", "mult": 2}],
+    "top": [["0", "0"], ["2", "0"]],
+    "bottom": [["0", "-1"], ["1", "-2"], ["2", "-1"]],
+    "corners": {"left": False, "right": False},
+}
+
 _SCAN_CASES = [
     ("cp2", affine.cp2_model(), 20),
     ("cp2-xi-3/7", affine.cp2_model(Fraction(-3, 7)), 20),
@@ -215,6 +231,8 @@ _SCAN_CASES = [
     ("dp6-213", affine.dp6_model((2, 1, 3)), 12),
     ("dp6-132", affine.dp6_model((1, 3, 2)), 12),
     ("hand-built", _hand_built(), 12),
+    ("half", affine.polygon_from_json(_HALF), 12),
+    ("mult2", affine.polygon_from_json(_MULT2), 12),
 ]
 
 
@@ -288,7 +306,7 @@ def test_membership_scan_shares_nothing_with_the_column_table(monkeypatch):
         assert {d: affine.count_points(fresh, d) for d in range(6)} == expected
         assert fresh.contains(spot)
     with monkeypatch.context() as patch:
-        for name in ("_segment_lines", "_column_bounds", "_in_column"):
+        for name in ("_segment_lines", "_lattice_height_sum"):
             patch.setattr(affine, name, forbidden)
         # The column table is filled in integers: no `Fraction` fiber per column.
         patch.setattr(affine.AffinePolygon, "fiber", forbidden)
@@ -434,14 +452,6 @@ def test_floor_sum_of_a_full_period_near_10_to_the_20():
     assert affine._floor_sum(m, m, -a, 0) == -(a - 1) * (m - 1) // 2 - (m - 1)
 
 
-_MULT2 = {
-    "eta_min": "0", "eta_max": "2",
-    "singularities": [{"eta": "1", "xi": "-1", "mult": 2}],
-    "top": [["0", "0"], ["2", "0"]],
-    "bottom": [["0", "-1"], ["1", "-2"], ["2", "-1"]],
-    "corners": {"left": False, "right": False},
-}
-
 # (instance, A, B, the period of the degrees it holds on): count_points(d) =
 # A*d^2 + (B/2)*d + 1, with A the affine area and B the boundary's lattice
 # length; half.json's holds on even d only.
@@ -485,8 +495,7 @@ def test_count_points_at_10_to_the_20_does_no_per_column_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("per-column work")
 
-    for name in ("_column_bounds", "_in_column", "_column_walk"):
-        monkeypatch.setattr(affine, name, forbidden)
+    monkeypatch.setattr(affine, "_column_walk", forbidden)
     monkeypatch.setattr(affine.AffinePolygon, "column_counts", forbidden)
     d = 10**20
     assert affine.count_points(affine.CP2, d) == (d + 2) * (d + 1) // 2
@@ -571,13 +580,14 @@ def test_column_table_of_unvalidated_polygons_matches_fraction_columns():
         table = crossing.column_counts(d)
         assert table == _fraction_table(crossing, d), d
         assert table[d] == 0
-    # Polylines that stop short of the eta-range: the walk and the count raise
-    # as `fiber` does.
+    # Polylines that stop short of the eta-range: the walk, the count and
+    # membership raise as `fiber` does.
     short = replace(affine.cp2_model(), eta_max=F(2))
     for run in (
         lambda: short.fiber(F(2)),
         lambda: short.column_counts(1),
         lambda: affine.count_points(short, 1),
+        lambda: short.contains(RationalPoint(F(3, 2), 0)),
     ):
         with pytest.raises(ValueError, match="outside polyline range"):
             run()
@@ -595,15 +605,6 @@ def _flat_strip(eta_min, eta_max, bottom_xi):
         left_corner=False,
         right_corner=False,
     )
-
-
-_HALF = {
-    "eta_min": "0", "eta_max": "2",
-    "singularities": [{"eta": "1/2", "xi": "-1", "mult": 1}],
-    "top": [["0", "0"], ["2", "0"]],
-    "bottom": [["0", "-1"], ["1/2", "-3/2"], ["2", "-3/2"]],
-    "corners": {"left": False, "right": False},
-}
 
 
 @pytest.mark.parametrize(

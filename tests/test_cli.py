@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: outputs, JSON reports, exit codes, SVG files."""
 
+import contextlib
+import io
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinefloer import affine, cli, numchecks, verify
 from support import polygon_to_json, replace
@@ -354,6 +358,32 @@ def test_mu2_at_a_million_plus_a_million_exits_two_with_one_line(monkeypatch, ca
     (line,) = captured.err.splitlines()
     assert line == (f"error: denominator n + m = 2000000 has 4000001 columns; "
                     f"the cap is {cli.POINTS_CAP}")
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (1, 3), (10**30, 1)])
+def test_render_triangle_above_the_column_cap_exits_two_before_any_column_walk(
+    n, m, tmp_path, monkeypatch, capsys
+):
+    # cp2 has 7 columns at denominator 3; the triangle reads those of n and m
+    monkeypatch.setattr(cli, "POINTS_CAP", 6)
+    _refuse_column_walks(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    argv = ["render", "cp2", "x.svg", "--triangle", "0", "0", str(n), "0", "0", str(m), "0"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --triangle denominators {n}, {m}: the column cap is 6\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_render_triangle_admits_denominators_of_exactly_the_column_cap(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "POINTS_CAP", 5)  # cp2 has 5 columns at d = 2
+    monkeypatch.chdir(tmp_path)
+    triangle = ["--triangle", "-2", "0", "2", "2", "0", "2", "1"]
+    code, data = run_json(["render", "cp2", "x.svg", *triangle], capsys)
+    assert code == 0 and all(c["pass"] for c in data["checks"])
 
 
 def test_human_points_builds_no_json_report(tmp_path, monkeypatch, capsys):
@@ -712,6 +742,98 @@ def test_dp6_file_gets_neither_identity_nor_triangle(tmp_path, capsys):
     )
     assert code == 2
     assert "cp2 instance only" in capsys.readouterr().err
+
+
+# -- the CLI contract as a property -----------------------------------------------
+
+# The integers of one argv: all small, where most commands compute, or
+# each small or of any size up to 10^30.
+_SMALL = st.integers(0, 3).map(str)
+_INTS = st.sampled_from([_SMALL, st.one_of(_SMALL, st.integers(-(10**30), 10**30).map(str))])
+# a flag that no command or suite reads, and flags that some do not read
+_FOREIGN = st.sampled_from(
+    [[], [], [], ["--frobnicate"], ["--max-k", "1"], ["--widths", "1", "1", "1"]]
+)
+_BOUNDS = st.sampled_from(["-1", "0", "1", "2"])
+
+
+def _verify_argv(suite, draw):
+    """verify SUITE with every bound flag it reads (all of them for `all`),
+    each within {-1, 0, 1, 2}, so that no sweep runs at its default."""
+    suites = verify.SUITES.values() if suite == "all" else (verify.SUITES[suite],)
+    bounds = [[_option(s.flag), draw(_BOUNDS)] for s in suites]
+    return ["verify", suite, *(word for bound in bounds for word in bound)]
+
+
+def _instances(ints):
+    """cp2, dp6 with or without widths, a dp6 copy in a JSON file, a
+    malformed file and a missing path; every *.json and *.svg name stands
+    for a file of one temporary directory."""
+    return st.one_of(
+        st.sampled_from([["cp2"], ["dp6"], ["dp6.json"], ["malformed.json"], ["missing.json"]]),
+        st.lists(ints, min_size=3, max_size=3).map(lambda widths: ["dp6", "--widths", *widths]),
+    )
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["points", "mu2", "render", "verify", "numeric"]))
+    if command == "verify":
+        argv = _verify_argv(draw(st.sampled_from([*verify.SUITES, "all"])), draw)
+    elif command == "numeric":
+        argv = ["numeric", "--tol", draw(_BOUNDS)]
+    else:
+        ints = draw(_INTS)
+        argv = [command, *draw(_instances(ints))]
+        if command == "points":
+            argv.append(draw(ints))
+        elif command == "mu2":
+            argv += draw(st.lists(ints, min_size=6, max_size=6))
+        else:
+            argv.append("x.svg")
+            if draw(st.booleans()):
+                argv += ["--points", draw(ints)]
+            if draw(st.booleans()):
+                argv += ["--triangle", *draw(st.lists(ints, min_size=7, max_size=7))]
+    options = [flag for flag in ("--json", "--out") if draw(st.booleans())]
+    if "--out" in options:
+        options.append("report.json")
+    return [*options, *argv, *draw(_FOREIGN)]
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("contract")
+    (path / "dp6.json").write_text(json.dumps(polygon_to_json(affine.dp6_model())))
+    (path / "malformed.json").write_text('{"eta_min": "0", "eta_max": ')
+    return path
+
+
+@settings(derandomize=True, max_examples=300, deadline=2000, database=None)
+@given(argv=_argv())
+def test_the_cli_contract_holds_for_any_argv(contract_dir, argv):
+    # exit 0, 1 or 2 and nothing escapes; exit 2 writes one `error:` line;
+    # a --json report parses; exit 0 means every reported check passed
+    argv = [str(contract_dir / w) if w.endswith((".json", ".svg")) else w for w in argv]
+    report_file = contract_dir / "report.json"
+    report_file.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses an argv by exiting
+            code = exc.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+        return
+    if "--json" in argv or "--out" in argv:
+        text = out.getvalue() if "--json" in argv else report_file.read_text()
+        failed = not all(check["pass"] for check in json.loads(text)["checks"])
+    else:
+        failed = "failed check" in err.getvalue()
+    assert failed == (code == 1)
 
 
 # -- the README's examples -------------------------------------------------------

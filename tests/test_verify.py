@@ -82,12 +82,13 @@ def _covering_shifted(fn, delta):
     too low drops a product's top term; one too high adds a term that breaks
     closure in mu2 (or the depth rule of a complement in the wrapped
     product), which raises.  A sweep names either as a mismatch.  A shifted
-    cover keeps the record's column counts and derives its total again."""
+    cover keeps the record's column counts and sums its total again."""
 
     def planted(*args):
         out = fn(*args)
         if isinstance(out, floer.CriticalCover):
-            return replace(out, k_list=tuple(k + delta for k in out.k_list))
+            k_list = tuple(k + delta for k in out.k_list)
+            return replace(out, k_list=k_list, total=sum(k_list))
         return out + delta
 
     return planted
