@@ -169,16 +169,12 @@ class AffinePolygon:
     #
     # The memos, per instance: `_columns` maps a denominator d to its column
     # table, and `_tops` beside it column a -> top lattice height times d,
-    # for `embed`.  `_products` and `_covers` are the memos of `floer`,
-    # filled only by successful calls (errors are raised, never stored) and
-    # growing by one entry per distinct key asked of this polygon:
-    # `_products` memoizes `mu2`, (a, i, n, b, j, m) -> the product's sorted
-    # terms, and `_covers` memoizes `critical_cover`, (a, b, n, m) -> its
-    # `CriticalCover`, one entry per column pair, since the depths i, j do
-    # not move k.  `_lines` is the segment-line memo: the `_segment_lines`
-    # of bottom and top, filled by `_segment_line_memo`.  Every construction
-    # starts them empty, so equal polygons share nothing, and they take no
-    # part in equality, hashing, repr or JSON.
+    # for `embed`.  `_products` and `_covers` are the memos of `floer`'s
+    # `mu2` and `critical_cover`, described in that module's docstring.
+    # `_lines` is the segment-line memo: the `_segment_lines` of bottom and
+    # top, filled by `_segment_line_memo`.  Every construction starts them
+    # empty, so equal polygons share nothing, and they take no part in
+    # equality, hashing, repr or JSON.
     __slots__ = (*_POLYGON_FIELDS, "_columns", "_tops", "_products", "_covers", "_lines")
 
     def __init__(
@@ -244,7 +240,7 @@ class AffinePolygon:
         for every column in the eta-range, in increasing a.
 
         A point q_{a,i} with denominator d lies in the region exactly when
-        0 <= i < column_counts(d).get(a, 0).  Filled once per denominator by
+        `check_point` accepts it.  Filled once per denominator by
         one left-to-right integer walk over the boundary segments
         (`_column_walk`), which also keeps each column's top lattice height
         for `embed`, and shared by every caller, so it must not be
@@ -258,6 +254,12 @@ class AffinePolygon:
             table, self._tops[d] = _column_walk(self, d)
             self._columns[d] = table
         return table
+
+    def check_point(self, a: int, i: int, d: int) -> None:
+        """The one admissibility test: ValueError unless q_{a,i} at denominator d
+        is in the region."""
+        if not 0 <= i < self.column_counts(d).get(a, 0):
+            raise ValueError(f"q_({a},{i}) with denominator {d} is not admissible")
 
 
 def check_ints(what: str, key) -> None:
@@ -525,14 +527,13 @@ def fractional_points(polygon: AffinePolygon, d: int) -> list[FractionalPoint]:
 
 def embed(polygon: AffinePolygon, point: FractionalPoint) -> RationalPoint:
     """Chart coordinates of a fractional point: (a/d, top_lattice - i/d),
-    with the column's count and top lattice height read from the column
-    table (`AffinePolygon.column_counts`); d must be an exact int."""
+    checked by `AffinePolygon.check_point`, with the column's top lattice
+    height read beside its table; d must be an exact int."""
     a, i, d = point
     check_ints("denominator", d)
     if d < 1:
         raise ValueError(f"{point} has no embedding: its denominator is not positive")
-    if not 0 <= i < polygon.column_counts(d).get(a, 0):
-        raise ValueError(f"{point} does not lie in the region")
+    polygon.check_point(a, i, d)
     return RationalPoint(Fraction(a, d), Fraction(polygon._tops[d][a] - i, d))
 
 

@@ -20,6 +20,7 @@ checks pass.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -40,9 +41,8 @@ class CommandReport:
         self.checks: list[dict] = []
         self._start = time.perf_counter()
 
-    def check(self, name: str, passed: bool, detail: str = "") -> bool:
+    def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append({"name": name, "pass": bool(passed), "detail": detail})
-        return passed
 
     def to_json(self) -> dict:
         return {
@@ -52,10 +52,6 @@ class CommandReport:
             "checks": self.checks,
             "elapsed_seconds": round(time.perf_counter() - self._start, 6),
         }
-
-    @property
-    def ok(self) -> bool:
-        return all(c["pass"] for c in self.checks)
 
 
 def resolve_instance(args) -> tuple[str, AffinePolygon]:
@@ -82,26 +78,41 @@ def resolve_instance(args) -> tuple[str, AffinePolygon]:
 
 
 POINTS_CAP = 10**6
-"""The most (1/D)-integral points, and the most columns, that `points`
-enumerates and `render --points` draws, and the most columns of the
-denominator n + m that `mu2` reads and of each that `render --triangle` reads."""
+"""The most columns of a denominator whose column table a command reads, and
+the most points that `points` lists and `render --points` draws."""
 
 
-def _columns(polygon: AffinePolygon, d: int) -> int:
-    """The number of columns eta = a/d in the polygon's eta-range."""
-    return math.floor(polygon.eta_max * d) - math.ceil(polygon.eta_min * d) + 1
+def _check_columns(polygon: AffinePolygon, *denominators: int) -> None:
+    """ValueError (exit 2) at the first denominator d with more than
+    `POINTS_CAP` columns eta = a/d in the eta-range, counted, not walked."""
+    for d in denominators:
+        columns = math.floor(polygon.eta_max * d) - math.ceil(polygon.eta_min * d) + 1
+        if columns > POINTS_CAP:
+            raise ValueError(f"denominator {d} has {columns} columns; the cap is {POINTS_CAP}")
 
 
 def _count_within_cap(polygon: AffinePolygon, d: int) -> int:
-    """`affine.count_points(polygon, d)`, known in O(log d) before anything
-    is enumerated; ValueError (exit 2) when the points or the columns
-    eta = a/d of the listing would exceed `POINTS_CAP`."""
+    """`affine.count_points(polygon, d)`, in O(log d) steps, once the columns
+    of d pass `_check_columns`; ValueError (exit 2) above `POINTS_CAP`."""
+    _check_columns(polygon, d)
     count = affine.count_points(polygon, d)
-    columns = _columns(polygon, d)
-    if max(count, columns) > POINTS_CAP:
-        raise ValueError(f"d = {d} gives {count} points in {columns} columns; "
-                         f"the cap on each is {POINTS_CAP}")
+    if count > POINTS_CAP:
+        raise ValueError(f"d = {d} gives {count} points; the cap is {POINTS_CAP}")
     return count
+
+
+@contextlib.contextmanager
+def _exact_ints():
+    """Lift Python's int-to-str digit limit (0, none, before Python 3.10.7)
+    while a report is written; argv and instance files are parsed under it."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def cmd_points(args) -> CommandReport:
@@ -127,10 +138,7 @@ def cmd_points(args) -> CommandReport:
 def cmd_mu2(args) -> CommandReport:
     name, polygon = resolve_instance(args)
     if args.n >= 0 and args.m >= 0:  # mu2 itself rejects a negative denominator
-        columns = _columns(polygon, args.n + args.m)
-        if columns > POINTS_CAP:
-            raise ValueError(f"denominator n + m = {args.n + args.m} has {columns} columns; "
-                             f"the cap is {POINTS_CAP}")
+        _check_columns(polygon, args.n + args.m)
     report = CommandReport("mu2", {"instance": name, **{f: getattr(args, f) for f in "nmaibj"}})
     q1 = floer.basis_vector(0, args.n, args.a, args.i)
     q2 = floer.basis_vector(args.n, args.n + args.m, args.b, args.j)
@@ -144,12 +152,13 @@ def cmd_mu2(args) -> CommandReport:
     if not args.json:
         def terms(label) -> str:
             return " + ".join((f"{c}*" if c != 1 else "") + label(a, i) for (a, i), c in product.terms)
-        print(f"mu2(q_({args.b},{args.j})@{args.m}, q_({args.a},{args.i})@{args.n}) = "
-              + terms(lambda a, i: f"q_({a},{i})"))
-        if is_cp2:
-            q = polyring.q_label
-            print(f"i.e. {q(args.a, args.i, args.n)} * {q(args.b, args.j, args.m)} = "
-                  + terms(lambda a, i: q(a, i, args.n + args.m)))
+        with _exact_ints():
+            print(f"mu2(q_({args.b},{args.j})@{args.m}, q_({args.a},{args.i})@{args.n}) = "
+                  + terms(lambda a, i: f"q_({a},{i})"))
+            if is_cp2:
+                q = polyring.q_label
+                print(f"i.e. {q(args.a, args.i, args.n)} * {q(args.b, args.j, args.m)} = "
+                      + terms(lambda a, i: q(a, i, args.n + args.m)))
     return report
 
 
@@ -200,8 +209,7 @@ def cmd_render(args) -> CommandReport:
         if polygon != affine.CP2:
             raise ValueError("triangle rendering is available for the cp2 instance only")
         a, i, n, b, j, m, h = args.triangle
-        if max(_columns(polygon, n), _columns(polygon, m)) > POINTS_CAP:
-            raise ValueError(f"--triangle denominators {n}, {m}: the column cap is {POINTS_CAP}")
+        _check_columns(polygon, n, m)
         triangle = tropical.build_triangle(a, i, n, b, j, m, h)
         report.check("triangle_exists", triangle is not None)
         if triangle is not None:
@@ -315,13 +323,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                 detail = f": {check['detail']}" if check["detail"] else ""
                 print(f"failed check {check['name']}{detail}", file=sys.stderr)
     if args.json or args.report_out:  # the report's text is built only to be read
-        text = json.dumps(report.to_json(), indent=2)
+        with _exact_ints():
+            text = json.dumps(report.to_json(), indent=2)
         if args.json:
             print(text)
         if args.report_out:
             with open(args.report_out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-    return 0 if report.ok else 1
+    return 0 if all(check["pass"] for check in report.checks) else 1
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ triangle's vertical cross-section there.  The cross-section endpoints are
 integers whenever n*c and (n+m)*c are (hence for instances with integer
 singularity positions), which keeps the half-integer count unambiguous.
 
-Admissibility of every input and output index is read from the polygon's
-cached column table (`AffinePolygon.column_counts`), and nowhere else: the
-table holds only q_{0,0} at denominator 0 (the unit) and rejects negative
-denominators, so a basis vector is not validated when it is built.
+Every index is checked against the polygon's cached column table: an input
+by `AffinePolygon.check_point` or its `CriticalCover`'s counts, the output by
+the latter.  The table holds only q_{0,0} at denominator 0 (the unit) and
+rejects negative denominators, so a basis vector is not validated when built.
 
 Two memos on the polygon hold what the product path computes, each keyed
 by exactly what its value depends on.  `mu2` memoizes its terms in
@@ -50,8 +50,8 @@ All coefficients are arbitrary-precision integers; every sign is positive.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 from .affine import CP2, AffinePolygon, Singularity, check_ints
@@ -86,8 +86,8 @@ _basis_vectors: dict[tuple[int, int, int, int], FormalSum] = {}
 def basis_vector(d1: int, d2: int, a: int, i: int) -> FormalSum:
     """The generator q_{a,i} from level d1 to level d2 (denominator d2 - d1).
 
-    Its admissibility is checked by `mu2`, against the polygon's column
-    table.  The sum is interned: equal arguments return one shared object."""
+    Its admissibility is checked by `mu2`, through `AffinePolygon.check_point`.
+    The sum is interned: equal arguments return one shared object."""
     key = (d1, d2, a, i)
     q = _basis_vectors.get(key)
     if q is None:
@@ -106,11 +106,8 @@ def sum_to_json(s: FormalSum) -> dict:
 
 
 def index_range(d1: int, d2: int, polygon: AffinePolygon = CP2) -> set[tuple[int, int]]:
-    """Admissible (column, depth) pairs for morphisms d1 -> d2."""
-    n = d2 - d1
-    if n < 0:
-        raise ValueError("index_range requires d2 >= d1")
-    return {(a, i) for a, count in polygon.column_counts(n).items() for i in range(count)}
+    """Admissible (column, depth) pairs for morphisms d1 -> d2; ValueError if d2 < d1."""
+    return {(a, i) for a, count in polygon.column_counts(d2 - d1).items() for i in range(count)}
 
 
 def k_value_cp2(a: int, b: int) -> int:
@@ -198,18 +195,6 @@ def critical_cover(
 _binomial_rows: dict[int, tuple[int, ...]] = {}  # C(k, 0..k) by k
 
 
-def _check_depths(polygon: AffinePolygon, inputs) -> None:
-    """Check each input (col, depth, den) in the column table, unit included.
-    A negative denominator is refused first, by its own table lookup, which
-    raises before any walk, so no table is built for the other input."""
-    for _, _, den in inputs:
-        if den < 0:
-            polygon.column_counts(den)
-    for col, depth, den in inputs:
-        if not 0 <= depth < polygon.column_counts(den).get(col, 0):
-            raise ValueError(f"q_({col},{depth}) with denominator {den} is not admissible")
-
-
 def _product_terms(
     polygon: AffinePolygon, a: int, i: int, n: int, b: int, j: int, m: int
 ) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -217,19 +202,20 @@ def _product_terms(
 
     One `critical_cover` record gives k and the counts that both depths and
     the deepest output term are checked against.  A unit factor, or an input
-    the record rejects, is checked against the column table, which raises
-    the input's error.  The terms (a+b, i+j+s) -> C(k, s) are built in
-    increasing s, which is their sorted order.
+    the record rejects, is checked by `AffinePolygon.check_point`, first input
+    first, after both denominators' signs.  The terms (a+b, i+j+s) -> C(k, s)
+    are built in increasing s, which is their sorted order.
     """
-    inputs = ((a, i, n), (b, j, m))
     if n > 0 and m > 0:
         try:
             cover = critical_cover(polygon, a, b, n, m)
         except ValueError:
-            _check_depths(polygon, inputs)
+            polygon.check_point(a, i, n)
+            polygon.check_point(b, j, m)
             raise
         if not (0 <= i < cover.count_a and 0 <= j < cover.count_b):
-            _check_depths(polygon, inputs)
+            polygon.check_point(a, i, n)
+            polygon.check_point(b, j, m)
         k, top, col, depth = cover.total, cover.count_out, a + b, i + j
         if depth + k >= top:
             raise ArithmeticError(
@@ -237,10 +223,14 @@ def _product_terms(
                 "is not admissible; instance violates closure"
             )
         row = _binomial_rows.get(k)
-        if row is None:
-            row = _binomial_rows[k] = tuple(math.comb(k, s) for s in range(k + 1))
+        if row is None:  # in k steps: C(k, s + 1) = C(k, s) * (k - s) / (s + 1)
+            row = _binomial_rows[k] = tuple(
+                accumulate(range(k), lambda c, s: c * (k - s) // (s + 1), initial=1))
         return tuple(((col, depth + s), c) for s, c in enumerate(row))
-    _check_depths(polygon, inputs)
+    if n < 0 or m < 0:
+        raise ValueError("denominator must be nonnegative")
+    polygon.check_point(a, i, n)
+    polygon.check_point(b, j, m)
     return (((b, j), 1),) if n == 0 else (((a, i), 1),)
 
 

@@ -177,8 +177,7 @@ def check_balancing(t: TropicalTriangle) -> bool:
 def _check_indices(a: int, i: int, n: int) -> None:
     if n < 1:
         raise ValueError(f"tropical witnesses need positive denominators, got {n}")
-    if not 0 <= i < CP2.column_counts(n).get(a, 0):
-        raise ValueError(f"q_({a},{i}) with denominator {n} is not admissible")
+    CP2.check_point(a, i, n)
 
 
 def _disks(k: int, s: int, sing_above: bool) -> tuple[int, int]:

@@ -196,6 +196,6 @@ SUITES = {
     "ring": Suite("ring_isomorphism", "max_degree", 6, ring, cap=13),
     "homotopy": Suite("homotopy_word_counts", "max_k", 8, homotopy, cap=12),
     "tropical": Suite("tropical_counts_match_products", "max", 4, tropical, cap=13),
-    "wrapped": Suite("wrapped_products_match_localized_ring", "max_degree", 6, wrapped, cap=3),
+    "wrapped": Suite("wrapped_products_match_localized_ring", "max_degree", 3, wrapped, cap=3),
     "numeric": Suite(None, "tol", 1e-9, numchecks.numeric_report),
 }

@@ -146,13 +146,14 @@ def test_invalid_denominator_rejected():
 def test_embed_rejects_a_point_outside_the_region():
     m = affine.cp2_model()
     assert affine.embed(m, FractionalPoint(0, 1, 2)) == RationalPoint(Fraction(0), Fraction(-1, 2))
-    for point in (
-        FractionalPoint(0, 2, 2),  # below the bottom
-        FractionalPoint(0, -1, 2),  # above the top
-        FractionalPoint(3, 0, 2),  # right of the region
+    for a, i, d in (
+        (0, 2, 2),  # below the bottom
+        (0, -1, 2),  # above the top
+        (3, 0, 2),  # right of the region
     ):
-        with pytest.raises(ValueError, match="does not lie in the region"):
-            affine.embed(m, point)
+        refused = rf"^q_\({a},{i}\) with denominator {d} is not admissible$"
+        with pytest.raises(ValueError, match=refused):
+            affine.embed(m, FractionalPoint(a, i, d))
 
 
 def test_degenerate_polylines_rejected():

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import math
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -253,27 +255,30 @@ def test_invalid_input_exits_two_with_one_line(argv, tmp_path, monkeypatch, caps
     assert not (tmp_path / "x.svg").exists()
 
 
+_CP2_1E20 = "denominator 100000000000000000000 has 200000000000000000001 columns"
+
+
 @pytest.mark.parametrize(
-    "argv, count",
+    "argv, error",
     [
-        (["points", "cp2", "100000000000000000000"], 5000000000000000000150000000000000000001),
-        (["--json", "points", "cp2", "100000000000000000000"],
-         5000000000000000000150000000000000000001),
-        (["points", "dp6", "1", "--widths", "1", "1", "1000000"], 500004500005),
-        (["render", "cp2", "x.svg", "--points", "100000"], 5000150001),
+        (["points", "cp2", "100000000000000000000"], _CP2_1E20),
+        (["--json", "points", "cp2", "100000000000000000000"], _CP2_1E20),
+        (["points", "dp6", "1", "--widths", "1", "1", "1000000"],
+         "denominator 1 has 1000003 columns"),
+        (["render", "cp2", "x.svg", "--points", "100000"], "d = 100000 gives 5000150001 points"),
     ],
     ids=["points-cp2-1e20", "json-points-cp2-1e20", "points-dp6-wide", "render-cp2-1e5"],
 )
 def test_a_listing_above_the_points_cap_exits_two_with_one_line(
-    argv, count, tmp_path, monkeypatch, capsys
+    argv, error, tmp_path, monkeypatch, capsys
 ):
+    # the columns of D are refused first, then the points of the listing
+    _refuse_column_walks(monkeypatch)
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert line.startswith("error: ")
-    assert f" {count} points " in line and f"cap on each is {cli.POINTS_CAP}" in line
+    assert captured.err == f"error: {error}; the cap is {cli.POINTS_CAP}\n"
     assert not (tmp_path / "x.svg").exists()
 
 
@@ -315,7 +320,7 @@ def test_mu2_above_the_column_cap_exits_two_before_any_column_walk(
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: denominator n + m = {d} has {columns} columns; the cap is 6\n"
+    assert captured.err == f"error: denominator {d} has {columns} columns; the cap is 6\n"
 
 
 def test_mu2_admits_a_denominator_of_exactly_the_column_cap(monkeypatch, capsys):
@@ -356,15 +361,15 @@ def test_mu2_at_a_million_plus_a_million_exits_two_with_one_line(monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line == (f"error: denominator n + m = 2000000 has 4000001 columns; "
-                    f"the cap is {cli.POINTS_CAP}")
+    assert line == f"error: denominator 2000000 has 4000001 columns; the cap is {cli.POINTS_CAP}"
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (1, 3), (10**30, 1)])
 def test_render_triangle_above_the_column_cap_exits_two_before_any_column_walk(
     n, m, tmp_path, monkeypatch, capsys
 ):
-    # cp2 has 7 columns at denominator 3; the triangle reads those of n and m
+    # cp2 has 2d + 1 columns at denominator d; the triangle reads those of
+    # n and m, and the one of them above the cap is max(n, m)
     monkeypatch.setattr(cli, "POINTS_CAP", 6)
     _refuse_column_walks(monkeypatch)
     monkeypatch.chdir(tmp_path)
@@ -372,7 +377,8 @@ def test_render_triangle_above_the_column_cap_exits_two_before_any_column_walk(
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --triangle denominators {n}, {m}: the column cap is 6\n"
+    d = max(n, m)
+    assert captured.err == f"error: denominator {d} has {2 * d + 1} columns; the cap is 6\n"
     assert not (tmp_path / "x.svg").exists()
 
 
@@ -744,6 +750,52 @@ def test_dp6_file_gets_neither_identity_nor_triangle(tmp_path, capsys):
     assert "cp2 instance only" in capsys.readouterr().err
 
 
+_LIMITED = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="Python has no int-to-str digit limit"
+)
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@_LIMITED
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+def test_a_constant_above_the_int_digit_limit_reaches_stdout(mode, capsys):
+    # k = 2 * 1100 between dp6's facets: C(2200, 1100) has 661 digits
+    with _int_digit_limit(640):
+        code = cli.main([*mode, "mu2", "dp6", "1100", "1100", "3300", "0", "0", "0"])
+        assert sys.get_int_max_str_digits() == 640
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    middle = math.comb(2200, 1100)
+    if mode:
+        terms = json.loads(captured.out)["results"]["product"]["terms"]
+        assert {"a": 3300, "i": 1100, "c": middle} in terms and len(terms) == 2201
+    else:
+        assert f" + {middle}*q_(3300,1100) + " in captured.out
+
+
+@_LIMITED
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+def test_an_instance_rational_above_the_int_digit_limit_exits_two(mode, tmp_path, capsys):
+    data = polygon_to_json(affine.CP2)
+    data["eta_min"] = "-" + "1" * 5000 + "/" + "1" * 5000  # -1, in 5 000 digits
+    path = _write_instance(tmp_path, data)
+    with _int_digit_limit(4300):
+        assert cli.main([*mode, "mu2", path, "1", "1", "-1", "0", "1", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: instance key 'eta_min' is malformed")
+
+
 # -- the CLI contract as a property -----------------------------------------------
 
 # The integers of one argv: all small, where most commands compute, or
@@ -765,6 +817,23 @@ def _verify_argv(suite, draw):
     return ["verify", suite, *(word for bound in bounds for word in bound)]
 
 
+def _edge_mu2(draw):
+    """mu2 on cp2, or on dp6 with random widths, with a the first or last
+    column of n's table and b of m's, i = j = 0 and n, m <= 300: where the
+    covering count k is largest."""
+    n, m = draw(st.integers(0, 300)), draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        instance, polygon = ["cp2"], affine.CP2
+    else:
+        widths = draw(st.lists(st.integers(1, 5), min_size=3, max_size=3))
+        instance, polygon = ["dp6", "--widths", *map(str, widths)], affine.dp6_model(widths)
+    a, b = (
+        draw(st.sampled_from([math.ceil(polygon.eta_min * d), math.floor(polygon.eta_max * d)]))
+        for d in (n, m)
+    )
+    return ["mu2", *instance, *map(str, (n, m, a, 0, b, 0))]
+
+
 def _instances(ints):
     """cp2, dp6 with or without widths, a dp6 copy in a JSON file, a
     malformed file and a missing path; every *.json and *.svg name stands
@@ -777,8 +846,10 @@ def _instances(ints):
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["points", "mu2", "render", "verify", "numeric"]))
-    if command == "verify":
+    command = draw(st.sampled_from(["points", "mu2", "mu2-edge", "render", "verify", "numeric"]))
+    if command == "mu2-edge":
+        argv = _edge_mu2(draw)
+    elif command == "verify":
         argv = _verify_argv(draw(st.sampled_from([*verify.SUITES, "all"])), draw)
     elif command == "numeric":
         argv = ["numeric", "--tol", draw(_BOUNDS)]

@@ -396,7 +396,7 @@ def test_failed_cover_count_raises_on_every_call(polygon, args, message):
 
 def test_a_count_from_a_float_column_is_not_stored():
     # a float column would count a float k; stored under the equal int key
-    # it would reach mu2, where math.comb rejects it, so a miss refuses it
+    # it would reach mu2, whose binomial row refuses it, so a miss refuses it
     polygon = affine.cp2_model()
     refused = "columns and denominators must be ints, got (-1.0, 1, 1, 1)"
     assert_refused(polygon._covers, refused, floer.critical_cover, polygon, -1.0, 1, 1, 1)
@@ -613,6 +613,19 @@ def test_the_binomial_table_stores_only_exact_int_k(monkeypatch):
     assert out.coeffs() == {(0, 0): 1, (0, 1): 2, (0, 2): 1}
     assert floer._binomial_rows == {2: (1, 2, 1)}
     assert all(type(k) is int for k in floer._binomial_rows)
+
+
+def test_each_binomial_row_is_the_math_comb_row(monkeypatch):
+    # on cp2, q_(-k,0)@k times q_(k,0)@k covers the singularity k times, and
+    # q_(-1,0)@1 times q_(0,0)@1 (same-sign columns) covers it none
+    monkeypatch.setattr(floer, "_binomial_rows", {})
+    polygon = affine.cp2_model()
+    for k in [*range(61), 2200]:
+        a, b, n = (-k, k, k) if k else (-1, 0, 1)
+        out = mu2(basis_vector(n, 2 * n, b, 0), basis_vector(0, n, a, 0), polygon)
+        row = tuple(math.comb(k, s) for s in range(k + 1))
+        assert floer._binomial_rows[k] == row
+        assert out.terms == tuple(((a + b, s), c) for s, c in enumerate(row))
 
 
 def test_a_replaced_singularity_derives_its_integer_position_again():
