@@ -88,7 +88,8 @@ def _check_columns(polygon: AffinePolygon, *denominators: int) -> None:
     for d in denominators:
         columns = math.floor(polygon.eta_max * d) - math.ceil(polygon.eta_min * d) + 1
         if columns > POINTS_CAP:
-            raise ValueError(f"denominator {d} has {columns} columns; the cap is {POINTS_CAP}")
+            with _exact_ints():  # an argv D under the digit limit may have a count above it
+                raise ValueError(f"denominator {d} has {columns} columns; the cap is {POINTS_CAP}")
 
 
 def _count_within_cap(polygon: AffinePolygon, d: int) -> int:
@@ -104,7 +105,8 @@ def _count_within_cap(polygon: AffinePolygon, d: int) -> int:
 @contextlib.contextmanager
 def _exact_ints():
     """Lift Python's int-to-str digit limit (0, none, before Python 3.10.7)
-    while a report is written; argv and instance files are parsed under it."""
+    while a report or a refusal is written; argv and instance files are
+    parsed under it."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
         sys.set_int_max_str_digits(0)

@@ -22,42 +22,46 @@ C(k, h-(i+j)) independently of both the section-count argument and the
 ring oracle.
 
 Words are tuples of run-length encoded (generator, exponent) runs, so that
-`brute_force_admissible` reduces each one in time linear in its runs.  Its
-search memoizes the completions of each state (position r, reduced prefix),
-which free reduction's confluence makes exact, so a state that many delta
-prefixes reach is expanded once; a step is skipped before it is reduced
-when the b-letters it can cancel cannot bring the prefix within reach of
-the positions left.
+a word reduces in time linear in its runs.  `brute_force_admissible` meets
+in the middle: it tabulates every suffix of deltas by its reduced inverse
+word with the leading a-run stripped, then walks the prefixes and joins each
+with the suffixes stored under its own stripped reduced word.  Every
+candidate is still decided by free reduction alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Sequence
 
 Run = tuple[str, int]  # (generator "a" or "b", nonzero exponent)
 DeltaSequence = tuple[int, ...]
 
 
-def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[tuple[Run, ...], int]:
-    """Append runs to an already reduced word, cancelling as they meet.
-
-    Returns the reduced word and the number of b-letters that cancelled."""
+def _reduce_onto(stack: Sequence[Run], runs: Iterable[Run]) -> tuple[Run, ...]:
+    """Append runs to an already reduced word, cancelling as they meet."""
     out = list(stack)
-    lost = 0
     for gen, exp in runs:
         if out and out[-1][0] == gen:
-            before = out[-1][1]
-            total = before + exp
-            if gen == "b":
-                lost += abs(before) + abs(exp) - abs(total)
+            total = out[-1][1] + exp
             if total:
                 out[-1] = (gen, total)
             else:
                 out.pop()
         else:
             out.append((gen, exp))
-    return tuple(out), lost
+    return tuple(out)
+
+
+def _inverse(runs: Sequence[Run]) -> list[Run]:
+    """The runs of the inverse word."""
+    return [(gen, -exp) for gen, exp in reversed(runs)]
+
+
+def _strip_a(word: tuple[Run, ...]) -> tuple[Run, ...]:
+    """A reduced word without its leading a-run."""
+    return word[1:] if word and word[0][0] == "a" else word
 
 
 def _power_runs(r: int, delta: int) -> list[Run]:
@@ -143,59 +147,42 @@ def brute_force_admissible(k: int, bound: int) -> list[DeltaSequence]:
     With h the candidate's forced output height, the word is a^(-E) * P for
     P = prod (a^r b)^(delta_r) and E = sum r*delta_r, the a-exponent sum of
     P.  It reduces to the identity exactly when P reduces to a pure a-power
-    (that power is then a^E).  The search runs over states (r, w): w is the
-    free-reduced product of the factors before position r.  The completions
-    of a state are the suffixes (delta_r .. delta_k) after which the reduced
-    P has no b-letter left, listed by trying delta_r in increasing order and
-    prepending it to each completion of the state it leads to; so every list
-    is in lexicographic order, and each state is expanded once and memoized.
-    The memo is exact because free reduction is confluent: every way of
-    cancelling a word ends in the same reduced word, so a prefix followed by
-    a suffix reduces to what its reduced word followed by that suffix
-    reduces to.  Two prefixes with one reduced word therefore have the same
-    completions, whatever their deltas.
+    (that power is then a^E).  The search meets in the middle: P = X * Y
+    with X the factors of positions 0 .. split-1 and Y those of split .. k,
+    where split = (k + 2) // 2.  Writing strip(W) for a reduced word W
+    without its leading a-run, for reduced X and Y
 
-    A state is pruned when w holds more b-letters than the positions after
-    r can supply, at most `bound` each.  The prune is exact: in the reduced
-    product of prefix and suffix every b of the prefix must cancel against
-    a b of the suffix, and reduction only removes letters.  The step to
-    delta is skipped before it is reduced when w's b-letters less |delta|
-    already exceed what the positions after r supply, since each b that
-    (a^r b)^delta appends cancels at most one b of w; a delta of 0 appends
-    nothing and keeps w as it is.  So the search still decides every
-    candidate in [-bound, bound]^(k+1).
+        XY = a^t for some t  <=>  X = a^t * Y^-1  <=>  strip(X) = strip(Y^-1).
+
+    So every suffix (delta_split .. delta_k) is stored, in lexicographic
+    order, under strip of its reduced inverse; the prefixes are walked depth
+    first in lexicographic order, reduced one factor at a time, and each
+    full prefix is joined with the suffixes stored under strip of its
+    reduced word.  The output is then lexicographic with no sort.  Free
+    reduction decides every candidate; neither the structural rule nor its
+    walk is read.  The table holds (2 * bound + 1)^(k + 1 - split) suffixes.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    steps = [
-        [(delta, abs(delta), _power_runs(r, delta)) for delta in range(-bound, bound + 1)]
-        for r in range(k + 1)
-    ]
-    memo: dict[tuple[int, tuple[Run, ...]], list[DeltaSequence]] = {}
+    split = (k + 2) // 2
+    deltas = range(-bound, bound + 1)
+    factors = [[(delta, _power_runs(r, delta)) for delta in deltas] for r in range(k + 1)]
+    tails: dict[tuple[Run, ...], list[DeltaSequence]] = {}
+    for suffix in itertools.product(deltas, repeat=k + 1 - split):
+        runs = [run for r, delta in enumerate(suffix, split) for run in _power_runs(r, delta)]
+        tails.setdefault(_strip_a(_reduce_onto((), _inverse(runs))), []).append(suffix)
+    found: list[DeltaSequence] = []
 
-    def completions(r: int, prefix: tuple[Run, ...], b_letters: int) -> list[DeltaSequence]:
-        found = memo.get((r, prefix))
-        if found is not None:
-            return found
-        found = []
-        room = bound * (k - r)  # b-letters the positions after r can supply
-        for delta, size, runs in steps[r]:
-            if not size:
-                reduced, left = prefix, b_letters
-            elif b_letters - size > room:
-                continue
+    def walk(prefix: DeltaSequence, word: tuple[Run, ...]) -> None:
+        last = len(prefix) + 1 == split
+        for delta, runs in factors[len(prefix)]:
+            reduced = _reduce_onto(word, runs) if delta else word
+            if last:
+                found.extend(prefix + (delta,) + tail for tail in tails.get(_strip_a(reduced), ()))
             else:
-                reduced, lost = _reduce_onto(prefix, runs)
-                left = b_letters + size - lost
-            if left > room:
-                continue
-            if r == k:
-                found.append((delta,))
-            else:
-                found.extend([(delta,) + tail for tail in completions(r + 1, reduced, left)])
-        memo[(r, prefix)] = found
-        return found
+                walk(prefix + (delta,), reduced)
 
-    return completions(0, (), 0)
+    walk((), ())
+    return found

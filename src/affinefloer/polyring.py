@@ -33,7 +33,6 @@ every degree, is proven by the tests up to degree 12.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, NamedTuple, Tuple
 
 from .affine import FractionalPoint, check_ints
@@ -106,8 +105,10 @@ def q_monomial(idx: Tuple[int, int, int]) -> HomogeneousPolynomial:
     if not 0 <= i <= (d - abs(a)) // 2:
         raise ValueError(f"index ({a},{i}) invalid in degree {d}")
     coeffs: Dict[Monomial, int] = {}
-    for t in range(i + 1):
-        coeffs[_column_monomial(a, t, d)] = math.comb(i, t) * (-1) ** (i - t)
+    c = -1 if i % 2 else 1
+    for t in range(i + 1):  # c = C(i, t) (-1)^(i-t), one step of the row at a time
+        coeffs[_column_monomial(a, t, d)] = c
+        c = -c * (i - t) // (t + 1)
     poly = _q_cache[idx] = _new(HomogeneousPolynomial, (d, coeffs))
     return poly
 

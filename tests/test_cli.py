@@ -796,6 +796,31 @@ def test_an_instance_rational_above_the_int_digit_limit_exits_two(mode, tmp_path
     assert line.startswith("error: instance key 'eta_min' is malformed")
 
 
+@_LIMITED
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("command", ["points", "mu2"])
+def test_a_denominator_at_the_int_digit_limit_is_refused_by_its_columns(
+    command, mode, monkeypatch, capsys
+):
+    # 640 nines is the longest D that argv parses under a limit of 640; the
+    # refused denominator (D, or D + 1 for mu2) or its count has 641 digits
+    nines = 10**640 - 1
+    argv = ["points", "cp2", str(nines)]
+    d = nines
+    if command == "mu2":
+        argv = ["mu2", "cp2", str(nines), "1", "0", "0", "0", "0"]
+        d = nines + 1
+    _refuse_column_walks(monkeypatch)
+    with _int_digit_limit(640):
+        assert cli.main([*mode, *argv]) == 2
+        assert sys.get_int_max_str_digits() == 640
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: denominator {d} has {2 * d + 1} columns; the cap is {cli.POINTS_CAP}\n"
+    )
+
+
 # -- the CLI contract as a property -----------------------------------------------
 
 # The integers of one argv: all small, where most commands compute, or

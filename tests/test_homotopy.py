@@ -8,7 +8,7 @@ import pytest
 from affinefloer import homotopy as ht
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2
 
-# The literal word definition, the reference for the library's pruned search.
+# The literal word definition, the reference for the library's word search.
 # A word is a tuple of (generator, nonzero exponent) runs; () is the identity.
 
 
@@ -23,7 +23,7 @@ def inverse(w):
 
 def free_reduce(w):
     """Fully reduced form; the empty word is the identity."""
-    return tuple(ht._reduce_onto((), w)[0])
+    return ht._reduce_onto((), w)
 
 
 def triangle_word(i, j, h, k, deltas):
@@ -154,8 +154,26 @@ def test_pruned_search_matches_full_product_loop(bound):
         assert ht.brute_force_admissible(k, bound) == _brute_force_by_full_product(k, bound)
 
 
+def test_a_join_key_keeping_the_leading_a_run_is_caught(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(ht, "_strip_a", lambda word: word)
+        for k in range(1, 5):
+            assert ht.brute_force_admissible(k, 2) != _brute_force_by_full_product(k, 2)
+    assert ht.brute_force_admissible(4, 2) == _brute_force_by_full_product(4, 2)
+
+
+def test_a_suffix_key_not_inverted_is_caught(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(ht, "_inverse", list)
+        for k in range(1, 5):
+            assert ht.brute_force_admissible(k, 2) != _brute_force_by_full_product(k, 2)
+    assert ht.brute_force_admissible(4, 2) == _brute_force_by_full_product(4, 2)
+
+
 def test_brute_force_matches_enumeration():
     # bound 2 for k <= 8 is swept by verify.homotopy (acceptance criterion 4)
+    for k in range(9, 12):
+        assert ht.brute_force_admissible(k, 2) == ht.enumerate_admissible(k)
     assert ht.brute_force_admissible(0, 3) == [(0,)]
     assert len(ht.brute_force_admissible(4, 1)) == 16
     with pytest.raises(ValueError):

@@ -79,6 +79,14 @@ def test_q_monomial_is_memoized_and_equals_the_formula():
             assert q == _unmemoized_q(idx)
 
 
+def test_each_q_row_is_the_math_comb_row():
+    for d in range(0, 21):
+        for idx in pr.qbasis_indices(d):
+            assert pr.q_monomial(idx) == _unmemoized_q(idx)
+    deep = QBasisIndex(-1, 600, 1201)
+    assert pr.q_monomial(deep) == _unmemoized_q(deep)
+
+
 def test_the_q_basis_is_indexed_by_the_fractional_points():
     assert QBasisIndex is affine.FractionalPoint
     assert pr.qbasis_indices(2)[:2] == [(-2, 0, 2), (-1, 0, 2)]
