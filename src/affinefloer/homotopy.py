@@ -32,7 +32,6 @@ candidate is still decided by free reduction alone.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Sequence
 
 Run = tuple[str, int]  # (generator "a" or "b", nonzero exponent)
@@ -154,13 +153,15 @@ def brute_force_admissible(k: int, bound: int) -> list[DeltaSequence]:
 
         XY = a^t for some t  <=>  X = a^t * Y^-1  <=>  strip(X) = strip(Y^-1).
 
-    So every suffix (delta_split .. delta_k) is stored, in lexicographic
-    order, under strip of its reduced inverse; the prefixes are walked depth
-    first in lexicographic order, reduced one factor at a time, and each
-    full prefix is joined with the suffixes stored under strip of its
-    reduced word.  The output is then lexicographic with no sort.  Free
-    reduction decides every candidate; neither the structural rule nor its
-    walk is read.  The table holds (2 * bound + 1)^(k + 1 - split) suffixes.
+    So every suffix (delta_split .. delta_k) is stored under strip of its
+    reduced inverse, which is built from position k down, one inverted
+    factor at a time, and each key's suffixes are sorted.  The prefixes are
+    walked depth first in lexicographic order, reduced one factor at a
+    time, and each full prefix is joined with the suffixes stored under
+    strip of its reduced word, so the output is lexicographic with no final
+    sort.  Free reduction decides every candidate; neither the structural
+    rule nor its walk is read.  The table holds
+    (2 * bound + 1)^(k + 1 - split) suffixes.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -169,10 +170,20 @@ def brute_force_admissible(k: int, bound: int) -> list[DeltaSequence]:
     split = (k + 2) // 2
     deltas = range(-bound, bound + 1)
     factors = [[(delta, _power_runs(r, delta)) for delta in deltas] for r in range(k + 1)]
+    inverses = [[(delta, _inverse(runs)) for delta, runs in row] for row in factors]
     tails: dict[tuple[Run, ...], list[DeltaSequence]] = {}
-    for suffix in itertools.product(deltas, repeat=k + 1 - split):
-        runs = [run for r, delta in enumerate(suffix, split) for run in _power_runs(r, delta)]
-        tails.setdefault(_strip_a(_reduce_onto((), _inverse(runs))), []).append(suffix)
+
+    def tabulate(suffix: DeltaSequence, word: tuple[Run, ...]) -> None:
+        r = k - len(suffix)
+        if r < split:
+            tails.setdefault(_strip_a(word), []).append(suffix)
+            return
+        for delta, runs in inverses[r]:
+            tabulate((delta,) + suffix, _reduce_onto(word, runs) if delta else word)
+
+    tabulate((), ())
+    for stored in tails.values():
+        stored.sort()
     found: list[DeltaSequence] = []
 
     def walk(prefix: DeltaSequence, word: tuple[Run, ...]) -> None:
