@@ -191,9 +191,9 @@ class Suite(NamedTuple):
 # work grows without bound in its bound; a cap is the largest bound that
 # finishes in about ten seconds on a 2-core machine (ring 13: 9.5 s,
 # tropical 13: 9.1 s; one more step takes 14 to 15 s).  Homotopy 12 takes
-# 0.44 to 0.55 s, but its word oracle tabulates 5^floor((k+1)/2) suffixes
-# (390 625 at k = 16; a traced peak of 9 MiB at 12 and 41 MiB at 13), so a
-# higher homotopy cap needs a memory figure as well as a time.
+# 0.29 to 0.41 s, but its word oracle tabulates 5^floor((k+1)/2) suffixes
+# (390 625 at k = 16; a traced peak of 4.9 MiB at 12 and 21 MiB at 13), so
+# a higher homotopy cap needs a memory figure as well as a time.
 SUITES = {
     "ring": Suite("ring_isomorphism", "max_degree", 6, ring, cap=13),
     "homotopy": Suite("homotopy_word_counts", "max_k", 8, homotopy, cap=12),
