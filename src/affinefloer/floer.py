@@ -34,8 +34,10 @@ shift the result.  `critical_cover` memoizes a `CriticalCover` record in
 `AffinePolygon._covers` by columns (a, b, n, m): the depths only move the
 section triangle vertically.  The record is the column pair's kernel, the
 per-singularity counts, their sum k and the table's counts at a/n, b/m and
-(a+b)/(n+m), so a cold product reads the table only through it; its row
-C(k, 0..k) comes from a module table keyed by k.  The first call with a key
+(a+b)/(n+m), so a cold product reads the table only through it.  Its row
+C(k, 0..k) comes from the module table `_binomial_rows`, keyed by int k and
+filled by `_binomial_row` on a miss; `wrapped.wrapped_product` reads its
+rows from the same table.  The first call with a key
 runs every check; a repeat is one dict lookup.  Errors (inadmissible inputs,
 non-integral cross-sections, closure violations) are raised and never
 stored, so a bad input fails on every call.  Neither memo is ever trimmed.
@@ -192,7 +194,18 @@ def critical_cover(
     return cover
 
 
-_binomial_rows: dict[int, tuple[int, ...]] = {}  # C(k, 0..k) by k
+_binomial_rows: dict[int, tuple[int, ...]] = {}  # C(k, 0..k) by int k
+
+
+def _binomial_row(k: int) -> tuple[int, ...]:
+    """C(k, 0..k), built on a miss of `_binomial_rows` and stored there.
+
+    The callers, `_product_terms` and `wrapped.wrapped_product`, read the
+    table first and call this only on a miss; each passes an exact int k."""
+    # in k steps: C(k, s + 1) = C(k, s) * (k - s) / (s + 1)
+    row = _binomial_rows[k] = tuple(
+        accumulate(range(k), lambda c, s: c * (k - s) // (s + 1), initial=1))
+    return row
 
 
 def _product_terms(
@@ -223,9 +236,8 @@ def _product_terms(
                 "is not admissible; instance violates closure"
             )
         row = _binomial_rows.get(k)
-        if row is None:  # in k steps: C(k, s + 1) = C(k, s) * (k - s) / (s + 1)
-            row = _binomial_rows[k] = tuple(
-                accumulate(range(k), lambda c, s: c * (k - s) // (s + 1), initial=1))
+        if row is None:
+            row = _binomial_row(k)
         return tuple(((col, depth + s), c) for s, c in enumerate(row))
     if n < 0 or m < 0:
         raise ValueError("denominator must be nonnegative")

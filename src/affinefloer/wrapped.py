@@ -13,7 +13,11 @@ the Laurent monomial x^{-a} p^i y^{d+a-2i} (a <= 0) or z^a p^i y^{d-a-2i}
 (a > 0).  The column index a is unbounded.  The depth i is the exponent of
 p, so i >= 0 unless p is inverted, and d - |a| - 2i is the exponent of y,
 so 2i <= d - |a| unless y is inverted.  The product follows the same
-binomial rule as the compact case, with k from `floer.wall_count`.
+binomial rule as the compact case, with k from `floer.wall_count` and the
+row C(k, 0..k) from floer's table of rows, the one `mu2` reads.  Its output
+depths run from i0 = q1.i + q2.i to i0 + k, and both parts of the case rule
+are monotone in the depth, so the rule is checked at the row's two ends
+only: i >= 0 at i0 and 2i <= d - |a| at i0 + k.
 
 The wrap step is [y] + 2[p] (1, 2, 3 for L, C, D), writing [y] and [p] for
 the flags as 0 or 1.  The distinguished wrapped generator e_r, for r a
@@ -30,18 +34,20 @@ back out.  The numerators' product is `polyring.q_product`, memoized by the
 pair of numerator indices, so a product the sweeps meet again is one lookup.
 
 A generator is checked against its case where it is used (`wrapped_product`),
-not when it is built.  The infinite bases are only ever materialized through
-caller-supplied windows; comparisons in the verification sweeps act on full
-products, so no term is dropped at a window's edge.
+not when it is built; one with an entry that is not an exact int is refused
+there first, by `affine.check_ints`, as `mu2` refuses its indices.  The
+infinite bases are only ever materialized through caller-supplied windows;
+comparisons in the verification sweeps act on full products, so no term is
+dropped at a window's edge.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import Dict, NamedTuple, Tuple
 
-from .affine import CP2, FractionalPoint
+from . import floer
+from .affine import CP2, FractionalPoint, check_ints
 from .floer import wall_count
 from .polyring import q_product
 
@@ -66,15 +72,13 @@ def _depth_ok(case: Complement, a: int, i: int, d: int) -> bool:
     return (case.inverts_p or i >= 0) and (case.inverts_y or 2 * i <= d - abs(a))
 
 
-def _check_point(case: Complement, point: FractionalPoint) -> None:
-    """Reject a generator of negative degree or outside the case's depth rule."""
-    if point.d < 0:
+def _check_point(case: Complement, a: int, i: int, d: int) -> None:
+    """Reject a generator (a, i, d) of negative degree or outside the case's
+    depth rule."""
+    if d < 0:
         raise ValueError("degree must be nonnegative")
-    if not _depth_ok(case, point.a, point.i, point.d):
-        raise ValueError(
-            f"depth i={point.i} violates the case-{case.name} rule "
-            f"for (a={point.a}, d={point.d})"
-        )
+    if not _depth_ok(case, a, i, d):
+        raise ValueError(f"depth i={i} violates the case-{case.name} rule for (a={a}, d={d})")
 
 
 class LaurentElement(NamedTuple):
@@ -123,19 +127,35 @@ def wrapped_product(
     case: Complement, q2: FractionalPoint, q1: FractionalPoint
 ) -> WrappedSum:
     """Binomial product of wrapped generators; output degree q1.d + q2.d.
-    k is `floer.wall_count` summed over cp2's singularities, as in `mu2`."""
-    _check_point(case, q1)
-    _check_point(case, q2)
-    k = sum(wall_count(wall, q1.a, q2.a, q1.d, q2.d) for wall in CP2.singularities)
+
+    A generator with an entry that is not an exact int is refused first,
+    q1 before q2.  k is `wall_count` summed over cp2's singularities, as in
+    `mu2`, and the row C(k, 0..k) is read from floer's table.  The case rule
+    is checked at the row's two ends, the p rule at the depth i0 = q1.i + q2.i
+    and the y rule at i0 + k, and a failure names the first term outside it."""
+    a1, i1, d1 = q1
+    a2, i2, d2 = q2
+    if not type(a1) is type(i1) is type(d1) is type(a2) is type(i2) is type(d2) is int:
+        check_ints("wrapped generator", q1)
+        check_ints("wrapped generator", q2)
+    _check_point(case, a1, i1, d1)
+    _check_point(case, a2, i2, d2)
+    k = 0
+    for wall in CP2.singularities:
+        k += wall_count(wall, a1, a2, d1, d2)
+    a, i, d_out = a1 + a2, i1 + i2, d1 + d2
+    if not (case.inverts_p or i >= 0):
+        raise ArithmeticError(f"output ({a},{i}) at degree {d_out} violates the case rule")
+    if not (case.inverts_y or 2 * (i + k) <= d_out - abs(a)):
+        i = max(i, (d_out - abs(a)) // 2 + 1)  # the least depth with 2i > d_out - |a|
+        raise ArithmeticError(f"output ({a},{i}) at degree {d_out} violates the case rule")
+    row = floer._binomial_rows.get(k)
+    if row is None:
+        row = floer._binomial_row(k)
     out: WrappedSum = {}
-    d_out = q1.d + q2.d
-    for s in range(k + 1):
-        a, i = q1.a + q2.a, q1.i + q2.i + s
-        if not _depth_ok(case, a, i, d_out):
-            raise ArithmeticError(
-                f"output ({a},{i}) at degree {d_out} violates the case rule"
-            )
-        out[(a, i)] = math.comb(k, s)
+    for c in row:  # the terms (a, i0 + s) -> C(k, s), in increasing s
+        out[a, i] = c
+        i += 1
     return out
 
 
@@ -143,7 +163,11 @@ def _clearing(case: Complement, elt: LaurentElement) -> tuple[int, int]:
     """Powers (ry, rp) of y and p that make y^ry p^rp * elt a polynomial,
     using only the elements the case inverts; a numerator of degree 0 is
     the unit index (0, 0, 0)."""
-    return max(0, -elt.y_exp) * case.inverts_y, max(0, -elt.p_exp) * case.inverts_p
+    _, p_exp, y_exp = elt
+    return (
+        -y_exp if y_exp < 0 and case.inverts_y else 0,
+        -p_exp if p_exp < 0 and case.inverts_p else 0,
+    )
 
 
 def laurent_product_in_qbasis(
@@ -151,19 +175,22 @@ def laurent_product_in_qbasis(
 ) -> WrappedSum:
     """Independent oracle: multiply in the localized ring and re-expand.
 
-    Denominators are cleared by `_clearing`.  The numerators are multiplied
-    as honest polynomials and expanded over the distinguished polynomial
-    basis (`q_product`), and the clearing powers are divided back out: a
-    power of p as a depth shift, a power of y as a degree shift that leaves
-    the (a, i) labels alone.
+    Denominators are cleared by `_clearing`, once per factor.  The numerators
+    are multiplied as honest polynomials and expanded over the distinguished
+    polynomial basis (`q_product`), and the clearing powers are divided back
+    out: a power of p as a depth shift, a power of y as a degree shift that
+    leaves the (a, i) labels alone.
     """
-    numerators, total_rp = [], 0
-    for elt in (l1, l2):
-        ry, rp = _clearing(case, elt)
-        total_rp += rp
-        a, p_exp, y_exp = elt
-        p_exp, y_exp = p_exp + rp, y_exp + ry  # the cleared numerator's exponents
-        numerators.append((a, p_exp, abs(a) + 2 * p_exp + y_exp))
-    expansion = q_product(*numerators)
-    return {(a, i - total_rp): c for (a, i, _), c in expansion.items()}
-
+    ry1, rp1 = _clearing(case, l1)
+    ry2, rp2 = _clearing(case, l2)
+    a1, p1, y1 = l1
+    a2, p2, y2 = l2
+    p1, p2 = p1 + rp1, p2 + rp2  # the cleared numerators' p exponents
+    expansion = q_product(
+        (a1, p1, abs(a1) + 2 * p1 + y1 + ry1), (a2, p2, abs(a2) + 2 * p2 + y2 + ry2)
+    )
+    rp = rp1 + rp2
+    out: WrappedSum = {}
+    for (a, i, _), c in expansion.items():
+        out[a, i - rp] = c
+    return out

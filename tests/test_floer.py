@@ -10,6 +10,7 @@ import pytest
 
 from affinefloer import affine, floer
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
+from affinefloer.wrapped import Complement, wrapped_product
 from support import assert_refused, polygon_to_json, replace
 
 
@@ -612,6 +613,15 @@ def test_the_binomial_table_stores_only_exact_int_k(monkeypatch):
     out = mu2(basis_vector(2, 4, 2, 0), basis_vector(0, 2, -2, 0), polygon)
     assert out.coeffs() == {(0, 0): 1, (0, 1): 2, (0, 2): 1}
     assert floer._binomial_rows == {2: (1, 2, 1)}
+    # the wrapped product shares the table: a float column (k = 3.0 on cp2)
+    # is refused before a row is read, and an int one stores k = 3
+    z3 = affine.FractionalPoint(3, 0, 3)
+    refused = "wrapped generator must be ints, got FractionalPoint(a=-3.0, i=0, d=3)"
+    x3 = affine.FractionalPoint(-3.0, 0, 3)
+    assert_refused(floer._binomial_rows, refused, wrapped_product, Complement.D, z3, x3)
+    out = wrapped_product(Complement.D, z3, affine.FractionalPoint(-3, 0, 3))
+    assert out == {(0, 0): 1, (0, 1): 3, (0, 2): 3, (0, 3): 1}
+    assert floer._binomial_rows == {2: (1, 2, 1), 3: (1, 3, 3, 1)}
     assert all(type(k) is int for k in floer._binomial_rows)
 
 

@@ -1,5 +1,6 @@
 """The shared cross-check sweeps: bounds, work counts and reported mismatches."""
 
+import re
 import sys
 
 import pytest
@@ -150,6 +151,19 @@ def test_one_over_covering_count_fails_the_check_with_exit_one(
     captured = capsys.readouterr()
     assert "error:" not in captured.err
     assert captured.err.startswith("failed check ring_isomorphism: 9 checked, 9 mismatches")
+
+
+def test_a_wrong_shared_binomial_row_is_caught_by_both_oracles(monkeypatch, cold_cp2_memos):
+    # mu2 and the wrapped product read C(2, s) from floer's one table; the
+    # Laurent and ring oracles expand their products without it, so each
+    # mismatch has the planted 3 on the product side alone
+    monkeypatch.setattr(floer, "_binomial_rows", {2: (1, 3, 1)})
+    for sweep, oracle in ((verify.wrapped(2), "Laurent"), (verify.ring(2), "ring")):
+        assert sweep.mismatches
+        for line in sweep.mismatches:
+            found = re.fullmatch(r".*?: (\w+) (\{.*\}) vs (\w+) (\{.*\})", line)
+            sides = dict([found.group(1, 2), found.group(3, 4)])
+            assert ": 3" in sides["product"] and ": 3" not in sides[oracle], line
 
 
 @pytest.mark.parametrize(

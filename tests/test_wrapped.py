@@ -1,5 +1,6 @@
 """Wrapped bases and products against the localized-ring oracle."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -68,6 +69,24 @@ def test_case_depth_rules_reject_at_the_point_of_use(case, q, message):
             wr.wrapped_basis(case, q.d, a_max=3, i_max=3)
     else:
         assert q not in wr.wrapped_basis(case, q.d, a_max=3, i_max=3)
+
+
+@pytest.mark.parametrize(
+    "bad, other",
+    [
+        (FractionalPoint(1.0, 0, 1), FractionalPoint(-1, 0, 1)),
+        (FractionalPoint(True, 0, 1), FractionalPoint(-1, 0, 1)),
+        # refused before the other generator's degree is checked
+        (FractionalPoint(1.0, 0, 1), FractionalPoint(0, 0, -1)),
+    ],
+    ids=["float", "bool", "before-the-degree"],
+)
+def test_a_generator_with_a_non_int_entry_is_refused(bad, other):
+    message = f"wrapped generator must be ints, got {bad!r}"
+    for q2, q1 in ((bad, other), (other, bad)):
+        with pytest.raises(ValueError) as refused:
+            wr.wrapped_product(Complement.D, q2, q1)
+        assert str(refused.value) == message
 
 
 def _depth_ok_by_case(case, a, i, d):
@@ -200,6 +219,72 @@ def test_a_wall_count_one_too_many_names_the_term_past_the_case_c_rule(
     assert str(exc.value) == f"{message} violates the case rule"
 
 
+def _first_term_past_the_rule(case, q1, q2, k):
+    """The first output term (a, i0 + s), s = 0..k, outside the case's
+    depth rule, by a scan over every term; None if all are inside."""
+    a, d = q1.a + q2.a, q1.d + q2.d
+    for s in range(k + 1):
+        if not _depth_ok_by_case(case, a, q1.i + q2.i + s, d):
+            return a, q1.i + q2.i + s
+    return None
+
+
+def _assert_the_guard_names_the_scanned_term(case, q1, q2, k):
+    """wrapped_product(case, q2, q1), whose k is k, returns the row C(k, s)
+    or names the term `_first_term_past_the_rule` finds; True if it raised."""
+    bad = _first_term_past_the_rule(case, q1, q2, k)
+    if bad is None:
+        want = {(q1.a + q2.a, q1.i + q2.i + s): math.comb(k, s) for s in range(k + 1)}
+        assert wr.wrapped_product(case, q2, q1) == want
+        return False
+    with pytest.raises(ArithmeticError) as exc:
+        wr.wrapped_product(case, q2, q1)
+    d = q1.d + q2.d
+    assert str(exc.value) == f"output ({bad[0]},{bad[1]}) at degree {d} violates the case rule"
+    return True
+
+
+@pytest.mark.parametrize("extra", [2, 3])
+def test_a_wall_count_several_too_many_names_the_first_term_past_the_case_c_rule(
+    extra, monkeypatch
+):
+    count = wr.wall_count
+    monkeypatch.setattr(wr, "wall_count", lambda *args: count(*args) + extra)
+    fired = inside = 0
+    for d1 in range(4):
+        for d2 in range(4 - d1):
+            for q1 in wr.wrapped_basis(Complement.C, d1, a_max=d1 + 2, i_max=2):
+                for q2 in wr.wrapped_basis(Complement.C, d2, a_max=d2 + 2, i_max=2):
+                    k = k_value_cp2(q1.a, q2.a) + extra
+                    if _assert_the_guard_names_the_scanned_term(Complement.C, q1, q2, k):
+                        fired += 1
+                        bad = _first_term_past_the_rule(Complement.C, q1, q2, k)
+                        inside += bad[1] < q1.i + q2.i + k
+    # some first bad terms sit inside the row, not at its last term
+    assert fired > inside > 0
+
+
+def test_a_negative_start_depth_is_named_at_the_start(monkeypatch):
+    # with the generators' own check planted away, the start depth i0 may
+    # leave the p rule (case L) or the y rule (case C) itself; the guard then
+    # names (a, i0), the scan's first term
+    monkeypatch.setattr(wr, "_check_point", lambda *args: None)
+    at_start = {case: 0 for case in Complement}
+    for case in Complement:
+        for d1 in range(3):
+            for d2 in range(3 - d1):
+                for q1 in wr.wrapped_basis(Complement.D, d1, a_max=d1 + 2, i_max=2):
+                    for q2 in wr.wrapped_basis(Complement.D, d2, a_max=d2 + 2, i_max=2):
+                        k = k_value_cp2(q1.a, q2.a)
+                        if _assert_the_guard_names_the_scanned_term(case, q1, q2, k):
+                            bad = _first_term_past_the_rule(case, q1, q2, k)
+                            at_start[case] += bad[1] == q1.i + q2.i
+    assert at_start[Complement.L] > 0 and at_start[Complement.C] > 0
+    assert at_start[Complement.D] == 0
+    with pytest.raises(ArithmeticError, match=r"^output \(0,-1\) at degree 2 violates"):
+        wr.wrapped_product(Complement.L, FractionalPoint(0, 0, 1), FractionalPoint(0, -1, 1))
+
+
 @pytest.mark.parametrize("case", list(Complement))
 def test_the_closure_guard_fires_exactly_where_the_extra_term_leaves_the_case(
     case, monkeypatch
@@ -242,6 +327,24 @@ def test_wrapped_k_is_the_closed_form_on_cp2():
                         Complement.D, FractionalPoint(b, 0, m), FractionalPoint(a, 0, n)
                     )
                     assert got == {(a + b, s): math.comb(k, s) for s in range(k + 1)}
+
+
+# sha256 of the sorted reprs (case, q1, q2, sorted terms) of every wrapped
+# product in the window of verify.wrapped(3)
+_WRAPPED_3_PRODUCTS = (18812, "6d5067e4c054bc990714b86ce5d179e4cb3dc2a8c5e2333fc80786d32be4c493")
+
+
+def test_every_wrapped_product_of_the_verify_window_is_pinned():
+    reprs = []
+    for case in Complement:
+        for d1 in range(4):
+            for d2 in range(4 - d1):
+                for q1 in wr.wrapped_basis(case, d1, a_max=d1 + 2, i_max=2):
+                    for q2 in wr.wrapped_basis(case, d2, a_max=d2 + 2, i_max=2):
+                        product = wr.wrapped_product(case, q2, q1)
+                        reprs.append(repr((case.name, tuple(q1), tuple(q2), sorted(product.items()))))
+    digest = hashlib.sha256("\n".join(sorted(reprs)).encode()).hexdigest()
+    assert (len(reprs), digest) == _WRAPPED_3_PRODUCTS
 
 
 def test_e_element_examples():
