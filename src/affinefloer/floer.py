@@ -53,7 +53,7 @@ All coefficients are arbitrary-precision integers; every sign is positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 from typing import Mapping, NamedTuple
 
 from .affine import CP2, AffinePolygon, Singularity, check_ints
@@ -109,7 +109,7 @@ def sum_to_json(s: FormalSum) -> dict:
 
 def index_range(d1: int, d2: int, polygon: AffinePolygon = CP2) -> set[tuple[int, int]]:
     """Admissible (column, depth) pairs for morphisms d1 -> d2; ValueError if d2 < d1."""
-    return {(a, i) for a, count in polygon.column_counts(d2 - d1).items() for i in range(count)}
+    return {(a, i) for a, depths in polygon.column_counts(d2 - d1).items() for i in range(depths)}
 
 
 def k_value_cp2(a: int, b: int) -> int:
@@ -141,7 +141,7 @@ def wall_count(singularity: Singularity, a: int, b: int, n: int, m: int) -> int:
     # Between a/n and the apex (a+b)/(n+m) the cross-section ends on
     # y = 0, beyond the apex on the outgoing side.
     y_other = 0 if left * y_out >= 0 else y_out
-    lo, hi = min(y_first, y_other), max(y_first, y_other)
+    lo, hi = (y_first, y_other) if y_first <= y_other else (y_other, y_first)
     if lo % q or hi % q:
         raise ValueError(
             f"cross-section endpoints at eta={singularity.eta_pos} are not integers "
@@ -187,7 +187,9 @@ def critical_cover(
     count_b = polygon.column_counts(m).get(b, 0)
     if not count_b:
         raise ValueError(f"column {b} not admissible for denominator {m}")
-    k_list = tuple(wall_count(s, a, b, n, m) for s in polygon.singularities)
+    k_list = ()
+    for wall in polygon.singularities:
+        k_list += (wall_count(wall, a, b, n, m),)
     count_out = polygon.column_counts(n + m).get(a + b, 0)
     cover = _new(CriticalCover, (k_list, count_a, count_b, count_out, sum(k_list)))
     polygon._covers[key] = cover
@@ -238,7 +240,7 @@ def _product_terms(
         row = _binomial_rows.get(k)
         if row is None:
             row = _binomial_row(k)
-        return tuple(((col, depth + s), c) for s, c in enumerate(row))
+        return tuple(zip(zip(repeat(col), count(depth)), row))
     if n < 0 or m < 0:
         raise ValueError("denominator must be nonnegative")
     polygon.check_point(a, i, n)

@@ -26,8 +26,15 @@ Four families of checks, all derived from the torus fibration
 Integrands are smooth, even and 2pi-periodic, so uniform trapezoid sums
 converge spectrally and need only the nodes in [0, pi]; we double the point
 count until the Richardson-style difference of successive refinements is
-below tolerance.  Root finding is Newton on the gradient from deterministic
-starts.  Everything is pure and deterministic.
+below tolerance.  Being even, each integrand is a function of cos(theta):
+it is evaluated on a list of the cosines each level adds, one list per
+level, read from a module table that keeps the levels of at most
+COSINE_TABLE_MAX (4 096) points, so a non-converging integrand leaves no
+deeper level behind.  The table holds math.cos at the same nodes as a
+direct evaluation, so every sum is unchanged.  Root finding is Newton on
+the gradient from deterministic starts.  A radius, moment level or Lambda
+that is nan or infinite is refused with ValueError up front.  Everything
+is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ class FiberParams(_FiberFields):
     __slots__ = ()
 
     def __new__(cls, R: float, lam: float):
+        _check_finite(R=R, lam=lam)
         if R <= 0:
             raise ValueError("R must be positive")
         return tuple.__new__(cls, (R, lam))
@@ -87,28 +95,55 @@ class HessianReport(NamedTuple):
     ratio: float
 
 
+# cos(theta) at the nodes each level of the trapezoid rule adds in [0, pi],
+# keyed by (point count n, whether it is the first level).  Only levels of
+# at most COSINE_TABLE_MAX points are kept: the deepest quadrature of the
+# report, at TOL_FLOOR, reaches 1 024, and an integrand that never converges
+# must not leave a table of QUADRATURE_MAX entries behind.
+COSINE_TABLE_MAX = 1 << 12
+_cosine_table: dict[tuple[int, bool], list[float]] = {}
+
+
+def _level_cosines(n: int, first: bool) -> list[float]:
+    """cos(k 2pi/n) for the nodes the n-point level adds below pi: on the
+    first level every k in [0, n/2], the two ends first (cos 0 = 1.0 and
+    cos pi = -1.0 exactly), then k = 1 .. n/2 - 1; on a refinement the odd
+    k alone."""
+    cosines = _cosine_table.get((n, first))
+    if cosines is None:
+        step = 2 * math.pi / n
+        cosines = [math.cos(k * step) for k in range(1, n // 2, 1 if first else 2)]
+        if first:
+            cosines[:0] = (1.0, -1.0)
+        if n <= COSINE_TABLE_MAX:
+            _cosine_table[n, first] = cosines
+    return cosines
+
+
 def periodic_quadrature(
-    f: Callable[[float], float],
+    g: Callable[[list[float]], list[float]],
     tol: float = 1e-10,
 ) -> float:
     """Trapezoid integral of an even 2pi-periodic function over [0, 2pi).
 
-    `f` takes one float and must be even, f(theta) = f(2pi - theta), so an
-    n-point grid needs only its nodes in [0, pi]: f(0) + f(pi) + twice each
-    interior node.  Doubles the uniform grid, up to QUADRATURE_MAX points,
-    until two successive values differ by at most tol; for periodic
+    An even 2pi-periodic function is a function of cos(theta), so the
+    integrand is given as `g`, which maps a list of values of cos(theta)
+    to the list of the integrand's values there, one call per level.  An
+    n-point grid needs only its nodes in [0, pi]: the ends once and twice
+    each interior node.  Doubles the uniform grid, up to QUADRATURE_MAX
+    points, until two successive values differ by at most tol; for periodic
     integrands the uniform rule is already spectrally accurate, so the
     difference of refinements is a reliable error estimate.
     """
     n = QUADRATURE_START
     step = 2 * math.pi / n
-    interior = math.fsum(map(f, [k * step for k in range(1, n // 2)]))
-    prev = math.fsum((f(0.0), f(math.pi), 2 * interior)) * step
+    at_0, at_pi, *interior = g(_level_cosines(n, True))
+    prev = math.fsum((at_0, at_pi, 2 * math.fsum(interior))) * step
     while n < QUADRATURE_MAX:
         n *= 2
         step = 2 * math.pi / n
         # the new odd nodes below pi; their mirror images above pi are equal
-        odd = math.fsum(map(f, [k * step for k in range(1, n // 2, 2)]))
+        odd = math.fsum(g(_level_cosines(n, False)))
         refined = prev / 2 + odd * (2 * step)
         if abs(refined - prev) <= tol:
             return refined
@@ -116,36 +151,42 @@ def periodic_quadrature(
     raise QuadratureError(f"no convergence to {tol} within {QUADRATURE_MAX} points")
 
 
+def _check_finite(**values: float) -> None:
+    """ValueError naming the first of `values` that is nan or infinite."""
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def log_integral(R: float, tol: float = 1e-10) -> float:
     """int_0^{2pi} log|1 + R e^{i theta}| d theta; 0 for R < 1, 2pi log R for R > 1."""
+    _check_finite(R=R)
     if R <= 0:
         raise ValueError("R must be positive")
     if R == 1:
         raise ValueError("R = 1 is the singular radius")
-
-    def f(theta: float) -> float:
-        return 0.5 * math.log1p(R * (R + 2 * math.cos(theta)))
-
-    return periodic_quadrature(f, tol=tol)
+    log1p = math.log1p
+    return periodic_quadrature(
+        lambda cosines: [0.5 * log1p(R * (R + 2 * c)) for c in cosines], tol=tol
+    )
 
 
 def syz_coordinates(params: FiberParams, tol: float = 1e-10) -> SyzCoordinates:
     """Chart coordinates of the torus fiber by adaptive flux quadrature."""
-    if params.R == 1 and params.lam == 0:
+    R, lam = params
+    if R == 1 and lam == 0:
         raise ValueError("(R, lambda) = (1, 0) is the singular fiber")
-    R, lam = params.R, params.lam
+    lam2 = lam * lam
+    log, sqrt = math.log, math.sqrt
 
-    def integrand(sign: float) -> Callable[[float], float]:
-        shift, lam2 = sign * lam, lam * lam
+    def integrand(shift: float) -> Callable[[list[float]], list[float]]:
+        # 1 + R (R + 2 cos theta) is |1 + R e^{i theta}|^2
+        return lambda cosines: [
+            0.5 * log((shift + sqrt(lam2 + 4 * (1 + R * (R + 2 * c)))) / 2) for c in cosines
+        ]
 
-        def f(theta: float) -> float:
-            mod2 = 1 + R * (R + 2 * math.cos(theta))  # |1 + R e^{i theta}|^2
-            return 0.5 * math.log((shift + math.sqrt(lam2 + 4 * mod2)) / 2)
-
-        return f
-
-    xi = periodic_quadrature(integrand(+1.0), tol=tol) / (2 * math.pi)
-    psi = periodic_quadrature(integrand(-1.0), tol=tol) / (2 * math.pi)
+    xi = periodic_quadrature(integrand(lam), tol=tol) / (2 * math.pi)
+    psi = periodic_quadrature(integrand(-lam), tol=tol) / (2 * math.pi)
     return SyzCoordinates(eta=math.log(R), xi=xi, psi=psi)
 
 
@@ -169,6 +210,7 @@ def critical_points(Lambda: float) -> list[tuple[tuple[complex, complex], comple
     raises RootFindingError if the expected count is not found or residuals
     stay above 1e-12.
     """
+    _check_finite(Lambda=Lambda)
     if Lambda <= 0:
         raise ValueError("Lambda must be positive")
     t = math.exp(-Lambda)

@@ -9,8 +9,9 @@ points (`QBasisIndex` is `affine.FractionalPoint`): with p = xz - y^2,
 for |a| <= d and 0 <= i <= floor((d - |a|)/2), the ring's own index rule,
 which `qbasis_indices` enumerates and `q_monomial` checks; d = 0 holds only
 the unit Q_{0,0} = 1.  Multiplying two such elements and re-expanding
-(`q_product`, memoized by the ordered pair of indices) reproduces the
+(`q_product`, memoized by the unordered pair of indices) reproduces the
 binomial structure constants of the triangle product, swept by `verify.ring`.
+The ring is commutative, so the two orders of a pair share one expansion.
 A polynomial is a plain record, built only by `q_monomial` and `multiply`
 and checked where it is used: `expand_in_qbasis` rejects a foreign monomial.
 
@@ -178,7 +179,8 @@ def expand_in_qbasis(poly: HomogeneousPolynomial) -> Dict[QBasisIndex, int]:
     return {idx: v for idx, v in acc.items() if v}
 
 
-# Products already expanded, keyed by the ordered pair of Q indices.
+# Products already expanded, each stored once, under the order of the pair
+# that first asked for it.
 _product_cache: Dict[tuple, Dict[QBasisIndex, int]] = {}
 
 
@@ -186,21 +188,24 @@ def q_product(left: Tuple[int, int, int], right: Tuple[int, int, int]) -> Dict[Q
     """Q_left * Q_right expanded over the distinguished basis of the summed
     degree: `expand_in_qbasis(multiply(q_monomial(left), q_monomial(right)))`.
 
-    Memoized by the ordered pair of indices (a QBasisIndex and a plain
-    tuple are equal keys): every call with equal indices returns the same
-    shared dict, which must not be mutated.  An invalid index raises
-    ValueError and nothing is stored.
+    Memoized by the unordered pair of indices (a QBasisIndex and a plain
+    tuple are equal keys): the ring is commutative, so a call reads the
+    pair in its own order, then in the other, and only a miss in both
+    fills the memo, under the order asked for.  Every call with equal
+    indices, in either order, returns the same shared dict, which must not
+    be mutated.  An invalid index raises ValueError and nothing is stored.
     """
-    key = (left, right)
-    expansion = _product_cache.get(key)
+    expansion = _product_cache.get((left, right))
     if expansion is None:
-        (a, i, d), (b, j, e) = key
-        if not type(a) is type(i) is type(d) is type(b) is type(j) is type(e) is int:
-            check_ints("index", left)
-            check_ints("index", right)
-        expansion = _product_cache[key] = expand_in_qbasis(
-            multiply(q_monomial(left), q_monomial(right))
-        )
+        expansion = _product_cache.get((right, left))
+        if expansion is None:
+            (a, i, d), (b, j, e) = left, right
+            if not type(a) is type(i) is type(d) is type(b) is type(j) is type(e) is int:
+                check_ints("index", left)
+                check_ints("index", right)
+            expansion = _product_cache[left, right] = expand_in_qbasis(
+                multiply(q_monomial(left), q_monomial(right))
+            )
     return expansion
 
 

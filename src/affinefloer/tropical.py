@@ -199,6 +199,9 @@ def _bend_ratio(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> tuple
     return (-num, -den) if den < 0 else (num, den)
 
 
+_new = tuple.__new__  # _new(_Witness, fields): the record without its frame
+
+
 class _Witness(NamedTuple):
     """A balanced witness, its points and tangents scaled by `big`; `bend` is
     the unscaled crossing height (numerator, denominator > 0) or None."""
@@ -224,7 +227,7 @@ def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional
     ArithmeticError.  The multiplicity is C(k, number of disks).
     """
     sing = CP2.singularities[0]
-    if sing.eta_pos:
+    if sing._eta[0]:  # the numerator of eta_pos
         raise ValueError(f"singular line eta = {sing.eta_pos}: the kernel handles eta = 0 only")
     _check_indices(a, i, n)
     _check_indices(b, j, m)
@@ -236,8 +239,9 @@ def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional
         return None
     big = n * m * (n + m)
     root_x, root_y = (a + b) * n * m, -h * n * m
-    leaves = ((a * m * (n + m), -i * m * (n + m), n), (b * n * (n + m), -j * n * (n + m), m))
-    tangents = [[w * (root_x - x), w * (root_y - y)] for x, y, w in leaves]
+    x0, y0, x1, y1 = a * m * (n + m), -i * m * (n + m), b * n * (n + m), -j * n * (n + m)
+    leaves = ((x0, y0, n), (x1, y1, m))
+    tangents = [[n * (root_x - x0), n * (root_y - y0)], [m * (root_x - x1), m * (root_y - y1)]]
     # Same-sign columns (k = 0) give the straight segment with h = i + j.
     bend, count, sign = None, 0, 1
     if k:
@@ -254,7 +258,9 @@ def _witness(a: int, i: int, n: int, b: int, j: int, m: int, h: int) -> Optional
         raise ArithmeticError(
             f"tropical witness of q_({a},{i})@{n} * q_({b},{j})@{m} at h={h} does not balance"
         )
-    return _Witness(big, leaves, (root_x, root_y), tangents, bend, (count, sign), comb(k, count))
+    return _new(
+        _Witness, (big, leaves, (root_x, root_y), tangents, bend, (count, sign), comb(k, count))
+    )
 
 
 def build_triangle(

@@ -31,7 +31,8 @@ The oracle `laurent_product_in_qbasis` clears each factor's negative powers
 of y and p, each by its own power and only where the case inverts it,
 multiplies the numerators in the polynomial ring and divides the powers
 back out.  The numerators' product is `polyring.q_product`, memoized by the
-pair of numerator indices, so a product the sweeps meet again is one lookup.
+unordered pair of numerator indices, so a product the sweeps meet again, in
+either order, is one lookup.
 
 A generator is checked against its case where it is used (`wrapped_product`),
 not when it is built; one with an entry that is not an exact int is refused

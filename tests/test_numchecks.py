@@ -1,5 +1,6 @@
 """Floating-point checks: quadrature identities, critical points, Hessians."""
 
+import hashlib
 import math
 
 import pytest
@@ -61,20 +62,58 @@ def test_quadrature_error_budget(monkeypatch):
     monkeypatch.setattr(nc, "QUADRATURE_MAX", 64)
     nodes = []
 
-    def f(theta):
-        nodes.append(theta)
-        return 1.0
+    def g(cosines):
+        nodes.extend(math.acos(c) for c in cosines)
+        return [1.0] * len(cosines)
 
     with pytest.raises(nc.QuadratureError, match="within 64 points"):
-        nc.periodic_quadrature(f, tol=-1.0)
+        nc.periodic_quadrature(g, tol=-1.0)
     steps = [theta * 64 / (2 * math.pi) for theta in nodes]
     assert all(abs(k - round(k)) < 1e-9 for k in steps)  # all on the 64-point grid
     assert any(round(k) % 2 for k in steps)  # the 64-point grid was reached
 
 
+def test_the_cosine_table_keeps_the_levels_up_to_its_cap(monkeypatch):
+    monkeypatch.setattr(nc, "_cosine_table", {})
+    monkeypatch.setattr(nc, "QUADRATURE_MAX", 4 * nc.COSINE_TABLE_MAX)
+    with pytest.raises(nc.QuadratureError):
+        nc.periodic_quadrature(lambda cs: [1.0] * len(cs), tol=-1.0)
+    levels = sorted(nc._cosine_table)
+    n = nc.QUADRATURE_START
+    assert levels[0] == (n, True)
+    assert [key[0] for key in levels[1:]] == [n << s for s in range(1, 8)]
+    assert levels[-1] == (nc.COSINE_TABLE_MAX, False)
+    for (n, first), cosines in nc._cosine_table.items():
+        ks = range(1, n // 2, 1 if first else 2)
+        assert cosines == [1.0, -1.0] * first + [math.cos(k * 2 * math.pi / n) for k in ks]
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (FiberParams, (math.nan, 0)),
+        (FiberParams, (math.inf, 0)),
+        (FiberParams, (-math.inf, 0)),
+        (FiberParams, (0.5, math.nan)),
+        (FiberParams, (0.5, -math.inf)),
+        (nc.log_integral, (math.nan,)),
+        (nc.log_integral, (math.inf,)),
+        (nc.critical_points, (math.nan,)),
+        (nc.critical_points, (math.inf,)),
+    ],
+    ids=["R-nan", "R-inf", "R-minus-inf", "lam-nan", "lam-minus-inf", "log-nan", "log-inf",
+         "Lambda-nan", "Lambda-inf"],
+)
+def test_a_non_finite_input_is_refused_up_front(call, args):
+    # each would otherwise run a quadrature to its cap or report a root count
+    with pytest.raises(ValueError, match=r"must be finite, got -?(nan|inf)$"):
+        call(*args)
+
+
 def test_quadrature_takes_a_float():
     # (1/2pi) int_0^{2pi} e^{cos t} dt is the modified Bessel value I_0(1)
-    mean = nc.periodic_quadrature(lambda t: math.exp(math.cos(t)), tol=1e-14) / (2 * math.pi)
+    # of cos t, the integrand is e^c for each float c = cos t of a level
+    mean = nc.periodic_quadrature(lambda cs: [math.exp(c) for c in cs], tol=1e-14) / (2 * math.pi)
     assert abs(mean - 1.2660658777520084) < 1e-14
 
 
@@ -138,3 +177,35 @@ def test_numeric_report_passes():
     names = {c["name"] for c in report["checks"]}
     assert "coordinate_relation_grid" in names
     assert "hessian_positive_definite" in names
+
+
+def _digest(reprs):
+    return hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
+def test_the_syz_coordinates_and_log_integrals_are_pinned():
+    # every coordinate of the relation grid at the default tolerance and at
+    # the rounding floor, and the three fibers the tests above read
+    grid_R, grid_lam = nc.relation_grid()
+    reprs = [
+        repr(nc.syz_coordinates(FiberParams(R, lam), tol=tol))
+        for tol in (1e-10, nc.TOL_FLOOR)
+        for R in grid_R
+        for lam in grid_lam
+    ]
+    reprs += [
+        repr(nc.syz_coordinates(FiberParams(R, lam), tol=tol))
+        for R, lam, tol in ((0.5, 0.0, 1e-12), (0.5, 0.3, 1e-10), (2.0, -0.7, 1e-10))
+    ]
+    assert _digest(reprs) == "f9beb96f82a49618a9eb552fb53422a548f0a97539e9eccd4c509fe502e85893"
+    logs = [
+        repr(nc.log_integral(R, tol=tol))
+        for tol in (1e-10, nc.TOL_FLOOR)
+        for R in (0.2, 0.5, 0.999, 1.001, 2.0, 5.0)
+    ]
+    assert _digest(logs) == "c9949571274be6a80ae390f5f437dc7a05de6fb5960497b7faf3fafbc1b30353"
+
+
+def test_the_numeric_report_is_pinned():
+    reports = [repr(nc.numeric_report(1e-9)), repr(nc.numeric_report(nc.TOL_FLOOR))]
+    assert _digest(reports) == "81e702a5cf85eb701e49f4bddf3e0eb177b6735a93c0e0cf4f9ebe59dfa64ccb"

@@ -143,8 +143,11 @@ def test_q_product_is_memoized_and_equals_multiply_and_expand(monkeypatch):
                 pr.multiply(pr.q_monomial(left), pr.q_monomial(right))
             )
             assert pr.q_product(tuple(left), tuple(right)) is product
-    # one entry per ordered pair: a tuple and an index are one key
-    assert len(pr._product_cache) == len(indices) ** 2
+            assert pr.q_product(right, left) is product
+    # one entry per unordered pair: a tuple and an index are one key, and
+    # the two orders of a pair share one expansion
+    n = len(indices)
+    assert len(pr._product_cache) == n * (n + 1) // 2
 
 
 def test_a_float_index_never_reaches_the_product_memo(monkeypatch):
@@ -153,9 +156,16 @@ def test_a_float_index_never_reaches_the_product_memo(monkeypatch):
     monkeypatch.setattr(pr, "_product_cache", {})
     refused = "index must be ints, got (-1, 0, 1.0)"
     assert_refused(pr._product_cache, refused, pr.q_product, (-1, 0, 1.0), (1, 0, 1))
+    assert_refused(pr._product_cache, refused, pr.q_product, (1, 0, 1), (-1, 0, 1.0))
     expansion = pr.q_product((-1, 0, 1), (1, 0, 1))
     assert expansion == {QBasisIndex(0, 0, 2): 1, QBasisIndex(0, 1, 2): 1}  # x * z = y^2 + p
     assert all(type(e) is int for idx in expansion for e in idx)
+    assert pr.q_product((1, 0, 1), (-1, 0, 1)) is expansion
+    assert list(pr._product_cache) == [((-1, 0, 1), (1, 0, 1))]
+    # a refused float pairs with an uncached partner in either order
+    refused = "index must be ints, got (0, 0, 1.0)"
+    assert_refused(pr._product_cache, refused, pr.q_product, (0, 0, 1.0), (1, 0, 1))
+    assert_refused(pr._product_cache, refused, pr.q_product, (1, 0, 1), (0, 0, 1.0))
 
 
 def test_q_product_rejects_bad_index_on_every_call(monkeypatch):

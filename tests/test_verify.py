@@ -172,3 +172,14 @@ def test_a_wrong_shared_binomial_row_is_caught_by_both_oracles(monkeypatch, cold
 def test_sweeps_that_would_check_nothing_are_rejected(sweep, bound):
     with pytest.raises(ValueError, match="must be at least"):
         sweep(bound)
+
+
+def test_a_wrong_product_row_in_one_order_is_named_alone(cold_cp2_memos):
+    # the ring oracle expands the two orders of a pair once, so a wrong mu2
+    # row in one order must still disagree with it while the other agrees
+    affine.CP2._products[-1, 0, 1, 1, 0, 1] = (((0, 0), 1), ((0, 1), 2))
+    sweep = verify.ring(2)
+    assert sweep.checked == (3 + 6) ** 2
+    (line,) = sweep.mismatches
+    assert line.startswith("Q_(-1,0)@1 * Q_(1,0)@1: ring {")
+    assert line.endswith("} vs product {(0, 0): 1, (0, 1): 2}")
