@@ -26,15 +26,11 @@ Four families of checks, all derived from the torus fibration
 Integrands are smooth, even and 2pi-periodic, so uniform trapezoid sums
 converge spectrally and need only the nodes in [0, pi]; we double the point
 count until the Richardson-style difference of successive refinements is
-below tolerance.  Being even, each integrand is a function of cos(theta):
-it is evaluated on a list of the cosines each level adds, one list per
-level, read from a module table that keeps the levels of at most
-COSINE_TABLE_MAX (4 096) points, so a non-converging integrand leaves no
-deeper level behind.  The table holds math.cos at the same nodes as a
-direct evaluation, so every sum is unchanged.  Root finding is Newton on
-the gradient from deterministic starts.  A radius, moment level or Lambda
-that is nan or infinite is refused with ValueError up front.  Everything
-is pure and deterministic.
+below tolerance.  Being even, each integrand is a function of cos(theta),
+evaluated once per level on the cosines that level adds, read from a table
+of the levels up to COSINE_TABLE_MAX points.  Root finding is Newton on the
+gradient from deterministic starts.  A nan or infinite R, lambda or Lambda
+raises ValueError up front.  Everything is pure and deterministic.
 """
 
 from __future__ import annotations
