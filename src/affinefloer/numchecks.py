@@ -156,6 +156,7 @@ def _check_finite(**values: float) -> None:
 
 def log_integral(R: float, tol: float = 1e-10) -> float:
     """int_0^{2pi} log|1 + R e^{i theta}| d theta; 0 for R < 1, 2pi log R for R > 1."""
+    check_tolerance(tol)
     _check_finite(R=R)
     if R <= 0:
         raise ValueError("R must be positive")
@@ -169,6 +170,7 @@ def log_integral(R: float, tol: float = 1e-10) -> float:
 
 def syz_coordinates(params: FiberParams, tol: float = 1e-10) -> SyzCoordinates:
     """Chart coordinates of the torus fiber by adaptive flux quadrature."""
+    check_tolerance(tol)
     R, lam = params
     if R == 1 and lam == 0:
         raise ValueError("(R, lambda) = (1, 0) is the singular fiber")
@@ -260,6 +262,7 @@ def expected_critical_values(Lambda: float) -> list[complex]:
 def hessian_identity(x: float, y: float) -> HessianReport:
     """Hessian of F(x, y) = x^2 + y^2/x, closed form against central
     differences, plus the orthogonality ratio -F_xy/F_yy = y/x."""
+    _check_finite(x=x, y=y)
     if x <= 0:
         raise ValueError("x must be positive")
 

@@ -3,11 +3,11 @@
 Each sweep compares one computation with an independent oracle up to a
 bound and returns a `Sweep`: how many comparisons it made and a one-line
 description of each that disagreed.  A call that raises ArithmeticError on a
-pair is a mismatch naming the error text.  Library calls go through module
-attributes (`floer.mu2`), so a replacement installed on a module is the one
-the sweep runs.  `SUITES` is the one table of `verify` suites: these sweeps
-and the floating-point checks of `numchecks.numeric_report`.  The CLI builds
-its `verify` command from it; the acceptance tests call the same sweeps.
+pair is a mismatch naming the error text.  The cp2 suites and the tests share
+one pair sweep, `_pairs`; the ring suite checks its points against the ring's
+basis.  Library calls go through module attributes (`floer.mu2`), so the sweep
+runs a replacement installed on a module.  The CLI builds `verify` from
+`SUITES`, the one table of suites: these sweeps and `numchecks.numeric_report`.
 """
 
 from __future__ import annotations
@@ -48,27 +48,36 @@ def ring_expansion(a: int, i: int, n: int, b: int, j: int, m: int) -> dict[tuple
     return {(col, depth): c for (col, depth, _), c in expansion.items()}
 
 
+def _pairs(max_degree: int):
+    """(a, i, n, b, j, m, coeffs) for each pair of cp2 points q_(a,i)@n, q_(b,j)@m
+    with 1 <= n, m <= max_degree, in (n, m, a, i, b, j) order: coeffs is mu2's
+    product of the pair by (column, depth), or its "raised (<text>)"."""
+    for n in range(1, max_degree + 1):
+        for m in range(1, max_degree + 1):
+            for a, i, _ in affine.fractional_points(affine.CP2, n):
+                for b, j, _ in affine.fractional_points(affine.CP2, m):
+                    yield a, i, n, b, j, m, _outcome(lambda: floer.mu2(
+                        floer.basis_vector(n, n + m, b, j), floer.basis_vector(0, n, a, i)
+                    ).coeffs())
+
+
 def ring(max_degree: int) -> Sweep:
     """Q-basis expansion of Q_{a,i} Q_{b,j} against mu2 for every pair of
     ring basis elements with factor degrees up to max_degree."""
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    mismatches = []
+    for d in range(1, max_degree + 1):
+        if diff := set(affine.fractional_points(affine.CP2, d)) ^ set(polyring.qbasis_indices(d)):
+            mismatches.append(f"degree {d}: cp2 points and ring basis differ on {sorted(diff)}")
     checked = 0
-    mismatches: list[str] = []
-    for n in range(1, max_degree + 1):
-        for m in range(1, max_degree + 1):
-            for a, i, _ in polyring.qbasis_indices(n):
-                for b, j, _ in polyring.qbasis_indices(m):
-                    checked += 1
-                    expanded = _outcome(lambda: ring_expansion(a, i, n, b, j, m))
-                    coeffs = _outcome(lambda: floer.mu2(
-                        floer.basis_vector(n, n + m, b, j), floer.basis_vector(0, n, a, i)
-                    ).coeffs())
-                    if expanded != coeffs:
-                        mismatches.append(
-                            f"Q_({a},{i})@{n} * Q_({b},{j})@{m}: "
-                            f"ring {expanded} vs product {coeffs}"
-                        )
+    for a, i, n, b, j, m, coeffs in _pairs(max_degree):
+        checked += 1
+        expanded = _outcome(lambda: ring_expansion(a, i, n, b, j, m))
+        if expanded != coeffs:
+            mismatches.append(
+                f"Q_({a},{i})@{n} * Q_({b},{j})@{m}: ring {expanded} vs product {coeffs}"
+            )
     return Sweep(checked, tuple(mismatches))
 
 
@@ -106,32 +115,25 @@ def homotopy(max_k: int) -> Sweep:
 
 def tropical(max_nm: int) -> Sweep:
     """Tropical structure constants against mu2 at every output height of
-    every cp2 pair with factor degrees up to max_nm.  A witness that does
-    not balance is reported as a mismatch."""
+    every cp2 pair with factor degrees up to max_nm (the ring suite checks the
+    pairs against its basis).  An unbalanced witness is a mismatch."""
     if max_nm < 1:
         raise ValueError("max_nm must be at least 1")
     checked = 0
     mismatches: list[str] = []
-    for n in range(1, max_nm + 1):
-        for m in range(1, max_nm + 1):
-            heights = affine.CP2.column_counts(n + m)
-            for a, i in sorted(floer.index_range(0, n)):
-                for b, j in sorted(floer.index_range(n, n + m)):
-                    coeffs = _outcome(lambda: floer.mu2(
-                        floer.basis_vector(n, n + m, b, j), floer.basis_vector(0, n, a, i)
-                    ).coeffs())
-                    for h in range(heights[a + b]):
-                        checked += 1
-                        want = coeffs.get((a + b, h), 0) if isinstance(coeffs, dict) else coeffs
-                        try:
-                            count = _tropical.tropical_structure_constant(a, i, n, b, j, m, h)
-                        except ArithmeticError as exc:
-                            count = f"unbalanced ({exc})"
-                        if count != want:
-                            mismatches.append(
-                                f"q_({a},{i})@{n} * q_({b},{j})@{m} at h={h}: "
-                                f"tropical {count} vs product {want}"
-                            )
+    for a, i, n, b, j, m, coeffs in _pairs(max_nm):
+        for h in range(affine.CP2.column_counts(n + m)[a + b]):
+            checked += 1
+            want = coeffs.get((a + b, h), 0) if isinstance(coeffs, dict) else coeffs
+            try:
+                count = _tropical.tropical_structure_constant(a, i, n, b, j, m, h)
+            except ArithmeticError as exc:
+                count = f"unbalanced ({exc})"
+            if count != want:
+                mismatches.append(
+                    f"q_({a},{i})@{n} * q_({b},{j})@{m} at h={h}: "
+                    f"tropical {count} vs product {want}"
+                )
     return Sweep(checked, tuple(mismatches))
 
 

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from affinefloer import affine, homotopy, numchecks, tropical, verify, wrapped
-from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
+from affinefloer.floer import basis_vector, index_range, k_value_cp2, ring_product
 from affinefloer.wrapped import Complement
 from support import e_element, replace, wrap_step
 
@@ -78,18 +78,11 @@ def test_criterion_3_associativity():
 def test_criterion_4_homotopy_oracle():
     sweep = verify.homotopy(8)
     ok = sweep.ok
-    for n in range(1, 5):
-        for m in range(1, 5):
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    k = k_value_cp2(a, b)
-                    coeffs = mu2(
-                        basis_vector(n, n + m, b, j), basis_vector(0, n, a, i)
-                    ).coeffs()
-                    for h in range((n + m - abs(a + b)) // 2 + 1):
-                        ok = ok and coeffs.get((a + b, h), 0) == homotopy.homotopy_count(
-                            k, i, j, h
-                        )
+    for a, i, n, b, j, m, coeffs in verify._pairs(4):
+        ok = ok and isinstance(coeffs, dict) and all(
+            coeffs.get((a + b, h), 0) == homotopy.homotopy_count(k_value_cp2(a, b), i, j, h)
+            for h in range((n + m - abs(a + b)) // 2 + 1)
+        )
     assert _report(
         "criterion 4: word enumeration = brute force = binomials = product coefficients",
         ok,
@@ -100,14 +93,11 @@ def test_criterion_4_homotopy_oracle():
 def test_criterion_5_tropical_equivalence(monkeypatch):
     sweep = verify.tropical(4)
     ok = sweep.ok
-    for n in range(1, 5):
-        for m in range(1, 5):
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    for h in range((n + m - abs(a + b)) // 2 + 1):
-                        triangle = tropical.build_triangle(a, i, n, b, j, m, h)
-                        if triangle is not None:
-                            ok = ok and tropical.check_balancing(triangle)
+    for a, i, n, b, j, m, _ in verify._pairs(4):
+        for h in range((n + m - abs(a + b)) // 2 + 1):
+            triangle = tropical.build_triangle(a, i, n, b, j, m, h)
+            if triangle is not None:
+                ok = ok and tropical.check_balancing(triangle)
     # Position invariance: the singularity moved one unit below the bend and
     # one unit above it gives the same multiplicity.
     for k in range(1, 11):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, JSON reports, exit codes, SVG files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -678,6 +679,23 @@ def test_each_suite_reports_its_checks_at_its_least_bound(name, capsys):
         assert names == [c["name"] for c in data["results"][name]["checks"]] and names
     else:
         assert names == [suite.check]
+
+
+# sha256 of each suite's `--json verify SUITE` output at its default bound,
+# with the `elapsed_seconds` line dropped
+_VERIFY_DIGESTS = {
+    "ring": "e01a30fe35a1d4f2b6f394ec81c9ce4415057d135d57ae8c444bb40681840569",
+    "tropical": "ef36f0be6456f8660930a13859e3809a0f6f15a910bdad413fd2f3c3aec1405d",
+    "homotopy": "ecc56352ed946f95a02c8549a00bc37d42ef9e834800bd85e925a38ed411cfca",
+    "wrapped": "ffe079f5c9786200b8173fd983d2220f148300d5920b5b833393e0f42c2ad7b1",
+}
+
+
+@pytest.mark.parametrize("name", _VERIFY_DIGESTS)
+def test_each_sweep_report_at_its_default_bound_is_pinned(name, capsys):
+    code, out = run(["--json", "verify", name], capsys)
+    kept = "".join(line for line in out.splitlines(True) if '"elapsed_seconds"' not in line)
+    assert (code, hashlib.sha256(kept.encode()).hexdigest()) == (0, _VERIFY_DIGESTS[name])
 
 
 def test_an_unwritable_report_path_exits_two_before_any_output(tmp_path, capsys):

@@ -8,7 +8,7 @@ from functools import partial
 
 import pytest
 
-from affinefloer import affine, floer
+from affinefloer import affine, floer, verify
 from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2, ring_product
 from affinefloer.wrapped import Complement, wrapped_product
 from support import assert_refused, polygon_to_json, replace
@@ -98,32 +98,23 @@ def test_ring_product_convention_and_bilinearity():
 
 
 def test_column_grading():
-    for n in range(1, 5):
-        for m in range(1, 5):
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    out = mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i))
-                    assert all(col == a + b for (col, _), _ in out.terms)
+    for a, _, _, b, _, _, coeffs in verify._pairs(4):
+        assert isinstance(coeffs, dict), coeffs
+        assert all(col == a + b for col, _ in coeffs)
 
 
 def test_closure_outputs_admissible():
-    for n in range(1, 9):
-        for m in range(1, 9):
-            out_range = index_range(0, n + m)
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    out = mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i))
-                    assert set(out.coeffs()) <= out_range
+    out_ranges = {d: index_range(0, d) for d in range(2, 17)}
+    for _, _, n, _, _, m, coeffs in verify._pairs(8):
+        assert isinstance(coeffs, dict), coeffs
+        assert coeffs.keys() <= out_ranges[n + m]
 
 
 def test_coefficient_symmetry_under_swapping_inputs():
-    for n in range(1, 5):
-        for m in range(1, 5):
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    lhs = mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i))
-                    rhs = mu2(basis_vector(m, n + m, a, i), basis_vector(0, m, b, j))
-                    assert [c for _, c in lhs.terms] == [c for _, c in rhs.terms]
+    for a, i, n, b, j, m, coeffs in verify._pairs(4):
+        assert isinstance(coeffs, dict), coeffs
+        rhs = mu2(basis_vector(m, n + m, a, i), basis_vector(0, m, b, j))
+        assert list(coeffs.values()) == [c for _, c in rhs.terms]
 
 
 def test_critical_cover_matches_closed_form_on_cp2():
@@ -203,15 +194,10 @@ def test_cp2_index_range_and_products_match_closed_form():
         assert index_range(0, n) == {
             (a, i) for a in range(-n, n + 1) for i in range((n - abs(a)) // 2 + 1)
         }
-    for n in range(1, 7):
-        for m in range(1, 7):
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    k = k_value_cp2(a, b)
-                    out = mu2(basis_vector(n, n + m, b, j), basis_vector(0, n, a, i))
-                    assert out.coeffs() == {
-                        (a + b, i + j + s): math.comb(k, s) for s in range(k + 1)
-                    }
+    for a, i, _, b, j, _, coeffs in verify._pairs(6):
+        assert isinstance(coeffs, dict), coeffs
+        k = k_value_cp2(a, b)
+        assert coeffs == {(a + b, i + j + s): math.comb(k, s) for s in range(k + 1)}
 
 
 def test_dp6_rejects_columns_outside_range():

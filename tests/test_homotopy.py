@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from affinefloer import homotopy as ht
-from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2
 
 # The literal word definition, the reference for the library's word search.
 # A word is a tuple of (generator, nonzero exponent) runs; () is the identity.
@@ -206,16 +205,3 @@ def test_homotopy_count_binomials_and_total():
                 expected = math.comb(k, s) if 0 <= s <= k else 0
                 assert ht.homotopy_count(k, i, j, h) == expected
         assert sum(ht.homotopy_count(k, 0, 0, h) for h in range(0, k + 1)) == 2**k
-
-
-def test_counts_match_triangle_product_coefficients():
-    for n in range(1, 5):
-        for m in range(1, 5):
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    k = k_value_cp2(a, b)
-                    coeffs = mu2(
-                        basis_vector(n, n + m, b, j), basis_vector(0, n, a, i)
-                    ).coeffs()
-                    for h in range((n + m - abs(a + b)) // 2 + 1):
-                        assert coeffs.get((a + b, h), 0) == ht.homotopy_count(k, i, j, h)

@@ -100,14 +100,27 @@ def test_the_cosine_table_keeps_the_levels_up_to_its_cap(monkeypatch):
         (nc.log_integral, (math.inf,)),
         (nc.critical_points, (math.nan,)),
         (nc.critical_points, (math.inf,)),
+        (nc.hessian_identity, (math.nan, 0.0)),
+        (nc.hessian_identity, (1.0, -math.inf)),
     ],
     ids=["R-nan", "R-inf", "R-minus-inf", "lam-nan", "lam-minus-inf", "log-nan", "log-inf",
-         "Lambda-nan", "Lambda-inf"],
+         "Lambda-nan", "Lambda-inf", "hessian-x-nan", "hessian-y-minus-inf"],
 )
 def test_a_non_finite_input_is_refused_up_front(call, args):
-    # each would otherwise run a quadrature to its cap or report a root count
+    # each would otherwise run a quadrature to its cap or report a root
+    # count or a Hessian of nans
     with pytest.raises(ValueError, match=r"must be finite, got -?(nan|inf)$"):
         call(*args)
+
+
+@pytest.mark.parametrize("tol", [math.nan, nc.TOL_FLOOR / 2])
+@pytest.mark.parametrize(
+    "call, arg", [(nc.log_integral, 0.5), (nc.syz_coordinates, FiberParams(0.5, 0.3))]
+)
+def test_a_quadrature_tolerance_is_checked_on_entry(call, arg, tol):
+    # a nan tolerance is never met, so doubling would run to QUADRATURE_MAX
+    with pytest.raises(ValueError, match="tol must be finite and at least the rounding floor"):
+        call(arg, tol=tol)
 
 
 def test_quadrature_takes_a_float():

@@ -8,7 +8,7 @@ import pytest
 from affinefloer import tropical as tr
 from affinefloer import verify
 from affinefloer.affine import CP2, RationalPoint, Singularity
-from affinefloer.floer import index_range, k_value_cp2
+from affinefloer.floer import k_value_cp2
 from support import assert_refused, replace
 
 
@@ -127,18 +127,6 @@ def test_pure_monodromy_bend_when_all_disks_on_other_side():
     assert t is not None and t.disks == () and t.bend is not None
     assert t.multiplicity == 1
     assert tr.check_balancing(t)
-
-
-def test_every_built_triangle_balances():
-    for n in range(1, 4):
-        for m in range(1, 4):
-            for (a, i) in index_range(0, n):
-                for (b, j) in index_range(n, n + m):
-                    for h in range((n + m - abs(a + b)) // 2 + 1):
-                        t = tr.build_triangle(a, i, n, b, j, m, h)
-                        if t is not None:
-                            assert tr.check_balancing(t)
-                            assert all(leg.end == t.root for leg in t.legs)
 
 
 def test_position_invariance_examples_and_sweep(monkeypatch):
@@ -331,13 +319,9 @@ _LOW, _HIGH = Fraction(-10**6), Fraction(10**6)  # below / above every bend
 
 
 def _cp2_products(max_nm):
-    for n in range(1, max_nm + 1):
-        for m in range(1, max_nm + 1):
-            heights = CP2.column_counts(n + m)
-            for (a, i) in sorted(index_range(0, n)):
-                for (b, j) in sorted(index_range(n, n + m)):
-                    for h in range(heights[a + b]):
-                        yield a, i, n, b, j, m, h
+    for a, i, n, b, j, m, _ in verify._pairs(max_nm):
+        for h in range(CP2.column_counts(n + m)[a + b]):
+            yield a, i, n, b, j, m, h
 
 
 def _base_tail_tangents(leg, bend, disks):

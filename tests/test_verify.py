@@ -153,6 +153,22 @@ def test_one_over_covering_count_fails_the_check_with_exit_one(
     assert captured.err.startswith("failed check ring_isomorphism: 9 checked, 9 mismatches")
 
 
+def test_a_point_missing_from_the_polygon_fails_the_ring_check(
+    monkeypatch, cold_cp2_memos, capsys
+):
+    # the pair sweep visits the polygon's points, so the ring suite checks
+    # them against its own basis: a dropped column is a failed check
+    table = affine.CP2.column_counts(1)
+    monkeypatch.setitem(affine.CP2._columns, 1, {a: c for a, c in table.items() if a != 1})
+    assert cli.main(["verify", "ring", "--max-degree", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    assert captured.err.startswith(
+        "failed check ring_isomorphism: 4 checked, 1 mismatches, "
+        "first: degree 1: cp2 points and ring basis differ on ["
+    )
+
+
 def test_a_wrong_shared_binomial_row_is_caught_by_both_oracles(monkeypatch, cold_cp2_memos):
     # mu2 and the wrapped product read C(2, s) from floer's one table; the
     # Laurent and ring oracles expand their products without it, so each

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from affinefloer import verify
 from affinefloer import wrapped as wr
 from affinefloer.affine import FractionalPoint
-from affinefloer.floer import basis_vector, index_range, k_value_cp2, mu2
+from affinefloer.floer import k_value_cp2
 from affinefloer.polyring import QBasisIndex, expand_in_qbasis, multiply, q_monomial
 from affinefloer.wrapped import Complement
 from support import e_element, wrap_step
@@ -174,24 +175,12 @@ def test_wrapped_product_worked_examples():
 
 
 def test_wrapped_product_restricted_to_compact_range_is_mu2():
-    for case in Complement:
-        for n in range(1, 5):
-            for m in range(1, 5 - n + 1):
-                for (a, i) in index_range(0, n):
-                    for (b, j) in index_range(n, n + m):
-                        if not (
-                            wr._depth_ok(case, a, i, n) and wr._depth_ok(case, b, j, m)
-                        ):
-                            continue
-                        got = wr.wrapped_product(
-                            case,
-                            FractionalPoint(b, j, m),
-                            FractionalPoint(a, i, n),
-                        )
-                        want = mu2(
-                            basis_vector(n, n + m, b, j), basis_vector(0, n, a, i)
-                        ).coeffs()
-                        assert got == want
+    for a, i, n, b, j, m, want in verify._pairs(4):
+        assert isinstance(want, dict), want
+        for case in Complement:
+            if wr._depth_ok(case, a, i, n) and wr._depth_ok(case, b, j, m):
+                got = wr.wrapped_product(case, FractionalPoint(b, j, m), FractionalPoint(a, i, n))
+                assert got == want
 
 
 def _one_too_many(monkeypatch):
